@@ -7,22 +7,27 @@ relation-check suites over the bundled knot table; ``movie`` evaluates
 a movie script to its induced map.
 
 Exit codes: 0 on success, 1 when a verification or comparison fails,
-2 on input errors.  Output is deterministic for a fixed config: table
-entries are iterated in sorted order and every report is assembled
-before printing.
+2 on input errors, 3 when a verify instance raised (reported as ERROR).
+Output is deterministic for a fixed config: table entries are iterated
+in sorted order and every report is assembled before printing.
+
+``verify`` runs a suite in groups, one per (knot or movie, theory): a
+group builds its theory, the knot's complex and its homology once and
+checks every instance of the group against them.  ``--jobs N`` spreads
+the groups over N worker processes.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 import json
 import os
 import sys
 
 import click
 
-from .cobordism import (Move, MoveError, MovieError, apply_move,
-                        decoration_chain_map, evaluate_movie, load_movie,
-                        parse_movie, ribbon_structure_errors,
+from .cobordism import (Move, MoveError, MovieError, decoration_chain_map,
+                        evaluate_movie, load_movie, parse_movie,
                         verify_dot_crossing, verify_ribbon_composite,
                         verify_saddle_split, verify_star_placement,
                         verify_symmetry)
@@ -36,9 +41,7 @@ from .jones import poly_str
 from .tables import TABLE_ENV, load_table
 
 ALL_THEORIES = ("bn", "kh-f2", "alpha", "alpha@0,t/f2", "alpha@1,-1/q")
-HOMOLOGY_THEORIES = ("bn", "alpha@0,t/f2")
-SUITES = ("frobenius", "neckcut", "dot-crossing", "saddle-split",
-          "symmetry", "ribbon", "movie-star")
+HOMOLOGY_THEORIES = ("bn", "alpha@0,t/f3")
 
 
 class InputError(click.ClickException):
@@ -295,138 +298,140 @@ SYMMETRY_MOVIES = (
 )
 
 
-def _verify_instances(cfg):
-    """The (label, spec) list for a suite; spec is a picklable tuple."""
+def _verify_groups(cfg):
+    """The suite's instances, grouped.
+
+    Each group is ``(suite, selector, subject, cases)`` with ``cases`` a
+    list of ``(label, arguments)``; the instances of a group share one
+    theory and, for the knot suites, one complex and its homology.
+    Groups are picklable and listed in report order.
+    """
     suite = cfg.suite
-    theories = [cfg.theory] if cfg.theory else None
-    out = []
-    if suite == "frobenius":
-        for sel in theories or ALL_THEORIES:
-            out.append(("frobenius %s" % sel, ("axioms", sel)))
-    elif suite == "neckcut":
-        for sel in theories or ALL_THEORIES:
-            out.append(("neckcut %s" % sel, ("neckcut", sel)))
-    elif suite == "dot-crossing":
-        table = _table()
-        for sel in theories or HOMOLOGY_THEORIES:
+    if suite in ("frobenius", "neckcut"):
+        return [(suite, sel, None, [("%s %s" % (suite, sel), ())])
+                for sel in ([cfg.theory] if cfg.theory else ALL_THEORIES)]
+    groups = []
+    for sel in [cfg.theory] if cfg.theory else HOMOLOGY_THEORIES:
+        if suite == "dot-crossing":
             for name in _knots_upto(cfg.max_crossings):
-                for ci in range(len(table[name].crossings)):
-                    out.append(("dot-crossing %s c%d %s" % (name, ci, sel),
-                                ("dot", name, ci, sel)))
-    elif suite == "saddle-split":
-        table = _table()
-        for sel in theories or HOMOLOGY_THEORIES:
-            out.append(("saddle-split unknot e1 %s" % sel,
-                        ("split", "unknot", 1, sel)))
-            for name in _knots_upto(cfg.max_crossings):
-                edges = sorted(table[name].edges)
-                for e in edges[:2]:
-                    out.append(("saddle-split %s e%d %s" % (name, e, sel),
-                                ("split", name, e, sel)))
-    elif suite == "symmetry":
-        for sel in theories or HOMOLOGY_THEORIES:
-            has_roots = sel.startswith("alpha")
+                groups.append((suite, sel, name, [
+                    ("dot-crossing %s c%d %s" % (name, ci, sel), (ci,))
+                    for ci in range(len(_table()[name].crossings))]))
+        elif suite == "saddle-split":
+            for name in ["unknot"] + _knots_upto(cfg.max_crossings):
+                edges = [1] if name == "unknot" else _table()[name].edges
+                groups.append((suite, sel, name, [
+                    ("saddle-split %s e%d %s" % (name, e, sel),
+                     (Move("saddle", (e, e)),)) for e in sorted(edges)[:2]]))
+        elif suite == "symmetry":
             for name, script, needs_roots in SYMMETRY_MOVIES:
-                if needs_roots and not has_roots:
-                    continue
-                out.append(("symmetry %s %s" % (name, sel),
-                            ("symmetry", script, sel)))
-    elif suite == "ribbon":
-        paths = bundled_movie_paths()
-        if not paths:
-            raise InputError("no bundled movies found")
-        for sel in theories or HOMOLOGY_THEORIES:
+                if not needs_roots or sel.startswith("alpha"):
+                    groups.append((suite, sel, script, [
+                        ("symmetry %s %s" % (name, sel), ())]))
+        elif suite == "ribbon":
+            paths = bundled_movie_paths()
+            if not paths:
+                raise InputError("no bundled movies found")
             for p in paths:
-                out.append(("ribbon %s %s" % (os.path.basename(p), sel),
-                            ("ribbon", p, sel)))
-    elif suite == "movie-star":
-        table = _table()
-        for sel in theories or HOMOLOGY_THEORIES:
+                groups.append((suite, sel, p, [
+                    ("ribbon %s %s" % (os.path.basename(p), sel), ())]))
+        elif suite == "movie-star":
             for name in _knots_upto(cfg.max_crossings):
-                edges = sorted(table[name].edges)
+                edges = sorted(_table()[name].edges)
                 if len(edges) < 2:
                     continue
-                pairs = [(edges[0], edges[1]), (edges[0], edges[-1])]
-                for e1, e2 in sorted(set(pairs)):
-                    out.append(("movie-star %s e%d e%d %s"
-                                % (name, e1, e2, sel),
-                                ("star", name, e1, e2, sel)))
-    else:
-        raise InputError("unknown suite %r (choose from %s)"
-                         % (suite, ", ".join(SUITES)))
+                pairs = {(edges[0], edges[1]), (edges[0], edges[-1])}
+                groups.append((suite, sel, name, [
+                    ("movie-star %s e%d e%d %s" % (name, e1, e2, sel),
+                     (e1, e2)) for e1, e2 in sorted(pairs)]))
+    return groups
+
+
+def _status(ok, detail=""):
+    return ("PASS" if ok else "FAIL"), detail
+
+
+def _error(e):
+    return "ERROR", "%s: %s" % (type(e).__name__, e)
+
+
+def _report_group(report, pass_detail, theory, subject, args):
+    rep = report(theory)
+    bad = [name for name, ok, _ in rep if not ok]
+    return [_status(not bad, "failing: " + ", ".join(bad) if bad
+                    else pass_detail(rep))]
+
+
+def _knot_group(verify, theory, name, args):
+    """verify(hdata, *arguments) per instance, all on one homology; an
+    exception is that instance's ERROR."""
+    diagram = unknot_diagram() if name == "unknot" else _table()[name]
+    hdata = HomologyData(build_complex(diagram, theory))
+    out = []
+    for arg in args:
+        try:
+            out.append(_status(verify(hdata, *arg)))
+        except Exception as e:
+            out.append(_error(e))
     return out
 
 
-def _run_instance(spec):
-    """Worker for one verification instance; returns (ok, detail)."""
-    kind = spec[0]
-    if kind == "axioms":
-        rep = axiom_report(theory_from_selector(spec[1]))
-        bad = [name for name, ok, _ in rep if not ok]
-        return (not bad, "all %d axioms hold" % len(rep) if not bad
-                else "failing: " + ", ".join(bad))
-    if kind == "neckcut":
-        rep = neck_cutting_report(theory_from_selector(spec[1]))
-        bad = [name for name, ok, _ in rep if not ok]
-        forms = ", ".join(name for name, _, _ in rep)
-        return (not bad, forms if not bad else "failing: " + ", ".join(bad))
-    if kind == "dot":
-        _, name, ci, sel = spec
-        theory = theory_from_selector(sel)
-        diagram = _table()[name]
-        ok = verify_dot_crossing(diagram, ci, theory)
-        return ok, ""
-    if kind == "split":
-        _, name, e, sel = spec
-        theory = theory_from_selector(sel)
-        diagram = unknot_diagram() if name == "unknot" else _table()[name]
-        ok = verify_saddle_split(diagram, Move("saddle", (e, e)), theory)
-        return ok, ""
-    if kind == "symmetry":
-        _, script, sel = spec
-        theory = theory_from_selector(sel)
-        movie = parse_movie(script)
-        ok = verify_symmetry(movie, theory)
-        return ok, ""
-    if kind == "ribbon":
-        _, path, sel = spec
-        theory = theory_from_selector(sel)
-        movie = load_movie(path)
-        ok = verify_ribbon_composite(movie, movie.saddle_count(), theory)
-        return ok, "%d saddle(s)" % movie.saddle_count()
-    if kind == "star":
-        _, name, e1, e2, sel = spec
-        theory = theory_from_selector(sel)
-        ok = verify_star_placement(_table()[name], e1, e2, theory)
-        return ok, ""
-    raise ValueError("bad instance %r" % (spec,))
+def _symmetry_group(theory, script, args):
+    return [_status(verify_symmetry(parse_movie(script), theory))]
 
 
-def _run_instance_guarded(spec):
+def _ribbon_group(theory, path, args):
+    movie = load_movie(path)
+    return [_status(verify_ribbon_composite(movie, theory),
+                    "%d saddle(s)" % movie.saddle_count())]
+
+
+# suite -> runner(theory, subject, args) -> [(status, detail)] per instance
+VERIFY_SUITES = {
+    "frobenius": partial(_report_group, axiom_report,
+                         lambda rep: "all %d axioms hold" % len(rep)),
+    "neckcut": partial(_report_group, neck_cutting_report,
+                       lambda rep: ", ".join(name for name, _, _ in rep)),
+    "dot-crossing": partial(_knot_group, verify_dot_crossing),
+    "saddle-split": partial(_knot_group, verify_saddle_split),
+    "symmetry": _symmetry_group,
+    "ribbon": _ribbon_group,
+    "movie-star": partial(_knot_group, verify_star_placement),
+}
+
+
+def _run_group(group):
+    """Worker for one group; when its shared theory, complex or homology
+    cannot be built, every instance of the group is an ERROR."""
+    suite, sel, subject, cases = group
     try:
-        return _run_instance(spec)
+        return VERIFY_SUITES[suite](theory_from_selector(sel), subject,
+                                    [arg for _, arg in cases])
     except Exception as e:
-        return False, "error: %s" % e
+        return [_error(e)] * len(cases)
 
 
 def cmd_verify(cfg):
-    instances = _verify_instances(cfg)
+    if cfg.theory:
+        _resolve_theory(cfg.theory)
+    groups = _verify_groups(cfg)
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_run_instance_guarded,
-                                    [spec for _, spec in instances]))
+            results = list(pool.map(_run_group, groups))
     else:
-        results = [_run_instance_guarded(spec) for _, spec in instances]
-    failures = 0
-    for (label, _), (ok, detail) in zip(instances, results):
-        status = "PASS" if ok else "FAIL"
-        failures += not ok
-        tail = ("  [%s]" % detail) if detail and (cfg.verbose or not ok) \
-            else ""
-        click.echo("%s %s%s" % (status, label, tail))
-    click.echo("%d/%d instances passed" % (len(instances) - failures,
-                                           len(instances)))
-    return 1 if failures else 0
+        results = [_run_group(group) for group in groups]
+    counts = {"PASS": 0, "FAIL": 0, "ERROR": 0}
+    for (_, _, _, cases), outcomes in zip(groups, results):
+        for (label, _), (status, detail) in zip(cases, outcomes):
+            counts[status] += 1
+            tail = ("  [%s]" % detail) if detail and (
+                cfg.verbose or status != "PASS") else ""
+            click.echo("%s %s%s" % (status, label, tail))
+    click.echo("%d/%d instances passed" % (counts["PASS"],
+                                           sum(counts.values())))
+    if counts["ERROR"]:
+        return 3
+    return 1 if counts["FAIL"] else 0
 
 
 # -- movie ---------------------------------------------------------------
@@ -474,15 +479,13 @@ def cmd_movie(cfg):
     try:
         cxs = movie.complexes(theory)
         f = evaluate_movie(movie, theory, cxs)
+        tgt_cx = cxs[-1]
         if cfg.compose_reverse:
-            g = evaluate_movie(movie.reversed(), theory)
-            f = compose(g, f)
+            f = compose(evaluate_movie(movie.reversed(), theory, cxs[::-1]),
+                        f)
             tgt_cx = cxs[0]
-        else:
-            tgt_cx = cxs[-1]
         ha = HomologyData(cxs[0])
-        hb = ha if tgt_cx is cxs[0] or cfg.compose_reverse \
-            else HomologyData(tgt_cx)
+        hb = ha if tgt_cx is cxs[0] else HomologyData(tgt_cx)
     except (MoveError, ValueError) as e:
         raise InputError(str(e))
 
@@ -588,9 +591,9 @@ def verify_cmd(suite, theory, max_crossings, jobs, verbose):
     frobenius, neckcut, dot-crossing, saddle-split, symmetry, ribbon,
     movie-star.
     """
-    if suite not in SUITES:
+    if suite not in VERIFY_SUITES:
         raise InputError("unknown suite %r (choose from %s)"
-                         % (suite, ", ".join(SUITES)))
+                         % (suite, ", ".join(VERIFY_SUITES)))
     cfg = RunConfig("verify", theory=theory, max_crossings=max_crossings,
                     jobs=jobs, verbose=verbose)
     cfg.suite = suite

@@ -24,10 +24,10 @@ chain maps.  This is asserted at runtime rather than assumed.
 
 from dataclasses import dataclass, field
 
-from .diagram import LinkDiagram, parse_pd, unknot_diagram
+from .diagram import LinkDiagram, is_planar, parse_pd, unknot_diagram
 from .complexes import (build_complex, ChainMap, compose, add_maps, scale_map,
                         identity_map, zero_map, maps_equal, mat_eq, popcount)
-from .homology import reduce_complex
+from .homology import HomologyData, maps_equal_on_homology, reduce_complex
 
 
 class MoveError(ValueError):
@@ -835,14 +835,6 @@ def move_chain_map(theory, cx_src, cx_tgt, info):
     raise MoveError("no chain map for move kind %r" % kind)
 
 
-def elementary_chain_map(frame, move, theory):
-    """Build the chain map of a single move applied to a diagram."""
-    new, info, _ = apply_move(frame, move)
-    cx_src = build_complex(frame, theory)
-    cx_tgt = cx_src if new is frame else build_complex(new, theory)
-    return move_chain_map(theory, cx_src, cx_tgt, info)
-
-
 # -- movies ---------------------------------------------------------------
 
 class MovieError(ValueError):
@@ -876,6 +868,9 @@ class Movie:
             except MoveError as e:
                 raise MovieError("move %d (%s): %s" % (k + 1, mv, e),
                                  getattr(mv, "_line", None))
+            if not is_planar(D):
+                raise MovieError("move %d (%s) gives a non-planar frame"
+                                 % (k + 1, mv), getattr(mv, "_line", None))
             self.frames.append(D)
             self.infos.append(info)
             self.reverses.append(rev)
@@ -893,21 +888,24 @@ class Movie:
                 if info["kind"] in DECORATIONS]
 
     def reversed(self):
-        return Movie(self.frames[-1], list(reversed(self.reverses)),
-                     name=self.name + "-reversed" if self.name else "")
+        """The movie played backwards; its frames are the forward frames
+        in reverse order, so it can reuse their complexes."""
+        rev = Movie(self.frames[-1], list(reversed(self.reverses)),
+                    name=self.name + "-reversed" if self.name else "")
+        if rev.frames != self.frames[::-1]:
+            raise MovieError("the reversed movie does not retrace the "
+                             "forward frames")
+        return rev
 
     def complexes(self, theory):
-        cxs = [build_complex(self.frames[0], theory)]
-        for k in range(len(self.moves)):
-            if self.frames[k + 1] is self.frames[k]:
-                cxs.append(cxs[-1])
-            else:
-                cxs.append(build_complex(self.frames[k + 1], theory))
-        return cxs
+        """One complex per frame; equal frames share one complex."""
+        built = {}
+        for frame in self.frames:
+            if frame not in built:
+                built[frame] = build_complex(frame, theory)
+        return [built[frame] for frame in self.frames]
 
-    def chain_maps(self, theory, cxs=None):
-        if cxs is None:
-            cxs = self.complexes(theory)
+    def chain_maps(self, theory, cxs):
         return [move_chain_map(theory, cxs[k], cxs[k + 1], info)
                 for k, info in enumerate(self.infos)]
 
@@ -999,15 +997,13 @@ def load_movie(path):
 
 # -- paper-identity verifiers --------------------------------------------
 
-def verify_dot_crossing(diagram, crossing, theory, hdata=None):
+def verify_dot_crossing(hdata, crossing):
     """At the chosen crossing, dots on the two under-strand edges sum to
     h (multiplication) on homology; with chosen roots, digit 1 on one
     plus digit 2 on the other induces zero (checked in both orders)."""
-    from .homology import HomologyData, maps_equal_on_homology
-    p, q = diagram.under_edges(crossing)
-    if hdata is None:
-        hdata = HomologyData(build_complex(diagram, theory))
     cx = hdata.original
+    theory = hdata.theory
+    p, q = cx.diagram.under_edges(crossing)
     if theory.alphas is not None:
         z = zero_map(cx, cx, 0, -2)
         for kp, kq in (("dot1", "dot2"), ("dot2", "dot1")):
@@ -1022,19 +1018,17 @@ def verify_dot_crossing(diagram, crossing, theory, hdata=None):
     return maps_equal_on_homology(f, g, hdata, hdata)
 
 
-def verify_saddle_split(diagram, move, theory, hdata=None):
+def verify_saddle_split(hdata, move):
     """A splitting saddle followed by its reverse is homotopic to the
     star action (multiplication by h over F2[h], 2X-s in general), up to
     a global sign away from characteristic 2."""
-    from .homology import HomologyData, maps_equal_on_homology
     if move.kind != "saddle":
         raise MoveError("verify_saddle_split needs a saddle move")
-    new, info, rev = apply_move(diagram, move)
-    if len(new.components) != len(diagram.components) + 1:
-        raise MoveError("saddle must increase the component count")
-    if hdata is None:
-        hdata = HomologyData(build_complex(diagram, theory))
     cx = hdata.original
+    theory = hdata.theory
+    new, info, rev = apply_move(cx.diagram, move)
+    if len(new.components) != len(cx.diagram.components) + 1:
+        raise MoveError("saddle must increase the component count")
     cx2 = build_complex(new, theory)
     f = saddle_chain_map(theory, cx, cx2, info)
     _, info_r, _ = apply_move(new, rev)
@@ -1048,32 +1042,28 @@ def verify_saddle_split(diagram, move, theory, hdata=None):
 def verify_symmetry(movie, theory):
     """A palindromic movie and its reflection induce the same map on
     homology (decorations land at the mirrored step of the reflection)."""
-    from .homology import HomologyData, maps_equal_on_homology
     n = len(movie.frames)
     for k in range(n):
         if movie.frames[k] != movie.frames[n - 1 - k]:
             raise MoveError("underlying movie is not palindromic")
     cxs = movie.complexes(theory)
     f = evaluate_movie(movie, theory, cxs)
-    g = evaluate_movie(movie.reversed(), theory)
+    g = evaluate_movie(movie.reversed(), theory, cxs[::-1])
+    # the first and last frames are equal, so one homology serves both
     ha = HomologyData(cxs[0])
-    hb = HomologyData(cxs[-1])
-    return maps_equal_on_homology(f, g, ha, hb)
+    return maps_equal_on_homology(f, g, ha, ha)
 
 
-def verify_star_placement(diagram, e1, e2, theory, hdata=None):
+def verify_star_placement(hdata, e1, e2):
     """Stars at two edges of the same component act equally on homology
     up to a global sign."""
-    from .homology import HomologyData, maps_equal_on_homology
-    comp1 = next(c for c in diagram.components if e1 in c)
+    cx = hdata.original
+    comp1 = next(c for c in cx.diagram.components if e1 in c)
     if e2 not in comp1:
         raise MoveError("edges %d and %d lie on different components"
                         % (e1, e2))
-    if hdata is None:
-        hdata = HomologyData(build_complex(diagram, theory))
-    cx = hdata.original
-    f = decoration_chain_map(theory, cx, "star", e1)
-    g = decoration_chain_map(theory, cx, "star", e2)
+    f = decoration_chain_map(hdata.theory, cx, "star", e1)
+    g = decoration_chain_map(hdata.theory, cx, "star", e2)
     return maps_equal_on_homology(f, g, hdata, hdata, up_to_sign=True)
 
 
@@ -1111,28 +1101,15 @@ def ribbon_structure_errors(movie):
     return msgs
 
 
-def verify_ribbon_composite(movie, d, theory):
-    """Reverse-after-forward of a ribbon movie induces the identity, and
-    the star^d-scaled composite equals star^d times the identity."""
-    from .homology import HomologyData, maps_equal_on_homology
+def verify_ribbon_composite(movie, theory):
+    """Reverse-after-forward of a ribbon movie induces the identity on
+    the homology of its first frame."""
     msgs = ribbon_structure_errors(movie)
     if msgs:
         raise MoveError("not a ribbon movie: " + "; ".join(msgs))
-    if d is None:
-        d = movie.saddle_count()
     cxs = movie.complexes(theory)
     f = evaluate_movie(movie, theory, cxs)
-    g = evaluate_movie(movie.reversed(), theory)
-    comp = compose(g, f)
+    g = evaluate_movie(movie.reversed(), theory, cxs[::-1])
     ha = HomologyData(cxs[0])
-    slack = theory.ring.char != 2
-    if not maps_equal_on_homology(comp, identity_map(cxs[0]), ha, ha,
-                                  up_to_sign=slack):
-        return False
-    e0 = movie.frames[0].edges[0]
-    star_pow = identity_map(cxs[0])
-    for _ in range(d):
-        star_pow = compose(decoration_chain_map(theory, cxs[0], "star", e0),
-                           star_pow)
-    return maps_equal_on_homology(compose(star_pow, comp), star_pow,
-                                  ha, ha, up_to_sign=slack)
+    return maps_equal_on_homology(compose(g, f), identity_map(cxs[0]),
+                                  ha, ha, up_to_sign=theory.ring.char != 2)

@@ -372,7 +372,8 @@ def parse_pd(text):
 
     The ``PD[...]`` wrapper is optional and ``X(...)`` parentheses are
     accepted too.  Raises PDSyntaxError with an offset for malformed
-    input and OrientationError when no consistent orientation exists.
+    input, PDSyntaxError for a code no plane diagram realizes, and
+    OrientationError when no consistent orientation exists.
     """
     toks = _tokenize_pd(text)
     pos = 0
@@ -428,7 +429,10 @@ def parse_pd(text):
         raise PDSyntaxError("trailing input after PD code", at)
     if not crossings:
         raise PDSyntaxError("no crossings found", 0)
-    return from_pd(crossings)
+    diagram = from_pd(crossings)
+    if not is_planar(diagram):
+        raise PDSyntaxError("PD code is not planar")
+    return diagram
 
 
 def from_pd(crossings, free_edges=()):

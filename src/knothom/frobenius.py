@@ -421,7 +421,10 @@ def _base_ring(code):
     if code in _RING_CODES:
         return _RING_CODES[code]()
     if code.startswith("f") and code[1:].isdigit():
-        return PrimeField(int(code[1:]))
+        try:
+            return PrimeField(int(code[1:]))
+        except ValueError as e:
+            raise TheoryError(str(e))
     raise TheoryError("unknown ring code %r" % code)
 
 

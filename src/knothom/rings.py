@@ -66,9 +66,8 @@ class PrimeField(BaseRing):
     is_field = True
 
     def __init__(self, p):
-        assert p >= 2
-        for d in range(2, p):
-            assert p % d != 0, "modulus must be prime"
+        if p < 2 or any(p % d == 0 for d in range(2, p)):
+            raise ValueError("modulus %d is not prime" % p)
         self.p = p
         self.char = p
         self.name = "F%d" % p

@@ -251,10 +251,11 @@ def braid_pd(word, strands):
     """PD text of the closure of a braid word (letters ±1..±(strands-1),
     all strands oriented downward; positive letter crosses the left
     strand over the right)."""
-    assert strands >= 2
-    used = set(abs(w) for w in word)
-    assert used == set(range(1, strands)), \
-        "every braid position must be crossed, else free circles appear"
+    if strands < 2:
+        raise ValueError("a braid needs at least two strands")
+    if set(abs(w) for w in word) != set(range(1, strands)):
+        raise ValueError("every braid position must be crossed, else free "
+                         "circles appear")
     cur = list(range(1, strands + 1))
     start = list(cur)
     nxt = strands + 1

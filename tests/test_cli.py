@@ -8,7 +8,9 @@ from click.testing import CliRunner
 
 from knothom.cli import main
 from knothom.cobordism import load_movie
-from knothom.tables import rational_pd
+from knothom.complexes import CubeComplex
+from knothom.homology import HomologyData
+from knothom.tables import TABLE_ENV, rational_pd
 
 MOVIE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                          "knothom", "data", "movies")
@@ -79,6 +81,20 @@ def test_homology_unknown_name():
 def test_homology_generic_theory_rejected():
     res = run("homology", "--name", "3_1", "--theory", "alpha")
     assert res.exit_code == 2
+
+
+def test_homology_composite_modulus_is_input_error():
+    res = run("homology", "--name", "3_1", "--theory", "alpha@0,t/f4")
+    assert res.exit_code == 2
+    assert "not prime" in res.output
+
+
+def test_homology_nonplanar_pd_is_input_error():
+    # the trefoil after r2+ on edges 3 and 6, which share no face
+    res = run("homology", "--pd", "PD[X[1,5,2,4],X[9,1,4,10],X[5,3,6,2],"
+              "X[6,7,8,3],X[8,7,10,9]]")
+    assert res.exit_code == 2
+    assert "planar" in res.output
 
 
 def test_homology_alpha_specialization():
@@ -167,11 +183,66 @@ def test_verify_dot_crossing_small():
     res = run("verify", "dot-crossing", "--max-crossings", "3")
     assert res.exit_code == 0, res.output
     assert "3_1" in res.output
+    assert "PASS dot-crossing 3_1 c0 alpha@0,t/f3" in res.output.splitlines()
+
+
+def test_verify_builds_homology_once_per_knot_and_theory(monkeypatch):
+    built = []
+    init = HomologyData.__init__
+
+    def counting_init(self, cx, *args, **kwargs):
+        built.append(cx)
+        init(self, cx, *args, **kwargs)
+
+    monkeypatch.setattr(HomologyData, "__init__", counting_init)
+    res = run("verify", "dot-crossing", "--max-crossings", "4")
+    assert res.exit_code == 0, res.output
+    assert "14/14 instances passed" in res.output
+    assert len(built) == 2 * 2      # 3_1 and 4_1 under two theories
 
 
 def test_verify_parallel_jobs():
     res = run("verify", "frobenius", "--jobs", "2")
     assert res.exit_code == 0, res.output
+
+
+def test_verify_jobs_match_serial():
+    args = ("verify", "dot-crossing", "--max-crossings", "4")
+    serial = run(*args, "--jobs", "1")
+    parallel = run(*args, "--jobs", "2")
+    assert serial.exit_code == parallel.exit_code == 0, parallel.output
+    assert parallel.output == serial.output
+
+
+def test_verify_reports_exceptions_as_error(tmp_path, monkeypatch):
+    table = tmp_path / "hopf.tsv"
+    table.write_text("hopf\tPD[X[4,1,3,2],X[2,3,1,4]]\n")
+    monkeypatch.setenv(TABLE_ENV, str(table))
+    res = run("verify", "movie-star", "--theory", "bn")
+    assert res.exit_code == 3, res.output
+    assert res.output.splitlines() == [
+        "PASS movie-star hopf e1 e2 bn",
+        "ERROR movie-star hopf e1 e4 bn  [MoveError: edges 1 and 4 lie on "
+        "different components]",
+        "1/2 instances passed",
+    ]
+
+
+def test_verify_group_without_homology_is_all_error():
+    # the generic theory has no homology, so the shared build fails
+    res = run("verify", "dot-crossing", "--theory", "alpha",
+              "--max-crossings", "3")
+    assert res.exit_code == 3, res.output
+    lines = res.output.splitlines()
+    assert [ln.split("  [")[0] for ln in lines[:-1]] == [
+        "ERROR dot-crossing 3_1 c%d alpha" % ci for ci in range(3)]
+    assert all("[ValueError: homology needs" in ln for ln in lines[:-1])
+    assert lines[-1] == "0/3 instances passed"
+
+
+def test_verify_bad_theory_is_input_error():
+    res = run("verify", "frobenius", "--theory", "nope")
+    assert res.exit_code == 2
 
 
 def test_verify_ribbon_bundled_movies():
@@ -225,6 +296,34 @@ def test_movie_script_errors_are_input_errors(tmp_path):
     res = run("movie", "--script", str(p))
     assert res.exit_code == 2
     assert "line 2" in res.output
+
+
+def test_movie_nonplanar_frame_is_input_error(tmp_path):
+    p = tmp_path / "nonplanar.movie"
+    p.write_text("start PD[X[1,5,2,4],X[3,1,4,6],X[5,3,6,2]]\n"
+                 "r2+ 3 6\nr2+ 7 2\n")
+    res = run("movie", "--script", str(p))
+    assert res.exit_code == 2
+    assert "line 2" in res.output
+    assert "non-planar" in res.output
+
+
+@pytest.mark.parametrize("movie", sorted(os.listdir(MOVIE_DIR)))
+def test_movie_compose_reverse_builds_each_frame_once(movie, monkeypatch):
+    path = os.path.join(MOVIE_DIR, movie)
+    built = []
+    init = CubeComplex.__init__
+
+    def counting_init(self, diagram, theory):
+        built.append(diagram)
+        init(self, diagram, theory)
+
+    monkeypatch.setattr(CubeComplex, "__init__", counting_init)
+    res = run("movie", "--script", path, "--compose-reverse",
+              "--compare", "id")
+    assert res.exit_code == 0, res.output
+    assert "compare id: equal" in res.output
+    assert len(built) == len(set(load_movie(path).frames))
 
 
 def test_movie_missing_file():

@@ -12,7 +12,7 @@ from knothom.complexes import (build_complex, identity_map, zero_map,
 from knothom.homology import HomologyData, maps_equal_on_homology
 from knothom.cobordism import (Move, MoveError, MovieError, apply_move,
                                decoration_chain_map, move_chain_map,
-                               elementary_chain_map, Movie, parse_movie,
+                               Movie, parse_movie,
                                load_movie, evaluate_movie,
                                verify_dot_crossing, verify_saddle_split,
                                verify_symmetry, verify_star_placement,
@@ -180,27 +180,26 @@ def test_dot_crossing_identity_trefoil():
         th = theory_from_selector(sel)
         hdata = HomologyData(build_complex(d, th))
         for c in range(d.n):
-            assert verify_dot_crossing(d, c, th, hdata), (sel, c)
+            assert verify_dot_crossing(hdata, c), (sel, c)
 
 
 def test_saddle_split_identity():
     for sel in ("bn", "alpha@0,t/f2"):
         th = theory_from_selector(sel)
-        u = unknot_diagram()
-        assert verify_saddle_split(u, Move("saddle", (1, 1)), th)
-        d = load_table()["4_1"]
-        hdata = HomologyData(build_complex(d, th))
-        assert verify_saddle_split(d, Move("saddle", (1, 1)), th, hdata)
+        for d in (unknot_diagram(), load_table()["4_1"]):
+            hdata = HomologyData(build_complex(d, th))
+            assert verify_saddle_split(hdata, Move("saddle", (1, 1)))
 
 
 def test_star_placement_same_component():
     d = load_table()["3_1"]
     th = theory_from_selector("alpha@0,t/f2")
-    assert verify_star_placement(d, 1, 4, th)
+    assert verify_star_placement(HomologyData(build_complex(d, th)), 1, 4)
     u = unknot_diagram()
     d2, _, _ = apply_move(u, Move("saddle", (1, 1)))
+    h2 = HomologyData(build_complex(d2, theory_from_selector("bn")))
     with pytest.raises(MoveError):
-        verify_star_placement(d2, *sorted(d2.free_edges), theory_from_selector("bn"))
+        verify_star_placement(h2, *sorted(d2.free_edges))
 
 
 def test_symmetry_of_palindromic_kink_movie():
@@ -265,6 +264,13 @@ def test_reversed_movie_frames():
     assert [f.key() for f in r.frames] == [f.key() for f in m.frames[::-1]]
 
 
+def test_reversed_movie_must_retrace_frames():
+    m = parse_movie("start unknot\nr1+ 1 +\n")
+    m.reverses[0] = Move("r1+", (1, "+"))
+    with pytest.raises(MovieError):
+        m.reversed()
+
+
 def test_bundled_movies_load_and_have_ribbon_shape():
     names = sorted(os.listdir(MOVIE_DIR))
     assert len(names) == 3
@@ -290,7 +296,16 @@ def test_ribbon_structure_rejections():
 def test_trivial_ribbon_composite_identity():
     m = load_movie(os.path.join(MOVIE_DIR, "trivial-ribbon.movie"))
     for sel in ("bn", "alpha@0,t/f2"):
-        assert verify_ribbon_composite(m, 0, theory_from_selector(sel)), sel
+        assert verify_ribbon_composite(m, theory_from_selector(sel)), sel
+
+
+def test_ribbon_composite_negative_control():
+    # ribbon-shaped, but the dot on the born circle survives the fusion,
+    # so reverse-after-forward is not the identity
+    m = parse_movie("start unknot\nbirth\ndot 2\nsaddle 1 2\n")
+    assert ribbon_structure_errors(m) == []
+    for sel in ("bn", "alpha@0,t/f2", "alpha@0,t/f3"):
+        assert not verify_ribbon_composite(m, theory_from_selector(sel)), sel
 
 
 def test_one_saddle_movie_composite():
@@ -298,7 +313,7 @@ def test_one_saddle_movie_composite():
     assert m.saddle_count() == 1
     assert len(m.final.components) == 1
     th = theory_from_selector("bn")
-    assert verify_ribbon_composite(m, 1, th)
+    assert verify_ribbon_composite(m, th)
 
 
 def _poly_mul(a, b):
@@ -318,7 +333,7 @@ def test_square_knot_movie_composite():
     assert jones_polynomial(m.final) == _poly_mul(
         jones_polynomial(trefoil), jones_polynomial(trefoil.mirror()))
     for sel in ("bn", "alpha@0,t/f2"):
-        assert verify_ribbon_composite(m, 1, theory_from_selector(sel)), sel
+        assert verify_ribbon_composite(m, theory_from_selector(sel)), sel
 
 
 @given(st.sampled_from(["3_1", "4_1", "5_2"]), st.integers(0, 5))

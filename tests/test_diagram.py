@@ -44,6 +44,7 @@ def test_parse_whitespace_and_case_tolerance():
     "X[1,2,3,4",
     "PD[X[1,2,3,4]",
     "PD[Y[1,2,3,4]]",
+    "PD[X[1,2,3,4],X[2,3,1,4]]",    # orientable, but not planar
 ])
 def test_syntax_errors(bad):
     with pytest.raises(PDSyntaxError):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from knothom.rings import (PrimeField, Rationals, Integers, PolyRing,
@@ -81,12 +82,8 @@ def test_unit_inverses(re):
 
 
 def test_prime_field_rejects_composite_modulus():
-    try:
+    with pytest.raises(ValueError):
         PrimeField(6)
-    except AssertionError:
-        pass
-    else:
-        assert False, "modulus 6 accepted"
 
 
 def test_payload_conventions():

@@ -66,7 +66,7 @@ def test_braid_components_matches_closure():
 
 
 def test_braid_pd_rejects_unused_position():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         braid_pd([1, 1], 3)
 
 
