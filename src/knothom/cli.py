@@ -13,8 +13,8 @@ in sorted order and every report is assembled before printing.
 
 ``verify`` runs a suite in groups, one per (knot or movie, theory): a
 group builds its theory, the knot's complex and its homology once and
-checks every instance of the group against them.  ``--jobs N`` spreads
-the groups over N worker processes.
+checks every instance of the group against them.  ``--jobs N`` (N >= 1)
+spreads the groups over N worker processes.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -176,6 +176,7 @@ class BoundReport:
     label: str
     values: tuple
     distance_hypothesis: int = None
+    pds: tuple = (None, None)   # PD text read for a PD argument, else None
 
     @property
     def gap(self):
@@ -188,7 +189,8 @@ class BoundReport:
         return self.gap <= self.distance_hypothesis
 
     def format_table(self):
-        lines = []
+        lines = ["%s: %s" % (name, pd)
+                 for name, pd in zip(self.names, self.pds) if pd]
         for name, v in zip(self.names, self.values):
             lines.append("%s(%s) = %d" % (self.label, name, v))
             lines.append("  ribbon distance from the unknot >= %d" % v)
@@ -209,6 +211,7 @@ class BoundReport:
             "theory": self.theory,
             "label": self.label,
             "knots": list(self.names),
+            "pd": list(self.pds),
             "values": list(self.values),
             "gap": self.gap,
             "distance_hypothesis": self.distance_hypothesis,
@@ -222,9 +225,11 @@ def cmd_bound(cfg):
         raise InputError("bound needs exactly two knot arguments")
     values = []
     names = []
+    pds = []
     for k, text in enumerate(cfg.knots):
         diagram, label = _load_diagram_arg(text)
         names.append(label or "knot%d" % (k + 1))
+        pds.append(None if label else " ".join(text.split()))
         if len(diagram.components) != 1:
             raise InputError(
                 "%s has %d components; the torsion bounds are stated for "
@@ -246,7 +251,7 @@ def cmd_bound(cfg):
             raise InputError(str(e))
         d = movie.saddle_count()
     report = BoundReport(theory.name, tuple(names), values[0].label,
-                         tuple(v.value for v in values), d)
+                         tuple(v.value for v in values), d, tuple(pds))
     _emit(cfg, report.as_dict(), report.format_table())
     return 0 if report.consistent else 1
 
@@ -583,7 +588,8 @@ def bound_cmd(knots, theory, distance, movie_path, output):
 @click.option("--theory", default=None,
               help="restrict to one theory selector")
 @click.option("--max-crossings", type=int, default=6, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1,
+              show_default=True)
 @click.option("-v", "--verbose", is_flag=True)
 def verify_cmd(suite, theory, max_crossings, jobs, verbose):
     """Run one verification suite; SUITE is one of:

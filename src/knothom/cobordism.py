@@ -19,14 +19,19 @@ Reidemeister moves induce chain maps through the unit-entry elimination
 engine: cancelling the local pairs of the kink or bigon leaves a complex
 that is literally the small diagram's complex (up to a checked sign
 relabeling), and the inclusion/projection of that elimination are the
-chain maps.  This is asserted at runtime rather than assumed.
+chain maps.  This is checked at runtime (MoveError) rather than assumed.
+
+Chain maps are evaluated on the vectors they are applied to: the
+elementary builders give the image of one generator, and a movie's
+composite pushes a vector through its moves one after another.
 """
 
 from dataclasses import dataclass, field
 
 from .diagram import LinkDiagram, is_planar, parse_pd, unknot_diagram
-from .complexes import (build_complex, ChainMap, compose, add_maps, scale_map,
-                        identity_map, zero_map, maps_equal, mat_eq, popcount)
+from .complexes import (build_complex, compose, add_maps, generator_map,
+                        identity_map, matrix_map, mat_mul, popcount,
+                        scale_map, zero_map)
 from .homology import HomologyData, maps_equal_on_homology, reduce_complex
 
 
@@ -39,6 +44,7 @@ class Move:
     kind: str
     args: tuple = ()
     exact: dict = None
+    line: int = field(default=None, compare=False)   # script line, if parsed
 
     def __str__(self):
         return " ".join([self.kind] + [str(a) for a in self.args])
@@ -88,7 +94,12 @@ def _rewrite_occurrence(crossings, place, new_edge):
 
 
 def apply_move(diagram, move):
-    """Apply one move.  Returns (new_diagram, info, reverse_move)."""
+    """Apply one move.  Returns (new_diagram, info, reverse_move).
+
+    Raises MoveError when the move does not apply, or when it changes
+    crossings and the result is not a plane diagram (for instance
+    ``r2+`` or ``saddle`` on two edges that share no face).
+    """
     kind = move.kind
     if kind == "birth":
         (f,) = _fresh_ids(diagram, 1, move.exact and move.exact.get("ids"))
@@ -113,19 +124,15 @@ def apply_move(diagram, move):
         info = {"kind": kind, "edge": e}
         return diagram, info, Move(kind, (e,))
 
-    if kind == "saddle":
-        return _apply_saddle(diagram, move)
-    if kind == "r1+":
-        return _apply_r1_plus(diagram, move)
-    if kind == "r1-":
-        return _apply_r1_minus(diagram, move)
-    if kind == "r2+":
-        return _apply_r2_plus(diagram, move)
-    if kind == "r2-":
-        return _apply_r2_minus(diagram, move)
-    if kind == "r3":
-        return _apply_r3(diagram, move)
-    raise MoveError("unknown move kind %r" % kind)
+    surgery = {"saddle": _apply_saddle, "r1+": _apply_r1_plus,
+               "r1-": _apply_r1_minus, "r2+": _apply_r2_plus,
+               "r2-": _apply_r2_minus, "r3": _apply_r3}.get(kind)
+    if surgery is None:
+        raise MoveError("unknown move kind %r" % kind)
+    new, info, rev = surgery(diagram, move)
+    if not is_planar(new):
+        raise MoveError("the resulting frame is non-planar")
+    return new, info, rev
 
 
 def _apply_saddle(diagram, move):
@@ -517,68 +524,41 @@ def _circle_match(res_src, res_tgt, new_ids):
 
 
 def birth_chain_map(theory, cx_src, cx_tgt, info):
-    R = theory.ring
-    f = info["edge"]
-    blocks = {}
-    for r in cx_src.degrees:
-        blk = {}
-        for i, (s, L) in enumerate(cx_src.gens[r]):
-            rs = cx_src.diagram.resolve(s)
-            rt = cx_tgt.diagram.resolve(s)
-            match = _circle_match(rs, rt, {f})
-            tl = _transport(L, match)   # the new circle keeps label 1
-            rj, j = cx_tgt.index[(s, tl)]
-            assert rj == r
-            blk[i] = {j: R.one}
-        if blk:
-            blocks[r] = blk
-    return ChainMap(cx_src, cx_tgt, blocks, 0, 1, "birth")
+    new = {info["edge"]}
+
+    def image(r, i):
+        s, L = cx_src.gens[r][i]
+        match = _circle_match(cx_src.diagram.resolve(s),
+                              cx_tgt.diagram.resolve(s), new)
+        # the new circle keeps label 1
+        return {cx_tgt.index[(s, _transport(L, match))][1]: theory.ring.one}
+    return generator_map(cx_src, cx_tgt, image, 0, 1, "birth")
 
 
 def death_chain_map(theory, cx_src, cx_tgt, info):
-    R = theory.ring
     e = info["edge"]
-    blocks = {}
-    for r in cx_src.degrees:
-        blk = {}
-        for i, (s, L) in enumerate(cx_src.gens[r]):
-            rs = cx_src.diagram.resolve(s)
-            if not (L >> rs.index[e] & 1):
-                continue            # counit sends the 1-label to zero
-            rt = cx_tgt.diagram.resolve(s)
-            match = _circle_match(rs, rt, set())
-            tl = _transport(L, match)
-            rj, j = cx_tgt.index[(s, tl)]
-            assert rj == r
-            blk[i] = {j: R.one}
-        if blk:
-            blocks[r] = blk
-    return ChainMap(cx_src, cx_tgt, blocks, 0, 1, "death")
+
+    def image(r, i):
+        s, L = cx_src.gens[r][i]
+        rs = cx_src.diagram.resolve(s)
+        if not (L >> rs.index[e] & 1):
+            return None             # counit sends the 1-label to zero
+        match = _circle_match(rs, cx_tgt.diagram.resolve(s), set())
+        return {cx_tgt.index[(s, _transport(L, match))][1]: theory.ring.one}
+    return generator_map(cx_src, cx_tgt, image, 0, 1, "death")
 
 
 def decoration_chain_map(theory, cx, kind, edge):
     R = theory.ring
     elem = theory.decoration_element(kind)
-    D = cx.diagram
-    blocks = {}
-    for r in cx.degrees:
-        blk = {}
-        for i, (s, L) in enumerate(cx.gens[r]):
-            j = D.locate(s, edge)
-            prod = theory.act_basis(elem, L >> j & 1)
-            col = {}
-            for comp in (0, 1):
-                coeff = prod[comp]
-                if R.is_zero(coeff):
-                    continue
-                tl = (L & ~(1 << j)) | (comp << j)
-                rj, jdx = cx.index[(s, tl)]
-                col[jdx] = coeff
-            if col:
-                blk[i] = col
-        if blk:
-            blocks[r] = blk
-    return ChainMap(cx, cx, blocks, 0, -2, kind)
+
+    def image(r, i):
+        s, L = cx.gens[r][i]
+        j = cx.diagram.locate(s, edge)
+        prod = theory.act_basis(elem, L >> j & 1)
+        return {cx.index[(s, (L & ~(1 << j)) | (comp << j))][1]: prod[comp]
+                for comp in (0, 1) if not R.is_zero(prod[comp])}
+    return generator_map(cx, cx, image, 0, -2, kind)
 
 
 def saddle_chain_map(theory, cx_src, cx_tgt, info):
@@ -586,56 +566,46 @@ def saddle_chain_map(theory, cx_src, cx_tgt, info):
     Ds, Dt = cx_src.diagram, cx_tgt.diagram
     R = theory.ring
     case = info["case"]
-    blocks = {}
-    for r in cx_src.degrees:
-        blk = {}
-        for i, (s, L) in enumerate(cx_src.gens[r]):
-            rs = Ds.resolve(s)
-            rt = Dt.resolve(s)
-            if case == "standard":
-                A, B = info["new"]
-                ia, ib = rs.index[info["e1"]], rs.index[info["e2"]]
-                ja, jb = rt.index[A], rt.index[B]
-                new_ids = {A, B}
-            elif case == "absorb":
-                ia, ib = rs.index[info["loop"]], rs.index[info["kept"]]
-                ja = jb = rt.index[info["kept"]]
-                new_ids = set()
-            elif case == "free_merge":
-                ia, ib = rs.index[info["e1"]], rs.index[info["e2"]]
-                ja = jb = rt.index[info["kept"]]
-                new_ids = set()
-            else:       # split_loop
-                ia = ib = rs.index[info["e1"]]
-                ja, jb = rt.index[info["e1"]], rt.index[info["loop"]]
-                new_ids = {info["loop"]}
-            match = _circle_match(rs, rt, new_ids)
-            col = {}
-            if ia != ib:
-                assert ja == jb, "band joining two circles must merge them"
-                match[ja] = None
-                base = _transport(L, match)
-                prod = theory.mul_basis(L >> ia & 1, L >> ib & 1)
-                for comp in (0, 1):
-                    coeff = prod[comp]
-                    if R.is_zero(coeff):
-                        continue
-                    rj, jdx = cx_tgt.index[(s, base | (comp << ja))]
-                    assert rj == r
-                    col[jdx] = coeff
-            else:
-                assert ja != jb, "band on one circle must split it"
-                match[ja] = match[jb] = None
-                base = _transport(L, match)
-                for (l1, l2), coeff in theory.comul_basis(L >> ia & 1).items():
-                    rj, jdx = cx_tgt.index[(s, base | (l1 << ja) | (l2 << jb))]
-                    assert rj == r
-                    col[jdx] = coeff
-            if col:
-                blk[i] = col
-        if blk:
-            blocks[r] = blk
-    return ChainMap(cx_src, cx_tgt, blocks, 0, -1, "saddle")
+
+    def image(r, i):
+        s, L = cx_src.gens[r][i]
+        rs = Ds.resolve(s)
+        rt = Dt.resolve(s)
+        if case == "standard":
+            A, B = info["new"]
+            ia, ib = rs.index[info["e1"]], rs.index[info["e2"]]
+            ja, jb = rt.index[A], rt.index[B]
+            new_ids = {A, B}
+        elif case == "absorb":
+            ia, ib = rs.index[info["loop"]], rs.index[info["kept"]]
+            ja = jb = rt.index[info["kept"]]
+            new_ids = set()
+        elif case == "free_merge":
+            ia, ib = rs.index[info["e1"]], rs.index[info["e2"]]
+            ja = jb = rt.index[info["kept"]]
+            new_ids = set()
+        else:       # split_loop
+            ia = ib = rs.index[info["e1"]]
+            ja, jb = rt.index[info["e1"]], rt.index[info["loop"]]
+            new_ids = {info["loop"]}
+        match = _circle_match(rs, rt, new_ids)
+        col = {}
+        if ia != ib:
+            assert ja == jb, "band joining two circles must merge them"
+            match[ja] = None
+            base = _transport(L, match)
+            prod = theory.mul_basis(L >> ia & 1, L >> ib & 1)
+            for comp in (0, 1):
+                if not R.is_zero(prod[comp]):
+                    col[cx_tgt.index[(s, base | (comp << ja))][1]] = prod[comp]
+        else:
+            assert ja != jb, "band on one circle must split it"
+            match[ja] = match[jb] = None
+            base = _transport(L, match)
+            for (l1, l2), coeff in theory.comul_basis(L >> ia & 1).items():
+                col[cx_tgt.index[(s, base | (l1 << ja) | (l2 << jb))][1]] = coeff
+        return col
+    return generator_map(cx_src, cx_tgt, image, 0, -1, "saddle")
 
 
 # -- r1/r2 maps through the elimination engine ---------------------------
@@ -748,11 +718,12 @@ def _relabel_iso(redn, cx_small, fixed_bits, forced_labels):
         fblk = {}
         for i, (S, L) in enumerate(red.gens[r]):
             res_big = D.resolve(S)
-            for ci, bit in fixed_bits.items():
-                assert S >> ci & 1 == bit, "survivor outside expected layer"
-            for e, bit in forced_labels.items():
-                assert L >> res_big.index[e] & 1 == bit, \
-                    "survivor carries the wrong label on a collapsed circle"
+            if any(S >> ci & 1 != bit for ci, bit in fixed_bits.items()):
+                raise MoveError("survivor outside expected layer")
+            if any(L >> res_big.index[e] & 1 != bit
+                   for e, bit in forced_labels.items()):
+                raise MoveError(
+                    "survivor carries the wrong label on a collapsed circle")
             sgn = 0
             s_small = S
             for ci in removed:
@@ -760,45 +731,61 @@ def _relabel_iso(redn, cx_small, fixed_bits, forced_labels):
                     sgn += popcount(s_small >> (ci + 1))
                 s_small = _drop_bit(s_small, ci)
             res_small = Ds.resolve(s_small)
-            assert len(res_small) == len(res_big) - len(forced_labels)
+            if len(res_small) != len(res_big) - len(forced_labels):
+                raise MoveError("survivor's circles do not match the small "
+                                "diagram's")
             L2 = 0
             for j, circ in enumerate(res_small.circles):
                 rep = next(e for e in circ if e in res_big.index)
                 L2 |= (L >> res_big.index[rep] & 1) << j
             rs, js = cx_small.index[(s_small, L2)]
-            assert rs == r, "homological degree mismatch in relabeling"
-            assert red.qdeg[r][i] == cx_small.qdeg[rs][js], "q mismatch"
-            assert (rs, js) not in seen
+            if rs != r:
+                raise MoveError("homological degree mismatch in relabeling")
+            if red.qdeg[r][i] != cx_small.qdeg[rs][js]:
+                raise MoveError("q mismatch in relabeling")
+            if (rs, js) in seen:
+                raise MoveError("two survivors relabel to one generator")
             seen.add((rs, js))
             coeff = minus_one if (R.char != 2 and sgn % 2) else R.one
             fblk[i] = {js: coeff}
             bwd_blocks.setdefault(r, {})[js] = {i: coeff}
         if fblk:
             fwd_blocks[r] = fblk
-    assert len(seen) == cx_small.total_rank(), \
-        "reduction did not land on the small complex"
-    fwd = ChainMap(red, cx_small, fwd_blocks, 0, 0, "relabel")
-    bwd = ChainMap(cx_small, red, bwd_blocks, 0, 0, "relabel")
-    assert fwd.is_chain_map(), \
-        "reduced differential differs from the small diagram's"
-    assert bwd.is_chain_map()
+    if len(seen) != cx_small.total_rank():
+        raise MoveError("reduction did not land on the small complex")
+    fwd = matrix_map(red, cx_small, fwd_blocks, 0, 0, "relabel")
+    bwd = matrix_map(cx_small, red, bwd_blocks, 0, 0, "relabel")
+    if not (fwd.is_chain_map() and bwd.is_chain_map()):
+        raise MoveError(
+            "reduced differential differs from the small diagram's")
     return fwd, bwd
 
 
-def _kink_maps(theory, cx_small, cx_big, ci):
-    pairs, eps, loop = _loop_pairs(cx_big, ci)
-    redn = reduce_complex(cx_big, pairs=pairs)
-    forced = {loop: 1 if eps == 0 else 0}
-    fwd, bwd = _relabel_iso(redn, cx_small, {ci: eps}, forced)
-    return compose(fwd, redn.proj), compose(redn.incl, bwd)
+def _reidemeister_map(theory, cx_src, cx_tgt, info):
+    """The chain map of an r1 or r2 move.
 
-
-def _bigon_maps(theory, cx_small, cx_big, ci, cj):
-    pairs, circ = _bigon_pairs(cx_big, ci, cj)
+    Cancelling the kink or bigon pairs of the bigger complex leaves the
+    smaller one up to relabeling.  The map is the inclusion of that
+    elimination (for a move that adds crossings) or its projection,
+    multiplied out with the relabeling, so it keeps one matrix and
+    neither the reduction nor the other direction.
+    """
+    grow = info["kind"].endswith("+")
+    cx_small, cx_big = (cx_src, cx_tgt) if grow else (cx_tgt, cx_src)
+    if info["kind"].startswith("r1"):
+        ci = info["crossing"]
+        pairs, eps, loop = _loop_pairs(cx_big, ci)
+        fixed, forced = {ci: eps}, {loop: 1 if eps == 0 else 0}
+    else:
+        ci, cj = info["c1"], info["c2"]
+        pairs, circ = _bigon_pairs(cx_big, ci, cj)
+        fixed, forced = {ci: 1 - circ[0], cj: 1 - circ[1]}, {}
     redn = reduce_complex(cx_big, pairs=pairs)
-    fixed = {ci: 1 - circ[0], cj: 1 - circ[1]}
-    fwd, bwd = _relabel_iso(redn, cx_small, fixed, {})
-    return compose(fwd, redn.proj), compose(redn.incl, bwd)
+    fwd, bwd = _relabel_iso(redn, cx_small, fixed, forced)
+    g, f = (redn.incl, bwd) if grow else (fwd, redn.proj)
+    blocks = {r: mat_mul(theory.ring, g.block(r), f.block(r))
+              for r in cx_src.degrees}
+    return matrix_map(cx_src, cx_tgt, blocks, 0, 0, info["kind"])
 
 
 def move_chain_map(theory, cx_src, cx_tgt, info):
@@ -812,24 +799,8 @@ def move_chain_map(theory, cx_src, cx_tgt, info):
         return decoration_chain_map(theory, cx_src, kind, info["edge"])
     if kind == "saddle":
         return saddle_chain_map(theory, cx_src, cx_tgt, info)
-    if kind == "r1+":
-        to_small, to_big = _kink_maps(theory, cx_src, cx_tgt, info["crossing"])
-        to_big.name = "r1+"
-        return to_big
-    if kind == "r1-":
-        to_small, to_big = _kink_maps(theory, cx_tgt, cx_src, info["crossing"])
-        to_small.name = "r1-"
-        return to_small
-    if kind == "r2+":
-        to_small, to_big = _bigon_maps(theory, cx_src, cx_tgt,
-                                       info["c1"], info["c2"])
-        to_big.name = "r2+"
-        return to_big
-    if kind == "r2-":
-        to_small, to_big = _bigon_maps(theory, cx_tgt, cx_src,
-                                       info["c1"], info["c2"])
-        to_small.name = "r2-"
-        return to_small
+    if kind in ("r1+", "r1-", "r2+", "r2-"):
+        return _reidemeister_map(theory, cx_src, cx_tgt, info)
     if kind == "r3":
         return _r3_chain_map(theory, cx_src, cx_tgt, info)
     raise MoveError("no chain map for move kind %r" % kind)
@@ -866,11 +837,7 @@ class Movie:
             try:
                 D, info, rev = apply_move(D, mv)
             except MoveError as e:
-                raise MovieError("move %d (%s): %s" % (k + 1, mv, e),
-                                 getattr(mv, "_line", None))
-            if not is_planar(D):
-                raise MovieError("move %d (%s) gives a non-planar frame"
-                                 % (k + 1, mv), getattr(mv, "_line", None))
+                raise MovieError("move %d (%s): %s" % (k + 1, mv, e), mv.line)
             self.frames.append(D)
             self.infos.append(info)
             self.reverses.append(rev)
@@ -914,10 +881,16 @@ def evaluate_movie(movie, theory, cxs=None):
     """Compose all elementary maps; identity for an empty movie."""
     if cxs is None:
         cxs = movie.complexes(theory)
-    total = identity_map(cxs[0])
-    for f in movie.chain_maps(theory, cxs):
-        total = compose(f, total)
-    return total
+    return _compose_all(movie.chain_maps(theory, cxs)) or identity_map(cxs[0])
+
+
+def _compose_all(maps):
+    """The composite of maps listed in the order they act, composed as a
+    balanced tree so that applying it recurses only log(len) deep."""
+    if len(maps) <= 1:
+        return maps[0] if maps else None
+    mid = len(maps) // 2
+    return compose(_compose_all(maps[mid:]), _compose_all(maps[:mid]))
 
 
 _MOVE_ARITY = {"death": 1, "dot": 1, "dot1": 1, "dot2": 1, "star": 1,
@@ -962,7 +935,7 @@ def parse_movie(text, name=""):
         if kind == "birth":
             if args:
                 raise MovieError("birth takes no arguments", no)
-            mv = Move("birth")
+            mv = Move("birth", line=no)
         elif kind == "r1+":
             if not args or (len(args) > 1 and args[1] not in ("+", "-")):
                 raise MovieError("usage: r1+ <edge> [+|-]", no)
@@ -970,18 +943,17 @@ def parse_movie(text, name=""):
                 e = int(args[0])
             except ValueError:
                 raise MovieError("bad edge id %r" % args[0], no)
-            mv = Move("r1+", (e, args[1] if len(args) > 1 else "+"))
+            mv = Move("r1+", (e, args[1] if len(args) > 1 else "+"), line=no)
         elif kind in _MOVE_ARITY:
             if len(args) != _MOVE_ARITY[kind]:
                 raise MovieError(
                     "%s takes %d argument(s)" % (kind, _MOVE_ARITY[kind]), no)
             try:
-                mv = Move(kind, tuple(int(a) for a in args))
+                mv = Move(kind, tuple(int(a) for a in args), line=no)
             except ValueError:
                 raise MovieError("bad arguments for %s" % kind, no)
         else:
             raise MovieError("unknown move %r" % parts[0], no)
-        mv._line = no
         moves.append(mv)
     if initial is None:
         raise MovieError("movie script has no start line")

@@ -10,6 +10,11 @@ Within a homological degree the generators are ordered by (state,
 labels), so each state occupies a contiguous block.  The differential
 follows cube edges with the usual sign (-1)^(ones below the flipped
 bit); matrices are sparse dicts {source index: {target index: payload}}.
+
+Chain maps are evaluated on the sparse vectors they are applied to: an
+elementary map gives the image of one generator, and sums, multiples and
+composites act on whole vectors.  A map's matrix is built on demand,
+from the generator images, only where a check asks for it.
 """
 
 from dataclasses import dataclass, field
@@ -21,22 +26,33 @@ def popcount(x):
 
 # -- sparse column-major matrix helpers ----------------------------------
 
+def axpy(R, out, c, vec):
+    """out += c * vec in place, dropping zeros; returns out."""
+    for j, v in vec.items():
+        w = R.add(out.get(j, R.zero), R.mul(c, v))
+        if R.is_zero(w):
+            out.pop(j, None)
+        else:
+            out[j] = w
+    return out
+
+
+def mat_vec(R, column, vec):
+    """Sum of c * column(i) over the entries i: c of a sparse vector;
+    ``column(i)`` is a sparse vector or None."""
+    out = {}
+    for i, c in vec.items():
+        col = column(i)
+        if col:
+            axpy(R, out, c, col)
+    return out
+
+
 def mat_mul(R, g, f):
     """Columns of g∘f when both are {src: {tgt: payload}} column maps."""
     out = {}
     for src, col in f.items():
-        acc = {}
-        for mid, c in col.items():
-            gcol = g.get(mid)
-            if not gcol:
-                continue
-            for tgt, d in gcol.items():
-                v = R.mul(c, d)
-                w = R.add(acc.get(tgt, R.zero), v)
-                if R.is_zero(w):
-                    acc.pop(tgt, None)
-                else:
-                    acc[tgt] = w
+        acc = mat_vec(R, g.get, col)
         if acc:
             out[src] = acc
     return out
@@ -45,30 +61,9 @@ def mat_mul(R, g, f):
 def mat_add(R, a, b):
     out = {src: dict(col) for src, col in a.items()}
     for src, col in b.items():
-        acc = out.setdefault(src, {})
-        for tgt, c in col.items():
-            w = R.add(acc.get(tgt, R.zero), c)
-            if R.is_zero(w):
-                acc.pop(tgt, None)
-            else:
-                acc[tgt] = w
+        acc = axpy(R, out.setdefault(src, {}), R.one, col)
         if not acc:
             del out[src]
-    return out
-
-
-def mat_scale(R, c, a):
-    if R.is_zero(c):
-        return {}
-    out = {}
-    for src, col in a.items():
-        acc = {}
-        for tgt, v in col.items():
-            w = R.mul(c, v)
-            if not R.is_zero(w):
-                acc[tgt] = w
-        if acc:
-            out[src] = acc
     return out
 
 
@@ -230,7 +225,8 @@ class CubeComplex(ChainComplex):
             plan = ("merge", ia, ic, it, tuple(match))
         else:
             it1, it2 = rt.index[a], rt.index[b]
-            assert it1 != it2, "planar smoothing change must split here"
+            if it1 == it2:
+                raise ValueError("planar smoothing change must split here")
             plan = ("split", ia, it1, it2, tuple(match))
         self._plans[key] = plan
         return plan
@@ -331,28 +327,48 @@ def build_complex(diagram, theory):
     return CubeComplex(diagram, theory)
 
 
-@dataclass
+@dataclass(eq=False)
 class ChainMap:
-    """A degree-0 map of complexes as per-degree sparse columns.
+    """A map of complexes, evaluated on the sparse vectors it is applied to.
 
-    ``blocks[r]`` maps generator indices of source degree r to sparse
-    columns in target degree r + r_shift.  ``q_shift`` records the
-    declared quantum degree when known (None otherwise).
+    ``act(r, vec)`` sends a sparse vector {index: payload} of source degree
+    r to a new sparse vector of target degree r + r_shift; it is the map's
+    only representation.  ``block(r)``, the matrix out of degree r as
+    {src: {tgt: payload}}, is built from the images of the generators the
+    first time it is asked for and then kept; a map made from a matrix
+    starts with it.  ``q_shift`` records the declared quantum degree when
+    known (None otherwise).
     """
 
     source: ChainComplex
     target: ChainComplex
-    blocks: dict
+    act: object
     r_shift: int = 0
     q_shift: int = None
     name: str = ""
+    _blocks: dict = field(default_factory=dict, repr=False)
 
     @property
     def ring(self):
         return self.source.ring
 
+    def apply(self, r, vec):
+        return self.act(r, vec) if vec else {}
+
     def block(self, r):
-        return self.blocks.get(r, {})
+        if r not in self._blocks:
+            one = self.ring.one
+            blk = {}
+            for i in range(self.source.rank(r)):
+                col = self.apply(r, {i: one})
+                if col:
+                    blk[i] = col
+            self._blocks[r] = blk
+        return self._blocks[r]
+
+    @property
+    def blocks(self):
+        return {r: self.block(r) for r in self.source.degrees if self.block(r)}
 
     def is_chain_map(self):
         R = self.ring
@@ -363,49 +379,42 @@ class ChainMap:
                 return False
         return True
 
-    def apply(self, r, vec):
-        R = self.ring
-        out = {}
-        blk = self.block(r)
-        for i, c in vec.items():
-            col = blk.get(i)
-            if not col:
-                continue
-            for j, v in col.items():
-                w = R.add(out.get(j, R.zero), R.mul(c, v))
-                if R.is_zero(w):
-                    out.pop(j, None)
-                else:
-                    out[j] = w
-        return out
+
+def generator_map(source, target, image, r_shift=0, q_shift=None, name=""):
+    """The map sending generator i of source degree r to ``image(r, i)``,
+    a sparse column of the target (or None for zero)."""
+    R = source.ring
+    return ChainMap(source, target,
+                    lambda r, vec: mat_vec(R, lambda i: image(r, i), vec),
+                    r_shift, q_shift, name)
+
+
+def matrix_map(source, target, blocks, r_shift=0, q_shift=None, name=""):
+    """The map with the given per-degree matrix blocks, which it keeps."""
+    f = generator_map(source, target, lambda r, i: blocks.get(r, {}).get(i),
+                      r_shift, q_shift, name)
+    f._blocks = {r: blocks.get(r, {}) for r in source.degrees}
+    return f
 
 
 def identity_map(cx):
-    blocks = {}
-    one = cx.ring.one
-    for r in cx.degrees:
-        blocks[r] = {i: {i: one} for i in range(cx.rank(r))}
-    return ChainMap(cx, cx, blocks, 0, 0, "id")
+    return ChainMap(cx, cx, lambda r, vec: dict(vec), 0, 0, "id")
 
 
 def zero_map(src, tgt, r_shift=0, q_shift=None):
-    return ChainMap(src, tgt, {}, r_shift, q_shift, "0")
+    return ChainMap(src, tgt, lambda r, vec: {}, r_shift, q_shift, "0")
 
 
 def compose(g, f):
-    """g after f."""
+    """g after f: f acts on the whole vector, then g on the merged result."""
     assert (f.target is g.source or f.target.gens is g.source.gens
             or f.target.gens == g.source.gens)
-    R = f.ring
-    blocks = {}
-    for r in f.source.degrees:
-        blk = mat_mul(R, g.block(r + f.r_shift), f.block(r))
-        if blk:
-            blocks[r] = blk
     q = None
     if f.q_shift is not None and g.q_shift is not None:
         q = f.q_shift + g.q_shift
-    return ChainMap(f.source, g.target, blocks, f.r_shift + g.r_shift, q,
+    return ChainMap(f.source, g.target,
+                    lambda r, vec: g.apply(r + f.r_shift, f.apply(r, vec)),
+                    f.r_shift + g.r_shift, q,
                     "%s∘%s" % (g.name, f.name) if f.name or g.name else "")
 
 
@@ -413,19 +422,17 @@ def add_maps(f, g):
     assert f.source is g.source and f.target is g.target
     assert f.r_shift == g.r_shift
     R = f.ring
-    blocks = {}
-    for r in set(f.blocks) | set(g.blocks):
-        blk = mat_add(R, f.block(r), g.block(r))
-        if blk:
-            blocks[r] = blk
     q = f.q_shift if f.q_shift == g.q_shift else None
-    return ChainMap(f.source, f.target, blocks, f.r_shift, q)
+    return ChainMap(
+        f.source, f.target,
+        lambda r, vec: axpy(R, f.apply(r, vec), R.one, g.apply(r, vec)),
+        f.r_shift, q)
 
 
 def scale_map(c, f):
     R = f.ring
     return ChainMap(f.source, f.target,
-                    {r: mat_scale(R, c, blk) for r, blk in f.blocks.items()},
+                    lambda r, vec: axpy(R, {}, c, f.apply(r, vec)),
                     f.r_shift, f.q_shift, f.name)
 
 
@@ -433,7 +440,4 @@ def maps_equal(f, g):
     if f.r_shift != g.r_shift:
         return False
     R = f.ring
-    for r in set(f.blocks) | set(g.blocks):
-        if not mat_eq(R, f.block(r), g.block(r)):
-            return False
-    return True
+    return all(mat_eq(R, f.block(r), g.block(r)) for r in f.source.degrees)

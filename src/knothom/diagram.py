@@ -56,6 +56,7 @@ class LinkDiagram:
     signs: tuple
     free_edges: tuple = ()
     _res_cache: dict = field(default_factory=dict, repr=False)
+    _components: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.crossings = tuple(tuple(c) for c in self.crossings)
@@ -149,7 +150,7 @@ class LinkDiagram:
     @property
     def components(self):
         """Oriented components as tuples of edges in traversal order."""
-        if not hasattr(self, "_components"):
+        if self._components is None:
             seen = set()
             comps = []
             for e0 in self.edges:

@@ -9,7 +9,9 @@ Two pipelines compute the same thing:
   is a monomial c*t^k.  On a q-homogeneous complex monomiality is
   preserved by elimination, the grading forces cancellations to be
   exact, and picking minimal-exponent pivots makes the divisibility
-  chain automatic.
+  chain automatic.  ``HomologyData`` keeps the maps so that chain maps
+  can be pushed through homology; ``homology()``, the summary route,
+  keeps none, because a summary reads only the small complex.
 
 * the oracle one skips reduction entirely and runs a classical dense
   Smith normal form with polynomial division, no monomial assumptions.
@@ -24,7 +26,7 @@ are torsion, missing diagonal means free).
 from dataclasses import dataclass
 
 from .rings import PolyRing
-from .complexes import (ChainComplex, ChainMap, mat_mul, mat_eq, mat_add,
+from .complexes import (ChainComplex, ChainMap, matrix_map, mat_eq, mat_add,
                         compose, add_maps, identity_map)
 
 
@@ -366,7 +368,7 @@ class Reduction:
 
 
 def _diff_as_map(cx):
-    return ChainMap(cx, cx, {r: cx.d(r) for r in cx.degrees}, 1, 0, "d")
+    return matrix_map(cx, cx, {r: cx.d(r) for r in cx.degrees}, 1, 0, "d")
 
 
 def reduce_complex(cx, pairs=None, track_maps=True):
@@ -424,7 +426,8 @@ def reduce_complex(cx, pairs=None, track_maps=True):
         for r, sk, tk in pairs:
             rs, si = cx.index[sk]
             rt, ti = cx.index[tk]
-            assert rs == r and rt == r + 1, "prescribed pair has wrong degrees"
+            if rs != r or rt != r + 1:
+                raise ValueError("prescribed pair has wrong degrees")
             queue.append((r, si, ti))
         queue.reverse()  # pop() order below
 
@@ -440,8 +443,10 @@ def reduce_complex(cx, pairs=None, track_maps=True):
         else:
             if queue:
                 r, s, t = queue.pop()
-                assert s in alive[r] and t in alive[r + 1], "pair already gone"
-                assert R.is_unit(entry(r, s, t)), "prescribed pair is not a unit"
+                if s not in alive[r] or t not in alive[r + 1]:
+                    raise ValueError("prescribed pair already gone")
+                if not R.is_unit(entry(r, s, t)):
+                    raise ValueError("prescribed pair is not a unit")
                 return r, s, t
             return None
 
@@ -582,9 +587,9 @@ def reduce_complex(cx, pairs=None, track_maps=True):
         blk = {g: dict(col) for g, col in htp_cols[r].items() if col}
         if blk:
             htp_blocks[r] = blk
-    incl = ChainMap(red, cx, incl_blocks, 0, 0, "incl")
-    proj = ChainMap(cx, red, proj_blocks, 0, 0, "proj")
-    htp = ChainMap(cx, cx, htp_blocks, -1, None, "H")
+    incl = matrix_map(red, cx, incl_blocks, 0, 0, "incl")
+    proj = matrix_map(cx, red, proj_blocks, 0, 0, "proj")
+    htp = matrix_map(cx, cx, htp_blocks, -1, None, "H")
     return Reduction(cx, red, incl, proj, htp)
 
 
@@ -627,19 +632,23 @@ class DegreePresentation:
         self.gen_vecs = gen_vecs  # cycles in C_r coordinates
 
 
+def _check_presentable(theory):
+    ring = theory.ring
+    if not (ring.is_field or isinstance(ring, PolyRing)):
+        raise ValueError(
+            "homology needs field or univariate polynomial coefficients; "
+            "specialize the theory first")
+    if isinstance(ring, PolyRing) and not theory.graded:
+        raise ValueError(
+            "polynomial coefficients need a graded theory for the "
+            "monomial normal form")
+
+
 class HomologyData:
     def __init__(self, cx, method="reduced"):
         assert method in ("reduced", "dense")
+        _check_presentable(cx.theory)
         self.theory = cx.theory
-        ring = cx.ring
-        if not (ring.is_field or isinstance(ring, PolyRing)):
-            raise ValueError(
-                "homology needs field or univariate polynomial coefficients; "
-                "specialize the theory first")
-        if isinstance(ring, PolyRing) and not cx.theory.graded:
-            raise ValueError(
-                "polynomial coefficients need a graded theory for the "
-                "monomial normal form")
         self.original = cx
         self.method = method
         if method == "reduced":
@@ -653,6 +662,7 @@ class HomologyData:
             self._snf = dense_snf
         self._pres = {}
         self._solvers = {}
+        self._rel_snf = {}
 
     def degrees(self):
         return self.work.degrees
@@ -752,8 +762,6 @@ class HomologyData:
 
     def _snf_of(self, r):
         """SNF of the relation matrix (boundaries in kernel coordinates)."""
-        if not hasattr(self, "_rel_snf"):
-            self._rel_snf = {}
         if r in self._rel_snf:
             return self._rel_snf[r]
         W = self.work
@@ -844,6 +852,12 @@ class HomologySummary:
 
 
 def homology(cx, method="reduced"):
+    """The homology summary of a complex.  The reduced route eliminates
+    without maps and presents the small complex that is left, in which
+    HomologyData's own elimination finds no unit entry to cancel."""
+    if method == "reduced":
+        _check_presentable(cx.theory)
+        cx = reduce_complex(cx, track_maps=False).red
     return HomologyData(cx, method=method).summary()
 
 

@@ -157,6 +157,19 @@ def test_bound_square_knot_movie_consistent(theory):
     assert bad.exit_code == 1
 
 
+def test_bound_names_the_pd_it_read():
+    res = run("bound", "unknot", LEFT_TREFOIL, "-d", "1")
+    assert res.exit_code == 0, res.output
+    lines = res.output.splitlines()
+    assert lines[0] == "knot2: " + LEFT_TREFOIL
+    assert "mu(knot2) = 1" in lines
+    assert lines[-1] == "hypothesis d = 1: consistent"
+    doc = json.loads(run("bound", LEFT_TREFOIL, "3_1",
+                         "--output", "json").output)
+    assert doc["knots"] == ["knot1", "3_1"]
+    assert doc["pd"] == [LEFT_TREFOIL, None]
+
+
 def test_bound_rejects_links():
     hopf = "PD[X[4,1,3,2],X[2,3,1,4]]"
     res = run("bound", hopf, "3_1")
@@ -204,6 +217,14 @@ def test_verify_builds_homology_once_per_knot_and_theory(monkeypatch):
 def test_verify_parallel_jobs():
     res = run("verify", "frobenius", "--jobs", "2")
     assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_jobs_below_one_is_input_error(jobs):
+    res = run("verify", "frobenius", "--jobs", jobs)
+    assert res.exit_code == 2
+    assert "--jobs" in res.output
+    assert "instances passed" not in res.output
 
 
 def test_verify_jobs_match_serial():

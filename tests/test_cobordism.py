@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from knothom.diagram import parse_pd, unknot_diagram, is_planar
 from knothom.frobenius import theory_from_selector
 from knothom.complexes import (build_complex, identity_map, zero_map,
-                               compose, add_maps, scale_map, maps_equal)
-from knothom.homology import HomologyData, maps_equal_on_homology
+                               compose, add_maps, scale_map, maps_equal,
+                               mat_eq, mat_mul)
+from knothom.homology import (HomologyData, maps_equal_on_homology,
+                              reduce_complex)
 from knothom.cobordism import (Move, MoveError, MovieError, apply_move,
                                decoration_chain_map, move_chain_map,
                                Movie, parse_movie,
@@ -17,7 +19,8 @@ from knothom.cobordism import (Move, MoveError, MovieError, apply_move,
                                verify_dot_crossing, verify_saddle_split,
                                verify_symmetry, verify_star_placement,
                                ribbon_structure_errors,
-                               verify_ribbon_composite)
+                               verify_ribbon_composite, _loop_pairs,
+                               _relabel_iso)
 from knothom.jones import jones_polynomial
 from knothom.tables import load_table, braid_pd
 
@@ -73,9 +76,16 @@ def test_split_loop_saddle():
 
 def test_standard_saddle_changes_components():
     d = load_table()["3_1"]
-    d2, info, rev = apply_move(d, Move("saddle", (1, 2)))
+    # (1, 3) is a cofacial pair; (1, 2) gives a non-planar frame
+    d2, info, rev = apply_move(d, Move("saddle", (1, 3)))
     assert info["case"] == "standard"
     assert abs(len(d2.components) - len(d.components)) == 1
+
+
+def test_r2_plus_on_edges_without_common_face_raises():
+    d = parse_pd("PD[X[1,5,2,4],X[3,1,4,6],X[5,3,6,2]]")
+    with pytest.raises(MoveError, match="non-planar"):
+        apply_move(d, Move("r2+", (3, 6)))
 
 
 def test_birth_and_death():
@@ -93,6 +103,7 @@ def test_birth_and_death():
     Move("saddle", (99, 1)),        # unknown edge
     Move("death", (1,)),            # component is not a free circle
     Move("r3", (0, 1, 2)),          # no triangle here
+    Move("saddle", (1, 2)),         # edges share no face: non-planar frame
 ])
 def test_invalid_moves_raise(mv):
     d = load_table()["3_1"]
@@ -135,7 +146,7 @@ def test_kink_and_bigon_maps_are_chain_maps(sel):
     th = theory_from_selector(sel)
     d = load_table()["3_1"]
     for mv in (Move("r1+", (1, "+")), Move("r1+", (1, "-")),
-               Move("r2+", (1, 4))):
+               Move("r2+", (4, 1))):      # (1, 4) gives a non-planar frame
         d2, info, rev = apply_move(d, mv)
         cx, cx2 = build_complex(d, th), build_complex(d2, th)
         f = move_chain_map(th, cx, cx2, info)
@@ -170,6 +181,78 @@ def test_empty_movie_is_identity():
     m = parse_movie("start PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]\n")
     total = evaluate_movie(m, th)
     assert maps_equal(total, identity_map(total.source))
+
+
+def test_long_movie_composite_applies():
+    # a composite built move after move would recurse once per move
+    th = theory_from_selector("bn")
+    R = th.ring
+    total = evaluate_movie(parse_movie("start unknot\n" + "dot 1\n" * 600),
+                           th)
+    cx = total.source
+    img = total.apply(0, {cx.index[(0, 0)][1]: R.one})
+    assert list(img) == [cx.index[(0, 1)][1]]       # dot^600(1) = h^599 X
+    assert R.eq(img[cx.index[(0, 1)][1]], R.monomial(R.base.one, 599))
+
+
+def _blocks_equal_product(g, f):
+    """compose(g, f), evaluated vector by vector, against the product of
+    the factors' matrices; returns the number of nonzero columns."""
+    R = f.ring
+    gf = compose(g, f)
+    cols = 0
+    for r in f.source.degrees:
+        prod = mat_mul(R, g.block(r + f.r_shift), f.block(r))
+        assert mat_eq(R, gf.block(r), prod), r
+        cols += len(prod)
+    return cols
+
+
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
+def test_decoration_and_saddle_composites_match_matrix_product(sel):
+    th = theory_from_selector(sel)
+    d = load_table()["4_1"]
+    d2, info, _ = apply_move(d, Move("saddle", (1, 3)))
+    cx, cx2 = build_complex(d, th), build_complex(d2, th)
+    saddle = move_chain_map(th, cx, cx2, info)
+    assert _blocks_equal_product(
+        decoration_chain_map(th, cx2, "star", d2.edges[0]), saddle)
+    assert _blocks_equal_product(
+        saddle, decoration_chain_map(th, cx, "dot", 2))
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(MOVIE_DIR)))
+def test_movie_composite_matches_matrix_product(name):
+    th = theory_from_selector("bn")
+    R = th.ring
+    movie = load_movie(os.path.join(MOVIE_DIR, name))
+    cxs = movie.complexes(th)
+    f = evaluate_movie(movie, th, cxs)
+    g = evaluate_movie(movie.reversed(), th, cxs[::-1])
+    assert _blocks_equal_product(g, f)
+    # the composite against the product of its move maps
+    for r in cxs[0].degrees:
+        prod = identity_map(cxs[0]).block(r)
+        for move_map in movie.chain_maps(th, cxs):
+            prod = mat_mul(R, move_map.block(r), prod)
+        assert mat_eq(R, f.block(r), prod), r
+
+
+def test_relabeling_is_checked():
+    th = theory_from_selector("bn")
+    small = unknot_diagram()
+    big, info, _ = apply_move(small, Move("r1+", (1, "+")))
+    cx_small, cx_big = build_complex(small, th), build_complex(big, th)
+    ci = info["crossing"]
+    pairs, eps, loop = _loop_pairs(cx_big, ci)
+    redn = reduce_complex(cx_big, pairs=pairs)
+    forced = {loop: 1 if eps == 0 else 0}
+    fwd, bwd = _relabel_iso(redn, cx_small, {ci: eps}, forced)
+    assert fwd.is_chain_map() and bwd.is_chain_map()
+    with pytest.raises(MoveError, match="expected layer"):
+        _relabel_iso(redn, cx_small, {ci: 1 - eps}, forced)
+    with pytest.raises(MoveError, match="wrong label"):
+        _relabel_iso(redn, cx_small, {ci: eps}, {loop: 1 - forced[loop]})
 
 
 # -- homology-level identities (small instances) --------------------------
@@ -247,6 +330,12 @@ def test_parse_movie_errors(text, frag):
     with pytest.raises(MovieError) as err:
         parse_movie(text)
     assert frag.lower() in str(err.value).lower()
+
+
+def test_parsed_moves_carry_lines_outside_equality():
+    m = parse_movie("start unknot\n\n# pad\nsaddle 1 1\ndot 2\n")
+    assert [mv.line for mv in m.moves] == [4, 5]
+    assert m.moves == [Move("saddle", (1, 1)), Move("dot", (2,))]
 
 
 def test_movie_error_carries_line_number():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knothom.diagram import parse_pd, unknot_diagram
+from knothom.diagram import from_pd, parse_pd, unknot_diagram
 from knothom.frobenius import theory_from_selector
 from knothom.complexes import (build_complex, CubeComplex, identity_map,
                                zero_map, compose, add_maps, scale_map,
@@ -91,6 +91,14 @@ def test_euler_characteristic_guards():
     with pytest.raises(ValueError):
         build_complex(
             d, theory_from_selector("alpha@1,-1/q")).graded_euler_characteristic()
+
+
+def test_nonplanar_code_fails_edge_plan():
+    # the genus-1 code: a smoothing change keeps one circle one circle
+    cx = build_complex(from_pd(((1, 2, 3, 4), (2, 3, 1, 4))),
+                       theory_from_selector("bn"))
+    with pytest.raises(ValueError, match="must split"):
+        cx.materialize()
 
 
 def test_identity_chain_map():

@@ -143,6 +143,40 @@ def test_reduction_identities():
             assert redn.red.check_d_squared()
 
 
+def _pair(cx, r, s, t):
+    return (r, cx.gens[r][s], cx.gens[r + 1][t])
+
+
+def test_prescribed_pairs_are_checked():
+    cx = build_complex(load_table()["3_1"], theory_from_selector("bn"))
+    R = cx.ring
+    r = cx.degrees[0]
+    units = [(s, t) for s, col in cx.d(r).items() for t, v in col.items()
+             if R.is_unit(v)]
+    others = [(s, t) for s, col in cx.d(r).items() for t, v in col.items()
+              if not R.is_unit(v)]
+    s0, t0 = units[0]
+    with pytest.raises(ValueError, match="wrong degrees"):
+        reduce_complex(cx, pairs=[(r + 1, cx.gens[r][s0], cx.gens[r + 1][t0])])
+    with pytest.raises(ValueError, match="already gone"):
+        reduce_complex(cx, pairs=[_pair(cx, r, s0, t0)] * 2)
+    s1, t1 = others[0]
+    with pytest.raises(ValueError, match="not a unit"):
+        reduce_complex(cx, pairs=[_pair(cx, r, s1, t1)])
+
+
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
+def test_summary_route_equals_homology_data(sel):
+    # homology() eliminates without maps; HomologyData keeps them
+    th = theory_from_selector(sel)
+    table = load_table()
+    names = [n for n in sorted(table) if len(table[n].crossings) <= 6]
+    assert len(names) == 7
+    for name in names:
+        cx = build_complex(table[name], th)
+        assert homology(cx) == HomologyData(cx).summary(), name
+
+
 def test_unknot_homology():
     cx = build_complex(unknot_diagram(), theory_from_selector("bn"))
     s = homology(cx)
