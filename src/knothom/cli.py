@@ -219,6 +219,21 @@ class BoundReport:
         }
 
 
+def _check_movie_ends(movie, theory, names, summaries):
+    """The movie must run from the first knot to the second: the homology
+    summary of its first frame must equal the first knot's, and that of
+    its last frame the second knot's, under the chosen theory.  Equal
+    summaries do not prove the diagrams isotopic, but a difference
+    proves the movie joins other knots."""
+    for name, end, frame, summary in zip(names, ("first", "last"),
+                                         (movie.frames[0], movie.final),
+                                         summaries):
+        if homology(build_complex(frame, theory)) != summary:
+            raise InputError(
+                "the movie's %s frame is not %s: their %s homology "
+                "summaries differ" % (end, name, theory.name))
+
+
 def cmd_bound(cfg):
     theory = _resolve_theory(cfg.theory)
     if len(cfg.knots) != 2:
@@ -226,6 +241,7 @@ def cmd_bound(cfg):
     values = []
     names = []
     pds = []
+    summaries = []
     for k, text in enumerate(cfg.knots):
         diagram, label = _load_diagram_arg(text)
         names.append(label or "knot%d" % (k + 1))
@@ -235,8 +251,8 @@ def cmd_bound(cfg):
                 "%s has %d components; the torsion bounds are stated for "
                 "knots, refusing" % (names[-1], len(diagram.components)))
         try:
-            summary = homology(build_complex(diagram, theory))
-            tb = torsion_bound(summary, theory)
+            summaries.append(homology(build_complex(diagram, theory)))
+            tb = torsion_bound(summaries[-1], theory)
         except ValueError as e:
             raise InputError(str(e))
         values.append(tb)
@@ -249,6 +265,7 @@ def cmd_bound(cfg):
             movie = load_movie(cfg.movie_path)
         except (OSError, MovieError) as e:
             raise InputError(str(e))
+        _check_movie_ends(movie, theory, names, summaries)
         d = movie.saddle_count()
     report = BoundReport(theory.name, tuple(names), values[0].label,
                          tuple(v.value for v in values), d, tuple(pds))

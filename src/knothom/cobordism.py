@@ -19,19 +19,24 @@ Reidemeister moves induce chain maps through the unit-entry elimination
 engine: cancelling the local pairs of the kink or bigon leaves a complex
 that is literally the small diagram's complex (up to a checked sign
 relabeling), and the inclusion/projection of that elimination are the
-chain maps.  This is checked at runtime (MoveError) rather than assumed.
+chain maps.  This is checked at runtime (MoveError) rather than assumed:
+the relabeling must carry the reduced differential entry for entry onto
+the small one.
 
 Chain maps are evaluated on the vectors they are applied to: the
 elementary builders give the image of one generator, and a movie's
-composite pushes a vector through its moves one after another.
+composite pushes a vector through its moves one after another.  An r1 or
+r2 map composes the relabeling with the elimination's inclusion or
+projection, which replays the recorded cancellations on that vector; no
+matrix of it is built unless a check asks for one.
 """
 
 from dataclasses import dataclass, field
 
 from .diagram import LinkDiagram, is_planar, parse_pd, unknot_diagram
 from .complexes import (build_complex, compose, add_maps, generator_map,
-                        identity_map, matrix_map, mat_mul, popcount,
-                        scale_map, zero_map)
+                        identity_map, matrix_map, popcount, scale_map,
+                        zero_map)
 from .homology import HomologyData, maps_equal_on_homology, reduce_complex
 
 
@@ -703,7 +708,11 @@ def _relabel_iso(redn, cx_small, fixed_bits, forced_labels):
     {edge: label bit} for big circles absent from the small diagram.
     Removing a fixed 1-bit changes the cube sign convention, so survivors
     pick up (-1) per set bit above the removed crossing; the returned
-    relabeling maps carry those signs and are verified to be chain maps.
+    relabeling maps carry those signs.  The relabeling is checked to be
+    a signed bijection, so it and its inverse are chain maps exactly when
+    each degree's differentials have equal nnz and every reduced entry v
+    at (i, t) appears as sign_i sign_t v at the relabeled (i, t) of the
+    small differential; that is checked entry by entry.
     """
     red = redn.red
     big = redn.original
@@ -753,25 +762,36 @@ def _relabel_iso(redn, cx_small, fixed_bits, forced_labels):
             fwd_blocks[r] = fblk
     if len(seen) != cx_small.total_rank():
         raise MoveError("reduction did not land on the small complex")
-    fwd = matrix_map(red, cx_small, fwd_blocks, 0, 0, "relabel")
-    bwd = matrix_map(cx_small, red, bwd_blocks, 0, 0, "relabel")
-    if not (fwd.is_chain_map() and bwd.is_chain_map()):
-        raise MoveError(
-            "reduced differential differs from the small diagram's")
-    return fwd, bwd
+    for r in set(red.degrees) | set(cx_small.degrees):
+        if not _relabels_onto(R, red.d(r), cx_small.d(r),
+                              fwd_blocks.get(r), fwd_blocks.get(r + 1)):
+            raise MoveError(
+                "reduced differential differs from the small diagram's")
+    return (matrix_map(red, cx_small, fwd_blocks, 0, 0, "relabel"),
+            matrix_map(cx_small, red, bwd_blocks, 0, 0, "relabel"))
 
 
-def _reidemeister_map(theory, cx_src, cx_tgt, info):
-    """The chain map of an r1 or r2 move.
+def _relabels_onto(R, d_red, d_small, rel_src, rel_tgt):
+    """Does the signed relabeling (rel_src on the sources, rel_tgt on the
+    targets, each {i: {j: sign}}) carry d_red entry for entry onto
+    d_small?"""
+    if (sum(len(col) for col in d_red.values())
+            != sum(len(col) for col in d_small.values())):
+        return False
+    for i, col in d_red.items():
+        ((si, ci),) = rel_src[i].items()
+        small_col = d_small.get(si, {})
+        for t, v in col.items():
+            ((st, ct),) = rel_tgt[t].items()
+            if not R.eq(small_col.get(st, R.zero), R.mul(R.mul(ci, ct), v)):
+                return False
+    return True
 
-    Cancelling the kink or bigon pairs of the bigger complex leaves the
-    smaller one up to relabeling.  The map is the inclusion of that
-    elimination (for a move that adds crossings) or its projection,
-    multiplied out with the relabeling, so it keeps one matrix and
-    neither the reduction nor the other direction.
-    """
-    grow = info["kind"].endswith("+")
-    cx_small, cx_big = (cx_src, cx_tgt) if grow else (cx_tgt, cx_src)
+
+def _reidemeister_reduction(cx_small, cx_big, info):
+    """The prescribed-pair elimination of an r1 or r2 move's bigger
+    complex and the relabelings between its reduced complex and the
+    smaller one: (reduction, reduced -> small, small -> reduced)."""
     if info["kind"].startswith("r1"):
         ci = info["crossing"]
         pairs, eps, loop = _loop_pairs(cx_big, ci)
@@ -782,10 +802,22 @@ def _reidemeister_map(theory, cx_src, cx_tgt, info):
         fixed, forced = {ci: 1 - circ[0], cj: 1 - circ[1]}, {}
     redn = reduce_complex(cx_big, pairs=pairs)
     fwd, bwd = _relabel_iso(redn, cx_small, fixed, forced)
-    g, f = (redn.incl, bwd) if grow else (fwd, redn.proj)
-    blocks = {r: mat_mul(theory.ring, g.block(r), f.block(r))
-              for r in cx_src.degrees}
-    return matrix_map(cx_src, cx_tgt, blocks, 0, 0, info["kind"])
+    return redn, fwd, bwd
+
+
+def _reidemeister_map(theory, cx_src, cx_tgt, info):
+    """The chain map of an r1 or r2 move.
+
+    Cancelling the kink or bigon pairs of the bigger complex leaves the
+    smaller one up to relabeling.  The map is the inclusion of that
+    elimination after the relabeling (for a move that adds crossings),
+    or the relabeling after its projection; it acts on the vectors it is
+    applied to by replaying the elimination's recorded cancellations.
+    """
+    grow = info["kind"].endswith("+")
+    cx_small, cx_big = (cx_src, cx_tgt) if grow else (cx_tgt, cx_src)
+    redn, fwd, bwd = _reidemeister_reduction(cx_small, cx_big, info)
+    return compose(redn.incl, bwd) if grow else compose(fwd, redn.proj)
 
 
 def move_chain_map(theory, cx_src, cx_tgt, info):

@@ -118,15 +118,17 @@ class ChainComplex:
         return self
 
     def check_d_squared(self):
-        """Full sparse composition d∘d per degree; raises on failure."""
+        """Full sparse composition d∘d per degree; raises ValueError on
+        failure."""
         R = self.ring
         for r in self.degrees:
-            comp = mat_mul(R, self.d(r + 1), self.d(r))
-            assert not comp, "d^2 != 0 out of degree %d" % r
+            if mat_mul(R, self.d(r + 1), self.d(r)):
+                raise ValueError("d^2 != 0 out of degree %d" % r)
         return True
 
     def check_q_homogeneity(self):
-        """Every differential entry must preserve q (coefficients count)."""
+        """Every differential entry must preserve q (coefficients count);
+        raises ValueError on failure."""
         if not self.theory.graded:
             return True
         R = self.ring
@@ -135,10 +137,13 @@ class ChainComplex:
             qt = self.qdeg.get(r + 1, [])
             for src, col in self.d(r).items():
                 for tgt, c in col.items():
-                    assert R.is_homogeneous(c)
+                    if not R.is_homogeneous(c):
+                        raise ValueError("differential entry is not "
+                                         "homogeneous at degree %d" % r)
                     # c * gen_tgt sits in degree qt - 2 exp(c); d preserves q
-                    assert qt[tgt] - 2 * R.exponent(c) == qs[src], (
-                        "differential entry changes q at degree %d" % r)
+                    if qt[tgt] - 2 * R.exponent(c) != qs[src]:
+                        raise ValueError(
+                            "differential entry changes q at degree %d" % r)
         return True
 
     def graded_euler_characteristic(self):
@@ -288,7 +293,8 @@ class CubeComplex(ChainComplex):
     def check_faces(self):
         """Anticommutation of every 2-face of the cube, generator by
         generator.  Equivalent to d^2 = 0 but local, so it stays cheap on
-        theories whose full differential is expensive to materialize."""
+        theories whose full differential is expensive to materialize.
+        Raises ValueError on a face that does not anticommute."""
         R = self.ring
         n = self.diagram.n
         for s in range(1 << n):
@@ -318,8 +324,10 @@ class CubeComplex(ChainComplex):
                                     acc.pop(tgt, None)
                                 else:
                                     acc[tgt] = w
-                        assert not acc, (
-                            "face (%d; %d,%d) does not anticommute" % (s, i, j))
+                        if acc:
+                            raise ValueError(
+                                "face (%d; %d,%d) does not anticommute"
+                                % (s, i, j))
         return True
 
 
@@ -407,8 +415,10 @@ def zero_map(src, tgt, r_shift=0, q_shift=None):
 
 def compose(g, f):
     """g after f: f acts on the whole vector, then g on the merged result."""
-    assert (f.target is g.source or f.target.gens is g.source.gens
-            or f.target.gens == g.source.gens)
+    if not (f.target is g.source or f.target.gens is g.source.gens
+            or f.target.gens == g.source.gens):
+        raise ValueError("compose: the target of %r is not the source of %r"
+                         % (f.name, g.name))
     q = None
     if f.q_shift is not None and g.q_shift is not None:
         q = f.q_shift + g.q_shift
@@ -419,8 +429,11 @@ def compose(g, f):
 
 
 def add_maps(f, g):
-    assert f.source is g.source and f.target is g.target
-    assert f.r_shift == g.r_shift
+    if not (f.source is g.source and f.target is g.target):
+        raise ValueError("add_maps: the maps have different sources or "
+                         "targets")
+    if f.r_shift != g.r_shift:
+        raise ValueError("add_maps: the maps shift degree differently")
     R = f.ring
     q = f.q_shift if f.q_shift == g.q_shift else None
     return ChainMap(

@@ -4,14 +4,18 @@ through.
 Two pipelines compute the same thing:
 
 * the default one first cancels unit differential entries (a discrete
-  homotopy equivalence that keeps inclusion, projection and homotopy
-  maps), then runs a graded Smith normal form that assumes every entry
+  homotopy equivalence with inclusion, projection and homotopy maps),
+  then runs a graded Smith normal form that assumes every entry
   is a monomial c*t^k.  On a q-homogeneous complex monomiality is
   preserved by elimination, the grading forces cancellations to be
   exact, and picking minimal-exponent pivots makes the divisibility
-  chain automatic.  ``HomologyData`` keeps the maps so that chain maps
-  can be pushed through homology; ``homology()``, the summary route,
-  keeps none, because a summary reads only the small complex.
+  chain automatic.  An elimination that keeps its maps records its
+  cancellations, and the inclusion, projection and homotopy replay that
+  record on the vectors they are applied to, so no matrix of them is
+  built unless a check asks for one.  ``HomologyData`` keeps the maps
+  so that chain maps can be pushed through homology; ``homology()``,
+  the summary route, records nothing, because a summary reads only the
+  small complex.
 
 * the oracle one skips reduction entirely and runs a classical dense
   Smith normal form with polynomial division, no monomial assumptions.
@@ -24,10 +28,11 @@ are torsion, missing diagonal means free).
 """
 
 from dataclasses import dataclass
+import heapq
 
 from .rings import PolyRing
-from .complexes import (ChainComplex, ChainMap, matrix_map, mat_eq, mat_add,
-                        compose, add_maps, identity_map)
+from .complexes import (ChainComplex, ChainMap, axpy, matrix_map, mat_eq,
+                        mat_add, compose, add_maps, identity_map)
 
 
 # -- sparse matrices with row and column indexes -------------------------
@@ -360,11 +365,132 @@ def dense_snf(M, with_transforms=True):
 
 @dataclass
 class Reduction:
+    """An elimination: the original complex, the reduced one and the maps
+    between them, incl: red -> original, proj: original -> red and the
+    homotopy H of degree -1 on the original.  The maps replay the
+    recorded cancellations on the vectors they are applied to (see
+    ``_Cancellations``); their matrices are built only where a check
+    asks for them."""
     original: ChainComplex
     red: ChainComplex
     incl: ChainMap
     proj: ChainMap
     homotopy: ChainMap
+
+
+class _Cancellations:
+    """The cancellations of one elimination, replayed on vectors.
+
+    Step k is (r, x, y, u^-1, dx, into_y): it cancels x in degree r
+    against y in degree r + 1 through the unit u = <dx, y> of the
+    differential at that point, where ``dx`` holds the other entries of
+    dx and ``into_y`` the entries <dw, y> of the other generators w.
+    Step k's projection sends y to -u^-1 dx and x to 0, and its
+    inclusion sends each w to w - u^-1 <dw, y> x.  The projection is the
+    steps' projections in order, the inclusion theirs in reverse order,
+    and the homotopy sends v to the sum over the steps of
+    u^-1 <P_k v, y> I_k(x), where P_k projects through the steps before
+    k and I_k includes through them.  Indices are those of the original
+    complex; ``keep[r]`` lists the survivors of degree r in the order of
+    the reduced complex.  Each index below is built the first time a map
+    that reads it is applied, so a caller of one map pays for no other.
+    """
+
+    def __init__(self, ring, steps, keep):
+        self.ring = ring
+        self.steps = steps
+        self.keep = keep
+        self._killed = None     # {r: {index: step that cancels it}}
+        self._touching = None   # {r: {w: steps whose into_y holds w}}
+        self._reduced = None    # {r: {survivor: its reduced index}}
+
+    def _kill_index(self):
+        if self._killed is None:
+            self._killed = {}
+            for k, (r, x, y, _, _, _) in enumerate(self.steps):
+                self._killed.setdefault(r, {})[x] = k
+                self._killed.setdefault(r + 1, {})[y] = k
+        return self._killed
+
+    def _touch_index(self):
+        if self._touching is None:
+            self._touching = {}
+            for k, (r, _, _, _, _, into_y) in enumerate(self.steps):
+                tr = self._touching.setdefault(r, {})
+                for w in into_y:
+                    tr.setdefault(w, []).append(k)
+        return self._touching
+
+    def _project(self, r, vec, seeds=None):
+        """Run the steps' projections in order over a copy of vec (degree
+        r), by a heap keyed by the step that cancels each entry.  With
+        ``seeds`` a dict, record u^-1 <P_k v, y> there per step k."""
+        R = self.ring
+        killed = self._kill_index().get(r, {})
+        out = dict(vec)
+        heap = [(killed[i], i) for i in out if i in killed]
+        heapq.heapify(heap)
+        queued = {i for _, i in heap}
+        while heap:
+            k, i = heapq.heappop(heap)
+            c = out.pop(i, None)
+            rk, _, _, uinv, dx, _ = self.steps[k]
+            if c is None or rk == r:
+                continue                # entry i is step k's x: it goes to 0
+            a = R.mul(uinv, c)
+            if seeds is not None:
+                seeds[k] = a
+            axpy(R, out, R.neg(a), dx)
+            for t in dx:
+                if t in killed and t not in queued:
+                    queued.add(t)
+                    heapq.heappush(heap, (killed[t], t))
+        return out
+
+    def _include(self, r, out, seeds):
+        """Run the steps' inclusions in reverse order on out (degree r,
+        original indices) in place, adding seeds[k] x at step k.  A max-heap
+        runs over the seeded steps and those whose into_y holds an entry
+        of out."""
+        R = self.ring
+        touching = self._touch_index().get(r, {})
+        heap = [-k for k in seeds]
+        for w in out:
+            heap.extend(-k for k in touching.get(w, ()))
+        heapq.heapify(heap)
+        last = None
+        while heap:
+            k = -heapq.heappop(heap)
+            if k == last:
+                continue
+            last = k
+            _, x, _, uinv, _, into_y = self.steps[k]
+            acc = R.zero
+            for w, cw in into_y.items():
+                if w in out:
+                    acc = R.add(acc, R.mul(cw, out[w]))
+            v = R.sub(seeds.get(k, R.zero), R.mul(uinv, acc))
+            if not R.is_zero(v):
+                out[x] = v
+                for j in touching.get(x, ()):
+                    heapq.heappush(heap, -j)
+        return out
+
+    def proj(self, r, vec):
+        if self._reduced is None:
+            self._reduced = {rr: {i: j for j, i in enumerate(keep)}
+                             for rr, keep in self.keep.items()}
+        reduced = self._reduced[r]
+        return {reduced[i]: v for i, v in self._project(r, vec).items()}
+
+    def incl(self, r, vec):
+        keep = self.keep[r]
+        return self._include(r, {keep[j]: v for j, v in vec.items()}, {})
+
+    def homotopy(self, r, vec):
+        seeds = {}
+        self._project(r, vec, seeds)
+        return self._include(r - 1, {}, seeds)
 
 
 def _diff_as_map(cx):
@@ -377,9 +503,11 @@ def reduce_complex(cx, pairs=None, track_maps=True):
     ``pairs`` prescribes an elimination order as (r, src_key, tgt_key)
     tuples; by default every unit entry is eliminated (smallest degree,
     then source and target index).  Returns a Reduction whose maps
-    satisfy proj∘incl = id and id - incl∘proj = dH + Hd; with
-    track_maps=False the maps are None and only the small complex comes
-    back.
+    satisfy proj∘incl = id and id - incl∘proj = dH + Hd.  With
+    track_maps=True the loop records each cancellation, and the maps
+    replay that record on the vectors they are applied to; with
+    track_maps=False nothing is recorded, the maps are None and only the
+    small complex comes back.
     """
     R = cx.ring
     degrees = cx.degrees
@@ -390,12 +518,7 @@ def reduce_complex(cx, pairs=None, track_maps=True):
             for t in col:
                 rows[r].setdefault(t, set()).add(s)
     alive = {r: set(range(cx.rank(r))) for r in degrees}
-
-    if track_maps:
-        incl_cols = {r: {i: {i: R.one} for i in alive[r]} for r in degrees}
-        proj_cols = {r: {i: {i: R.one} for i in alive[r]} for r in degrees}
-        proj_rows = {r: {i: {i} for i in alive[r]} for r in degrees}
-        htp_cols = {r: {} for r in degrees}
+    steps = []
 
     def entry(r, s, t):
         return cols[r].get(s, {}).get(t, R.zero)
@@ -414,7 +537,6 @@ def reduce_complex(cx, pairs=None, track_maps=True):
             cols[r].setdefault(s, {})[t] = v
             rows[r].setdefault(t, set()).add(s)
 
-    import heapq
     queue = []
     if pairs is None:
         for r in degrees:
@@ -462,61 +584,7 @@ def reduce_complex(cx, pairs=None, track_maps=True):
         into_y = {w: entry(r, w, y) for w in rows[r].get(y, set()) if w != x}
 
         if track_maps:
-            # homotopy picks up incl(x) against the old proj coefficients at y
-            ix_col = incl_cols[r][x]
-            for g in list(proj_rows[r + 1].get(y, ())):
-                c = proj_cols[r + 1][g].get(y)
-                if c is None:
-                    continue
-                coef = R.mul(c, uinv)
-                acc = htp_cols[r + 1].setdefault(g, {})
-                for i0, v0 in ix_col.items():
-                    w = R.add(acc.get(i0, R.zero), R.mul(coef, v0))
-                    if R.is_zero(w):
-                        acc.pop(i0, None)
-                    else:
-                        acc[i0] = w
-                if not acc:
-                    del htp_cols[r + 1][g]
-            # proj: y goes to -uinv * (dx restricted to survivors), x to 0
-            py = {}
-            for t, v in dx.items():
-                py[t] = R.neg(R.mul(uinv, v))
-            for g in list(proj_rows[r + 1].get(y, ())):
-                c = proj_cols[r + 1][g].pop(y, None)
-                if c is None:
-                    continue
-                col = proj_cols[r + 1][g]
-                for t, v in py.items():
-                    w = R.add(col.get(t, R.zero), R.mul(c, v))
-                    if R.is_zero(w):
-                        col.pop(t, None)
-                        proj_rows[r + 1].get(t, set()).discard(g)
-                    else:
-                        col[t] = w
-                        proj_rows[r + 1].setdefault(t, set()).add(g)
-                if not col:
-                    del proj_cols[r + 1][g]
-            proj_rows[r + 1].pop(y, None)
-            for g in list(proj_rows[r].get(x, ())):
-                col = proj_cols[r].get(g)
-                if col and x in col:
-                    del col[x]
-                    if not col:
-                        del proj_cols[r][g]
-            proj_rows[r].pop(x, None)
-            # incl: surviving w with d(w) hitting y absorb -uinv<dw,y> incl(x)
-            for w, cw in into_y.items():
-                coef = R.neg(R.mul(uinv, cw))
-                col = incl_cols[r][w]
-                for i0, v0 in ix_col.items():
-                    v = R.add(col.get(i0, R.zero), R.mul(coef, v0))
-                    if R.is_zero(v):
-                        col.pop(i0, None)
-                    else:
-                        col[i0] = v
-            del incl_cols[r][x]
-            del incl_cols[r + 1][y]
+            steps.append((r, x, y, uinv, dx, into_y))
 
         # differential update: d(w) += -uinv <dw,y> (dx - uy), then drop x, y
         for w, cw in into_y.items():
@@ -540,16 +608,12 @@ def reduce_complex(cx, pairs=None, track_maps=True):
     # assemble the reduced complex, keeping original key order
     red_gens = {}
     red_qdeg = {}
+    keep = {r: sorted(alive[r]) for r in degrees}
     reindex = {}
     for r in degrees:
-        keys = []
-        qs = []
-        for i in sorted(alive[r]):
-            reindex[(r, i)] = len(keys)
-            keys.append(cx.gens[r][i])
-            qs.append(cx.qdeg[r][i])
-        red_gens[r] = keys
-        red_qdeg[r] = qs
+        red_gens[r] = [cx.gens[r][i] for i in keep[r]]
+        red_qdeg[r] = [cx.qdeg[r][i] for i in keep[r]]
+        reindex.update(((r, i), j) for j, i in enumerate(keep[r]))
     red_diffs = {}
     for r in degrees:
         blk = {}
@@ -564,33 +628,11 @@ def reduce_complex(cx, pairs=None, track_maps=True):
 
     if not track_maps:
         return Reduction(cx, red, None, None, None)
-
-    incl_blocks = {}
-    proj_blocks = {}
-    for r in degrees:
-        blk = {}
-        for i in sorted(alive[r]):
-            col = incl_cols[r][i]
-            if col:
-                blk[reindex[(r, i)]] = dict(col)
-        if blk:
-            incl_blocks[r] = blk
-        pblk = {}
-        for g, col in proj_cols[r].items():
-            newcol = {reindex[(r, t)]: v for t, v in col.items()}
-            if newcol:
-                pblk[g] = newcol
-        if pblk:
-            proj_blocks[r] = pblk
-    htp_blocks = {}
-    for r in degrees:
-        blk = {g: dict(col) for g, col in htp_cols[r].items() if col}
-        if blk:
-            htp_blocks[r] = blk
-    incl = matrix_map(red, cx, incl_blocks, 0, 0, "incl")
-    proj = matrix_map(cx, red, proj_blocks, 0, 0, "proj")
-    htp = matrix_map(cx, cx, htp_blocks, -1, None, "H")
-    return Reduction(cx, red, incl, proj, htp)
+    record = _Cancellations(R, steps, keep)
+    return Reduction(cx, red,
+                     ChainMap(red, cx, record.incl, 0, 0, "incl"),
+                     ChainMap(cx, red, record.proj, 0, 0, "proj"),
+                     ChainMap(cx, cx, record.homotopy, -1, None, "H"))
 
 
 def reduction_identities_hold(redn):
@@ -646,7 +688,9 @@ def _check_presentable(theory):
 
 class HomologyData:
     def __init__(self, cx, method="reduced"):
-        assert method in ("reduced", "dense")
+        if method not in ("reduced", "dense"):
+            raise ValueError("unknown homology method %r (reduced or dense)"
+                             % (method,))
         _check_presentable(cx.theory)
         self.theory = cx.theory
         self.original = cx
@@ -745,7 +789,9 @@ class HomologyData:
         y = res.Vinv.apply(zvec)
         yk = {}
         for p, v in y.items():
-            assert p in pos_of, "not a cycle"
+            if p not in pos_of:
+                raise ValueError("canonical_coords: the vector is not a "
+                                 "cycle in degree %d" % r)
             yk[pos_of[p]] = v
         rres = self._snf_of(r)
         c = rres.U.apply(yk)
@@ -866,7 +912,9 @@ def homology(cx, method="reduced"):
 def induced_map(f, ha, hb):
     """Matrix of f on homology: canonical coordinates of images of the
     source presentation generators, per degree."""
-    assert f.r_shift == 0
+    if f.r_shift != 0:
+        raise ValueError("induced_map needs a degree-preserving map, got "
+                         "r_shift %d" % f.r_shift)
     out = {}
     for r in ha.degrees():
         pres = ha.presentation(r)

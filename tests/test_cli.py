@@ -133,6 +133,18 @@ def test_bound_movie_supplies_distance():
     assert res.exit_code == 0, res.output
 
 
+def test_bound_movie_endpoints_must_match():
+    # trivial-ribbon joins the unknot to the unknot
+    res = run("bound", "3_1", "8_19", "--movie", TRIVIAL)
+    assert res.exit_code == 2, res.output
+    assert "first frame is not 3_1" in res.output
+    res = run("bound", "unknot", "8_19", "--movie", TRIVIAL)
+    assert res.exit_code == 2, res.output
+    assert "last frame is not 8_19" in res.output
+    ok = run("bound", "unknot", "unknot", "--movie", TRIVIAL)
+    assert ok.output.splitlines()[-1] == "hypothesis d = 0: consistent"
+
+
 def _final_frame_pd(path):
     crossings = load_movie(path).final.crossings
     return "PD[%s]" % ",".join("X[%d,%d,%d,%d]" % tuple(cr)

@@ -11,7 +11,7 @@ from knothom.complexes import (build_complex, identity_map, zero_map,
                                compose, add_maps, scale_map, maps_equal,
                                mat_eq, mat_mul)
 from knothom.homology import (HomologyData, maps_equal_on_homology,
-                              reduce_complex)
+                              reduce_complex, reduction_identities_hold)
 from knothom.cobordism import (Move, MoveError, MovieError, apply_move,
                                decoration_chain_map, move_chain_map,
                                Movie, parse_movie,
@@ -20,13 +20,19 @@ from knothom.cobordism import (Move, MoveError, MovieError, apply_move,
                                verify_symmetry, verify_star_placement,
                                ribbon_structure_errors,
                                verify_ribbon_composite, _loop_pairs,
-                               _relabel_iso)
+                               _relabel_iso, _reidemeister_map,
+                               _reidemeister_reduction)
 from knothom.jones import jones_polynomial
 from knothom.tables import load_table, braid_pd
 
 SELECTORS = ["bn", "kh-f2", "alpha", "alpha@0,t/f2", "alpha@1,-1/q"]
 MOVIE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                          "knothom", "data", "movies")
+FROZEN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                          "inputs")
+R_MOVIES = ([os.path.join(MOVIE_DIR, f) for f in sorted(os.listdir(MOVIE_DIR))]
+            + [os.path.join(FROZEN_DIR, f) for f in sorted(os.listdir(FROZEN_DIR))
+               if f.endswith(".movie")])
 
 
 # -- raw move mechanics ---------------------------------------------------
@@ -253,6 +259,55 @@ def test_relabeling_is_checked():
         _relabel_iso(redn, cx_small, {ci: 1 - eps}, forced)
     with pytest.raises(MoveError, match="wrong label"):
         _relabel_iso(redn, cx_small, {ci: eps}, {loop: 1 - forced[loop]})
+
+
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
+@pytest.mark.parametrize("path", R_MOVIES, ids=os.path.basename)
+def test_reidemeister_reductions_and_maps(path, sel):
+    # every r1/r2 move: its prescribed-pair elimination satisfies the
+    # reduction identities, and the move map, which replays that
+    # elimination on vectors, has the matrix of the relabeling times the
+    # inclusion or projection
+    th = theory_from_selector(sel)
+    R = th.ring
+    movie = load_movie(path)
+    cxs = movie.complexes(th)
+    moves = 0
+    for k, info in enumerate(movie.infos):
+        if info["kind"] not in ("r1+", "r1-", "r2+", "r2-"):
+            continue
+        moves += 1
+        grow = info["kind"].endswith("+")
+        src, tgt = cxs[k], cxs[k + 1]
+        small, big = (src, tgt) if grow else (tgt, src)
+        redn, fwd, bwd = _reidemeister_reduction(small, big, info)
+        assert reduction_identities_hold(redn), (k, info["kind"])
+        g, f = (redn.incl, bwd) if grow else (fwd, redn.proj)
+        move_map = _reidemeister_map(th, src, tgt, info)
+        for r in src.degrees:
+            assert mat_eq(R, move_map.block(r),
+                          mat_mul(R, g.block(r), f.block(r))), (k, r)
+    assert moves
+
+
+@pytest.mark.parametrize("tamper", ["value", "drop"])
+def test_relabeling_rejects_a_tampered_small_differential(tamper):
+    # negative control for the entrywise check: one entry of the small
+    # complex's differential changed or removed
+    th = theory_from_selector("bn")
+    small = load_table()["3_1"]
+    big, info, _ = apply_move(small, Move("r2+", (2, 5)))
+    cx_small, cx_big = build_complex(small, th), build_complex(big, th)
+    _reidemeister_reduction(cx_small, cx_big, info)      # untampered: fine
+    r = next(r for r in cx_small.degrees if cx_small.d(r))
+    col = cx_small.d(r)[min(cx_small.d(r))]
+    t = min(col)
+    if tamper == "value":
+        col[t] = th.ring.mul(col[t], th.ring.gen())
+    else:
+        del col[t]
+    with pytest.raises(MoveError, match="differs from the small diagram"):
+        _reidemeister_reduction(cx_small, cx_big, info)
 
 
 # -- homology-level identities (small instances) --------------------------

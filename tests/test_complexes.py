@@ -68,6 +68,60 @@ def test_cube_faces_anticommute():
         assert cx.check_faces()
 
 
+def _trefoil_with_entry(value):
+    """The table trefoil's bn complex with one middle differential entry
+    replaced by value(ring)."""
+    cx = build_complex(load_table()["3_1"], theory_from_selector("bn"))
+    cx.materialize()
+    col = cx.d(-2)[min(cx.d(-2))]
+    col[min(col)] = value(cx.ring)
+    return cx
+
+
+def test_check_d_squared_raises_on_a_tampered_entry():
+    cx = _trefoil_with_entry(lambda R: R.monomial(1, 5))
+    with pytest.raises(ValueError, match="d\\^2 != 0"):
+        cx.check_d_squared()
+
+
+def test_check_q_homogeneity_raises_on_a_tampered_entry():
+    cx = _trefoil_with_entry(lambda R: R.monomial(1, 5))
+    with pytest.raises(ValueError, match="changes q"):
+        cx.check_q_homogeneity()
+    cx = _trefoil_with_entry(lambda R: R.add(R.one, R.monomial(1, 1)))
+    with pytest.raises(ValueError, match="not homogeneous"):
+        cx.check_q_homogeneity()
+
+
+def test_check_faces_raises_on_a_tampered_edge(monkeypatch):
+    cx = build_complex(load_table()["5_2"], theory_from_selector("kh-f2"))
+    edge_images = cx.edge_images
+
+    def without_one_edge(s, i, labels):
+        return iter(()) if (s, i) == (0, 0) else edge_images(s, i, labels)
+    monkeypatch.setattr(cx, "edge_images", without_one_edge)
+    with pytest.raises(ValueError, match="does not anticommute"):
+        cx.check_faces()
+
+
+def test_compose_rejects_mismatched_maps():
+    th = theory_from_selector("bn")
+    a = build_complex(load_table()["3_1"], th)
+    b = build_complex(load_table()["4_1"], th)
+    with pytest.raises(ValueError, match="compose"):
+        compose(identity_map(b), identity_map(a))
+
+
+def test_add_maps_rejects_mismatched_maps():
+    th = theory_from_selector("bn")
+    a = build_complex(load_table()["3_1"], th)
+    b = build_complex(load_table()["4_1"], th)
+    with pytest.raises(ValueError, match="sources or targets"):
+        add_maps(identity_map(a), identity_map(b))
+    with pytest.raises(ValueError, match="shift degree"):
+        add_maps(identity_map(a), zero_map(a, a, 1))
+
+
 def test_euler_characteristic_is_quantum_jones():
     th = theory_from_selector("kh-f2")
     for name in SMALL:

@@ -1,11 +1,14 @@
 """Homology pipeline: SNF kernels, reductions, summaries, bounds."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from knothom.diagram import parse_pd, unknot_diagram
 from knothom.frobenius import theory_from_selector, alpha_generic
-from knothom.complexes import build_complex, identity_map, zero_map, scale_map
+from knothom.complexes import (ChainMap, axpy, build_complex, identity_map,
+                               zero_map, scale_map)
 from knothom.homology import (SparseMat, graded_snf, dense_snf,
                               reduce_complex, reduction_identities_hold,
                               HomologyData, homology, induced_map,
@@ -141,6 +144,34 @@ def test_reduction_identities():
             assert reduction_identities_hold(redn), (sel, name)
             assert redn.red.total_rank() < cx.total_rank()
             assert redn.red.check_d_squared()
+
+
+SMALL_TABLE = ["3_1", "4_1", "5_1", "5_2", "6_1", "6_2", "6_3"]
+
+
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f2", "alpha@0,t/f3"])
+@pytest.mark.parametrize("name", SMALL_TABLE)
+def test_replayed_reduction_maps_satisfy_the_identities(name, sel):
+    # incl, proj and the homotopy replay the recorded cancellations;
+    # their matrices, built column by column, must satisfy proj∘incl = id
+    # and id - incl∘proj = dH + Hd
+    cx = build_complex(load_table()[name], theory_from_selector(sel))
+    redn = reduce_complex(cx)
+    assert redn.red.total_rank() < cx.total_rank()
+    assert reduction_identities_hold(redn), (sel, name)
+
+
+def test_reduction_identities_fail_on_a_tampered_map():
+    # negative control: the oracle rejects a projection that is off in
+    # one column
+    cx = build_complex(load_table()["3_1"], theory_from_selector("bn"))
+    redn = reduce_complex(cx)
+    proj = redn.proj
+    r = next(r for r in redn.red.degrees if redn.red.rank(r))
+    tampered = ChainMap(cx, redn.red, lambda rr, vec: (
+        axpy(cx.ring, proj.apply(rr, vec), cx.ring.one, {0: cx.ring.one})
+        if rr == r and 0 in vec else proj.apply(rr, vec)), 0, 0, "proj")
+    assert not reduction_identities_hold(replace(redn, proj=tampered))
 
 
 def _pair(cx, r, s, t):
@@ -292,3 +323,30 @@ def test_summary_formatting():
     assert "free summands" in txt and "torsion summands" in txt
     d = s.as_dict()
     assert sorted(d) == ["free", "theory", "torsion"]
+
+
+# -- typed raises, which python -O keeps ------------------------------------
+
+def _trefoil_homology():
+    return HomologyData(build_complex(load_table()["3_1"],
+                                      theory_from_selector("bn")))
+
+
+def test_unknown_homology_method_raises():
+    cx = build_complex(load_table()["3_1"], theory_from_selector("bn"))
+    with pytest.raises(ValueError, match="unknown homology method"):
+        HomologyData(cx, method="fast")
+
+
+def test_induced_map_rejects_a_degree_shift():
+    hd = _trefoil_homology()
+    with pytest.raises(ValueError, match="degree-preserving"):
+        induced_map(hd.redn.homotopy, hd, hd)
+
+
+def test_canonical_coords_rejects_a_non_cycle():
+    hd = _trefoil_homology()
+    W = hd.work
+    r, s = next((r, s) for r in W.degrees for s in W.d(r))
+    with pytest.raises(ValueError, match="not a cycle"):
+        hd.canonical_coords(r, {s: W.ring.one})
