@@ -11,6 +11,19 @@ labels), so each state occupies a contiguous block.  The differential
 follows cube edges with the usual sign (-1)^(ones below the flipped
 bit); matrices are sparse dicts {source index: {target index: payload}}.
 
+The differential is built edge by edge, not label by label.  For each
+state and free bit, the edge's plan (which circles merge or split, and
+where the others go) is read once and its sign applied once, to a 4-row
+table of merge images or a 2-row table of split images taken from the
+theory's ``mul_basis`` and ``comul_basis``.  A label's target is then the
+image of its persisting circles, built for all labels at once by
+doubling, plus the table row picked by the label's bits on the merging or
+splitting circles.  Distinct edges out of one generator reach distinct
+states, so every entry is assigned once and nothing is accumulated.
+``edge_images`` yields the same images one generator at a time, without
+the sign, for ``check_faces`` and the saddle maps; a test keeps the two
+routes equal.
+
 Chain maps are evaluated on the sparse vectors they are applied to: an
 elementary map gives the image of one generator, and sums, multiples and
 composites act on whole vectors.  A map's matrix is built on demand,
@@ -199,6 +212,7 @@ class CubeComplex(ChainComplex):
             qdeg[r] = qs
         super().__init__(theory, gens, qdeg, diff_builder=self._build_degree)
         self._plans = {}
+        self._signed = {}
 
     def gen_index(self, s, labels):
         r, off, _ = self.state_block[s]
@@ -226,7 +240,9 @@ class CubeComplex(ChainComplex):
             match.append(rs.index[rep] if rep is not None else None)
         if ia != ic:
             it = rt.index[a]
-            assert rt.index[c] == it
+            if rt.index[c] != it:
+                raise ValueError("smoothing change at crossing %d must merge "
+                                 "its two circles" % i)
             plan = ("merge", ia, ic, it, tuple(match))
         else:
             it1, it2 = rt.index[a], rt.index[b]
@@ -261,33 +277,71 @@ class CubeComplex(ChainComplex):
             for (l1, l2), coeff in T.comul_basis(labels >> ia & 1).items():
                 yield base | (l1 << it1) | (l2 << it2), coeff
 
+    def _signed_images(self, negate):
+        """The theory's basis images with the cube sign applied: merge row
+        2a + b lists (label, coeff) of the product of labels a and b, split
+        row a lists ((l1, l2), coeff) of the coproduct of label a."""
+        key = bool(negate)
+        if key not in self._signed:
+            T, R = self.theory, self.ring
+            sign = R.from_int(-1) if key else R.one
+            merge = tuple(
+                tuple((comp, R.mul(sign, coeff))
+                      for comp, coeff in enumerate(T.mul_basis(a, b))
+                      if not R.is_zero(coeff))
+                for a in (0, 1) for b in (0, 1))
+            split = tuple(
+                tuple((lab, R.mul(sign, coeff))
+                      for lab, coeff in T.comul_basis(a).items())
+                for a in (0, 1))
+            self._signed[key] = merge, split
+        return self._signed[key]
+
     def _build_degree(self, r):
-        R = self.ring
-        w = r + self.diagram.n_minus
+        """Columns of d out of degree r, edge by edge from per-edge label
+        tables (see the module docstring)."""
+        D = self.diagram
+        flip_signs = self.ring.char != 2
         cols = {}
-        char2 = R.char == 2
-        minus_one = R.from_int(-1)
-        for s in self.states_by_weight.get(w, ()):
+        for s in self.states_by_weight.get(r + D.n_minus, ()):
             _, off, c = self.state_block[s]
-            free_bits = [i for i in range(self.diagram.n) if not s >> i & 1]
-            for labels in range(1 << c):
-                src = off + labels
-                acc = {}
-                for i in free_bits:
-                    negate = (not char2) and popcount(s & ((1 << i) - 1)) % 2
-                    t = s | (1 << i)
-                    _, toff, _ = self.state_block[t]
-                    for tl, coeff in self.edge_images(s, i, labels):
-                        if negate:
-                            coeff = R.mul(minus_one, coeff)
-                        tgt = toff + tl
-                        v = R.add(acc.get(tgt, R.zero), coeff)
-                        if R.is_zero(v):
-                            acc.pop(tgt, None)
-                        else:
-                            acc[tgt] = v
-                if acc:
-                    cols[src] = acc
+            images = [{} for _ in range(1 << c)]
+            below = 0       # ones of s below bit i
+            for i in range(D.n):
+                if s >> i & 1:
+                    below += 1
+                    continue
+                _, toff, _ = self.state_block[s | (1 << i)]
+                plan = self.edge_plan(s, i)
+                # base[L]: toff plus the target bits of L's persisting circles
+                dest = [0] * c
+                for j, mj in enumerate(plan[4]):
+                    if mj is not None:
+                        dest[mj] = 1 << j
+                base = [toff]
+                for bit in dest:
+                    base += [b + bit for b in base]
+                merge, split = self._signed_images(flip_signs and below & 1)
+                if plan[0] == "merge":
+                    _, ia, ib, it, _ = plan
+                    rows = [tuple((comp << it, coeff) for comp, coeff in row)
+                            for row in merge]
+                else:
+                    # a split reads one circle: with ib = ia the row key
+                    # below is 0 or 3
+                    _, ia, it1, it2, _ = plan
+                    ib = ia
+                    one, x = (tuple(((l1 << it1) | (l2 << it2), coeff)
+                                    for (l1, l2), coeff in row)
+                              for row in split)
+                    rows = [one, (), (), x]
+                for L, col in enumerate(images):
+                    b = base[L]
+                    for bits, coeff in rows[(L >> ia & 1) << 1 | (L >> ib & 1)]:
+                        col[b + bits] = coeff
+            for L, col in enumerate(images):
+                if col:
+                    cols[off + L] = col
         return cols
 
     def check_faces(self):

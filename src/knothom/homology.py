@@ -143,7 +143,8 @@ def _mono(ring, v):
     """(scalar, exponent) of a monomial payload."""
     if isinstance(ring, PolyRing):
         parts = ring.mono_parts(v)
-        assert parts is not None, "graded SNF met a non-monomial entry"
+        if parts is None:
+            raise ValueError("graded SNF met a non-monomial entry")
         return parts
     return v, 0
 
@@ -501,8 +502,16 @@ def reduce_complex(cx, pairs=None, track_maps=True):
     """Cancel unit entries of the differential.
 
     ``pairs`` prescribes an elimination order as (r, src_key, tgt_key)
-    tuples; by default every unit entry is eliminated (smallest degree,
-    then source and target index).  Returns a Reduction whose maps
+    tuples; by default every unit entry is eliminated, smallest (degree,
+    source index, target index) first.  A heap of columns gives that
+    order: it holds (r, s) for every source column that has held a unit
+    entry since it was last popped, and the pivot of a popped column is
+    its least unit target.  A column is pushed once at the start if it
+    holds a unit and again whenever fill-in creates one in it, so the
+    least column on the heap that still holds a unit carries the least
+    unit entry of the whole differential: the order, and every entry the
+    elimination produces, are those of a heap of all unit entries (r, s,
+    t), which pops several times as often.  Returns a Reduction whose maps
     satisfy proj∘incl = id and id - incl∘proj = dH + Hd.  With
     track_maps=True the loop records each cancellation, and the maps
     replay that record on the vectors they are applied to; with
@@ -510,41 +519,24 @@ def reduce_complex(cx, pairs=None, track_maps=True):
     small complex comes back.
     """
     R = cx.ring
+    is_zero, is_unit, add, mul, neg = R.is_zero, R.is_unit, R.add, R.mul, R.neg
     degrees = cx.degrees
     cols = {r: {s: dict(c) for s, c in cx.d(r).items()} for r in degrees}
     rows = {r: {} for r in degrees}
     for r in degrees:
+        rows_r = rows[r]
         for s, col in cols[r].items():
             for t in col:
-                rows[r].setdefault(t, set()).add(s)
+                rows_r.setdefault(t, set()).add(s)
     alive = {r: set(range(cx.rank(r))) for r in degrees}
     steps = []
 
-    def entry(r, s, t):
-        return cols[r].get(s, {}).get(t, R.zero)
-
-    def set_entry(r, s, t, v):
-        if R.is_zero(v):
-            col = cols[r].get(s)
-            if col and t in col:
-                del col[t]
-                if not col:
-                    del cols[r][s]
-                rset = rows[r].get(t)
-                if rset:
-                    rset.discard(s)
-        else:
-            cols[r].setdefault(s, {})[t] = v
-            rows[r].setdefault(t, set()).add(s)
-
-    queue = []
     if pairs is None:
-        for r in degrees:
-            for s, col in cols[r].items():
-                for t, v in col.items():
-                    if R.is_unit(v):
-                        heapq.heappush(queue, (r, s, t))
+        heap = [(r, s) for r in degrees for s, col in cols[r].items()
+                if any(is_unit(v) for v in col.values())]
+        heapq.heapify(heap)
     else:
+        queue = []
         for r, sk, tk in pairs:
             rs, si = cx.index[sk]
             rt, ti = cx.index[tk]
@@ -553,55 +545,70 @@ def reduce_complex(cx, pairs=None, track_maps=True):
             queue.append((r, si, ti))
         queue.reverse()  # pop() order below
 
-    def next_pair():
-        if pairs is None:
-            while queue:
-                r, s, t = heapq.heappop(queue)
-                if s in alive[r] and t in alive.get(r + 1, set()):
-                    v = entry(r, s, t)
-                    if R.is_unit(v):
-                        return r, s, t
-            return None
-        else:
-            if queue:
-                r, s, t = queue.pop()
-                if s not in alive[r] or t not in alive[r + 1]:
-                    raise ValueError("prescribed pair already gone")
-                if not R.is_unit(entry(r, s, t)):
-                    raise ValueError("prescribed pair is not a unit")
-                return r, s, t
-            return None
-
     while True:
-        nxt = next_pair()
-        if nxt is None:
-            break
-        r, x, y = nxt
-        u = entry(r, x, y)
-        uinv = R.inv(u)
+        if pairs is None:
+            y = None
+            while heap and y is None:
+                r, x = heapq.heappop(heap)
+                col = cols[r].get(x)
+                if col:
+                    y = min((t for t, v in col.items() if is_unit(v)),
+                            default=None)
+            if y is None:
+                break
+        else:
+            if not queue:
+                break
+            r, x, y = queue.pop()
+            if x not in alive[r] or y not in alive[r + 1]:
+                raise ValueError("prescribed pair already gone")
+            if not is_unit(cols[r].get(x, {}).get(y, R.zero)):
+                raise ValueError("prescribed pair is not a unit")
+        cols_r, rows_r = cols[r], rows[r]
 
-        dx = {t: v for t, v in cols[r].get(x, {}).items() if t != y}
-        into_y = {w: entry(r, w, y) for w in rows[r].get(y, set()) if w != x}
-
+        # take x's column and the arrows into y out of the differential
+        dx = cols_r.pop(x)
+        uinv = R.inv(dx.pop(y))
+        into_y = {w: cols_r[w].pop(y) for w in rows_r.pop(y) if w != x}
         if track_maps:
             steps.append((r, x, y, uinv, dx, into_y))
 
-        # differential update: d(w) += -uinv <dw,y> (dx - uy), then drop x, y
+        # d(w) += -uinv <dw,y> dx for every other w with an arrow into y
         for w, cw in into_y.items():
-            coef = R.neg(R.mul(uinv, cw))
+            coef = neg(mul(uinv, cw))
+            col = cols_r[w]
+            unit = False
             for t, v in dx.items():
-                nv = R.add(entry(r, w, t), R.mul(coef, v))
-                set_entry(r, w, t, nv)
-                if pairs is None and not R.is_zero(nv) and R.is_unit(nv):
-                    heapq.heappush(queue, (r, w, t))
-            set_entry(r, w, y, R.zero)
-        # remove x's outgoing arrows, arrows into x, and arrows out of y
-        for t in list(cols[r].get(x, {})):
-            set_entry(r, x, t, R.zero)
-        for w in list(rows.get(r - 1, {}).get(x, ())):
-            set_entry(r - 1, w, x, R.zero)
-        for t in list(cols.get(r + 1, {}).get(y, {})):
-            set_entry(r + 1, y, t, R.zero)
+                old = col.get(t)
+                nv = mul(coef, v) if old is None else add(old, mul(coef, v))
+                if is_zero(nv):
+                    if old is not None:
+                        del col[t]
+                        rows_r[t].discard(w)
+                    continue
+                if old is None:
+                    rows_r[t].add(w)
+                col[t] = nv
+                unit = unit or is_unit(nv)
+            if not col:
+                del cols_r[w]
+            elif unit and pairs is None:
+                heapq.heappush(heap, (r, w))
+
+        # drop the arrows out of x, into x and out of y
+        for t in dx:
+            rows_r[t].discard(x)
+        if r - 1 in cols:
+            cols_below = cols[r - 1]
+            for w in rows[r - 1].pop(x, ()):
+                col = cols_below[w]
+                del col[x]
+                if not col:
+                    del cols_below[w]
+        if r + 1 in cols:
+            rows_above = rows[r + 1]
+            for t in cols[r + 1].pop(y, ()):
+                rows_above[t].discard(y)
         alive[r].discard(x)
         alive[r + 1].discard(y)
 
@@ -618,8 +625,6 @@ def reduce_complex(cx, pairs=None, track_maps=True):
     for r in degrees:
         blk = {}
         for s, col in cols[r].items():
-            if s not in alive[r]:
-                continue
             newcol = {reindex[(r + 1, t)]: v for t, v in col.items()}
             if newcol:
                 blk[reindex[(r, s)]] = newcol
@@ -777,7 +782,9 @@ class HomologyData:
         qs = set()
         for i, c in vec.items():
             qs.add(self.work.qdeg[r][i] - 2 * ring.exponent(c))
-        assert len(qs) == 1, "homology generator is not q-homogeneous"
+        if len(qs) != 1:
+            raise ValueError("homology generator is not q-homogeneous in "
+                             "degree %d" % r)
         return qs.pop()
 
     def canonical_coords(self, r, zvec):
@@ -822,7 +829,9 @@ class HomologyData:
                 continue
             y = res.Vinv.apply(col)
             for p, v in y.items():
-                assert p in pos_of, "boundary is not a cycle?"
+                if p not in pos_of:
+                    raise ValueError("boundary is not a cycle in degree %d"
+                                     % r)
                 rel.put(pos_of[p], g, v)
         rres = self._snf(rel)
         self._rel_snf[r] = rres

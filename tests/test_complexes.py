@@ -68,6 +68,43 @@ def test_cube_faces_anticommute():
         assert cx.check_faces()
 
 
+def _d_from_edge_images(cx, r):
+    """d out of degree r as the signed sum of edge_images over each
+    generator's free bits: the route check_faces and the saddle maps
+    read."""
+    R = cx.ring
+    out = {}
+    for src, (s, labels) in enumerate(cx.gens[r]):
+        col = {}
+        for i in range(cx.diagram.n):
+            if s >> i & 1:
+                continue
+            sign = R.from_int(-1 if popcount(s & ((1 << i) - 1)) % 2 else 1)
+            _, toff = cx.gen_index(s | (1 << i), 0)
+            for tl, coeff in cx.edge_images(s, i, labels):
+                col[toff + tl] = R.add(col.get(toff + tl, R.zero),
+                                       R.mul(sign, coeff))
+        col = {t: v for t, v in col.items() if not R.is_zero(v)}
+        if col:
+            out[src] = col
+    return out
+
+
+@pytest.mark.parametrize("sel", ["bn", "kh-f2", "alpha", "alpha@0,t/f3"])
+@pytest.mark.parametrize("name", ["3_1", "4_1", "5_2"])
+def test_differential_matches_edge_images(name, sel):
+    # d is built from per-edge label tables; it must not drift from
+    # edge_images, which check_faces and the saddle maps read
+    cx = build_complex(load_table()[name], theory_from_selector(sel))
+    for r in cx.degrees:
+        assert cx.d(r) == _d_from_edge_images(cx, r), (name, sel, r)
+
+
+def test_edge_image_comparison_flags_a_tampered_differential():
+    cx = _trefoil_with_entry(lambda R: R.monomial(1, 5))
+    assert any(cx.d(r) != _d_from_edge_images(cx, r) for r in cx.degrees)
+
+
 def _trefoil_with_entry(value):
     """The table trefoil's bn complex with one middle differential entry
     replaced by value(ring)."""

@@ -16,7 +16,7 @@ from knothom.homology import (SparseMat, graded_snf, dense_snf,
                               scaled_summary, graded_field_dims,
                               bn_to_f2_dims, HomologySummary)
 from knothom.rings import PrimeField, poly_over
-from knothom.tables import load_table
+from knothom.tables import braid_pd, load_table
 
 F2 = PrimeField(2)
 F2H = poly_over(F2, "h")
@@ -172,6 +172,45 @@ def test_reduction_identities_fail_on_a_tampered_map():
         axpy(cx.ring, proj.apply(rr, vec), cx.ring.one, {0: cx.ring.one})
         if rr == r and 0 in vec else proj.apply(rr, vec)), 0, 0, "proj")
     assert not reduction_identities_hold(replace(redn, proj=tampered))
+
+
+def _unit_entries(cx):
+    R = cx.ring
+    return [(r, s, t) for r in cx.degrees for s, col in cx.d(r).items()
+            for t, v in col.items() if R.is_unit(v)]
+
+
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
+def test_default_elimination_is_maximal(sel):
+    # the default elimination cancels every unit entry, fill-in included
+    th = theory_from_selector(sel)
+    for name, d in load_table().items():
+        redn = reduce_complex(build_complex(d, th), track_maps=False)
+        assert not _unit_entries(redn.red), (sel, name)
+
+
+def test_default_elimination_is_maximal_on_t_2_9():
+    cx = build_complex(parse_pd(braid_pd([1] * 9, 2)),
+                       theory_from_selector("bn"))
+    redn = reduce_complex(cx, track_maps=False)
+    assert redn.red.total_rank() == 18
+    assert not _unit_entries(redn.red)
+
+
+def test_default_elimination_pushes_a_column_again_on_fill_in():
+    # over a field or F[h] a graded complex only gains units in columns
+    # that already hold one; over Z two non-units can sum to a unit
+    # (3 - 4 = -1 on 6_3 here), so fill-in makes one in a column that
+    # held none, and without the second push it survives
+    cx = build_complex(load_table()["6_3"],
+                       theory_from_selector("alpha@-1,2/z"))
+    assert not _unit_entries(reduce_complex(cx, track_maps=False).red)
+
+
+def test_unit_entry_check_flags_an_unreduced_complex():
+    # negative control for the two tests above
+    assert _unit_entries(build_complex(load_table()["3_1"],
+                                       theory_from_selector("bn")))
 
 
 def _pair(cx, r, s, t):
@@ -350,3 +389,31 @@ def test_canonical_coords_rejects_a_non_cycle():
     r, s = next((r, s) for r in W.degrees for s in W.d(r))
     with pytest.raises(ValueError, match="not a cycle"):
         hd.canonical_coords(r, {s: W.ring.one})
+
+
+def test_graded_snf_rejects_a_non_monomial_entry():
+    m = SparseMat(1, 1, F2H)
+    m.put(0, 0, F2H.add(F2H.one, mono(1, 1)))
+    with pytest.raises(ValueError, match="non-monomial"):
+        graded_snf(m)
+
+
+def test_dense_homology_rejects_a_boundary_that_is_not_a_cycle():
+    cx = build_complex(load_table()["3_1"], theory_from_selector("bn"))
+    cx.materialize()
+    col = cx.d(-2)[min(cx.d(-2))]
+    col[min(col)] = cx.ring.monomial(1, 5)
+    with pytest.raises(ValueError, match="boundary is not a cycle"):
+        homology(cx, method="dense")
+
+
+def test_presentation_rejects_a_generator_that_is_not_q_homogeneous():
+    # a complex whose q-degrees disagree with its differential: shift one
+    # generator that a dense homology cycle needs together with others
+    cx = build_complex(load_table()["3_1"], theory_from_selector("bn"))
+    r, z = next((r, z) for r, pres in (
+        (r, HomologyData(cx, method="dense").presentation(r))
+        for r in cx.degrees) for z in pres.gen_vecs if len(z) > 1)
+    cx.qdeg[r][min(z)] += 2
+    with pytest.raises(ValueError, match="not q-homogeneous"):
+        HomologyData(cx, method="dense").presentation(r)
