@@ -596,7 +596,8 @@ def saddle_chain_map(theory, cx_src, cx_tgt, info):
         match = _circle_match(rs, rt, new_ids)
         col = {}
         if ia != ib:
-            assert ja == jb, "band joining two circles must merge them"
+            if ja != jb:
+                raise MoveError("band joining two circles must merge them")
             match[ja] = None
             base = _transport(L, match)
             prod = theory.mul_basis(L >> ia & 1, L >> ib & 1)
@@ -604,7 +605,8 @@ def saddle_chain_map(theory, cx_src, cx_tgt, info):
                 if not R.is_zero(prod[comp]):
                     col[cx_tgt.index[(s, base | (comp << ja))][1]] = prod[comp]
         else:
-            assert ja != jb, "band on one circle must split it"
+            if ja == jb:
+                raise MoveError("band on one circle must split it")
             match[ja] = match[jb] = None
             base = _transport(L, match)
             for (l1, l2), coeff in theory.comul_basis(L >> ia & 1).items():
@@ -617,13 +619,15 @@ def saddle_chain_map(theory, cx_src, cx_tgt, info):
 
 def _single_image(cx, s, ci, L):
     cands = list(cx.edge_images(s, ci, L))
-    assert len(cands) == 1, "expected a lone image along the cancelling edge"
+    if len(cands) != 1:
+        raise MoveError("expected a lone image along the cancelling edge")
     return cands[0]
 
 
 def _unique_image_with_x(cx, s, ci, L, jx):
     cands = [(tl, c) for tl, c in cx.edge_images(s, ci, L) if tl >> jx & 1]
-    assert len(cands) == 1, "expected a unique X-component along the split edge"
+    if len(cands) != 1:
+        raise MoveError("expected a unique X-component along the split edge")
     return cands[0]
 
 
@@ -783,7 +787,9 @@ def _relabels_onto(R, d_red, d_small, rel_src, rel_tgt):
         small_col = d_small.get(si, {})
         for t, v in col.items():
             ((st, ct),) = rel_tgt[t].items()
-            if not R.eq(small_col.get(st, R.zero), R.mul(R.mul(ci, ct), v)):
+            # the signs are units +-1, so ci ct v is v or -v
+            if not R.eq(small_col.get(st, R.zero),
+                        v if R.eq(ci, ct) else R.neg(v)):
                 return False
     return True
 
@@ -813,10 +819,23 @@ def _reidemeister_map(theory, cx_src, cx_tgt, info):
     elimination after the relabeling (for a move that adds crossings),
     or the relabeling after its projection; it acts on the vectors it is
     applied to by replaying the elimination's recorded cancellations.
+
+    One elimination serves both directions: it is kept in the bigger
+    complex's ``move_reductions``, keyed by the smaller complex and the
+    crossings the move removes, so a move and its reverse (or a move
+    repeated between frames that share complexes) eliminate and check
+    the relabeling once.  The pairs depend only on the bigger complex
+    and those crossings (``_bigon_pairs`` is symmetric in them).
     """
     grow = info["kind"].endswith("+")
     cx_small, cx_big = (cx_src, cx_tgt) if grow else (cx_tgt, cx_src)
-    redn, fwd, bwd = _reidemeister_reduction(cx_small, cx_big, info)
+    removed = (frozenset((info["crossing"],)) if info["kind"].startswith("r1")
+               else frozenset((info["c1"], info["c2"])))
+    key = (cx_small, removed)
+    if key not in cx_big.move_reductions:
+        cx_big.move_reductions[key] = _reidemeister_reduction(
+            cx_small, cx_big, info)
+    redn, fwd, bwd = cx_big.move_reductions[key]
     return compose(redn.incl, bwd) if grow else compose(fwd, redn.proj)
 
 
@@ -888,7 +907,10 @@ class Movie:
 
     def reversed(self):
         """The movie played backwards; its frames are the forward frames
-        in reverse order, so it can reuse their complexes."""
+        in reverse order, so it can reuse their complexes.  Each reversed
+        r1/r2 move then names the same crossings of the same bigger
+        complex as the forward one, and both directions read the one
+        elimination kept there (see ``_reidemeister_map``)."""
         rev = Movie(self.frames[-1], list(reversed(self.reverses)),
                     name=self.name + "-reversed" if self.name else "")
         if rev.frames != self.frames[::-1]:

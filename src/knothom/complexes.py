@@ -213,6 +213,10 @@ class CubeComplex(ChainComplex):
         super().__init__(theory, gens, qdeg, diff_builder=self._build_degree)
         self._plans = {}
         self._signed = {}
+        # r1/r2 move eliminations of this complex, filled by
+        # cobordism._reidemeister_map: {(smaller complex, frozenset of the
+        # crossings the move removes): (reduction, fwd, bwd)}
+        self.move_reductions = {}
 
     def gen_index(self, s, labels):
         r, off, _ = self.state_block[s]

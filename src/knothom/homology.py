@@ -221,7 +221,9 @@ def graded_snf(M, with_transforms=True):
             if i == k:
                 continue
             ci, ei = _mono(ring, M.get(i, k))
-            assert ei >= e, "pivot was not minimal"
+            if ei < e:
+                raise ValueError("graded SNF pivot was not minimal in its "
+                                 "column")
             factor = (ring.monomial(ci, ei - e)
                       if isinstance(ring, PolyRing) else ci)
             neg = ring.neg(factor)
@@ -233,7 +235,9 @@ def graded_snf(M, with_transforms=True):
             if j == k:
                 continue
             cj, ej = _mono(ring, M.get(k, j))
-            assert ej >= e
+            if ej < e:
+                raise ValueError("graded SNF pivot was not minimal in its "
+                                 "row")
             factor = (ring.monomial(cj, ej - e)
                       if isinstance(ring, PolyRing) else cj)
             neg = ring.neg(factor)

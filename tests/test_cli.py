@@ -6,6 +6,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
+from knothom import cobordism
 from knothom.cli import main
 from knothom.cobordism import load_movie
 from knothom.complexes import CubeComplex
@@ -357,6 +358,42 @@ def test_movie_compose_reverse_builds_each_frame_once(movie, monkeypatch):
     assert res.exit_code == 0, res.output
     assert "compare id: equal" in res.output
     assert len(built) == len(set(load_movie(path).frames))
+
+
+@pytest.mark.parametrize("theory", ["bn", "alpha@0,t/f3"])
+@pytest.mark.parametrize("movie", sorted(os.listdir(MOVIE_DIR)))
+def test_movie_compose_reverse_eliminates_each_move_once(movie, theory,
+                                                         monkeypatch):
+    # a move and its reverse, and equal moves between shared frames, read
+    # one prescribed-pair elimination: one per (big frame, small frame,
+    # crossings the move removes)
+    path = os.path.join(MOVIE_DIR, movie)
+    m = load_movie(path)
+    expected = set()
+    for k, info in enumerate(m.infos):
+        if info["kind"] not in ("r1+", "r1-", "r2+", "r2-"):
+            continue
+        small, big = m.frames[k], m.frames[k + 1]
+        if info["kind"].endswith("-"):
+            small, big = big, small
+        removed = (frozenset((info["crossing"],)) if "crossing" in info
+                   else frozenset((info["c1"], info["c2"])))
+        expected.add((big, small, removed))
+    calls = []
+    reduce = cobordism.reduce_complex
+
+    def counting_reduce(cx, *args, **kwargs):
+        if kwargs.get("pairs") is not None:
+            calls.append(cx.diagram)
+        return reduce(cx, *args, **kwargs)
+
+    monkeypatch.setattr(cobordism, "reduce_complex", counting_reduce)
+    res = run("movie", "--script", path, "--theory", theory,
+              "--compose-reverse", "--compare", "id")
+    assert res.exit_code == 0, res.output
+    assert "compare id: equal" in res.output
+    assert len(calls) == len(expected)
+    assert set(calls) == {big for big, _, _ in expected}
 
 
 def test_movie_missing_file():

@@ -5,7 +5,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knothom.diagram import parse_pd, unknot_diagram, is_planar
+from knothom.diagram import LinkDiagram, parse_pd, unknot_diagram, is_planar
 from knothom.frobenius import theory_from_selector
 from knothom.complexes import (build_complex, identity_map, zero_map,
                                compose, add_maps, scale_map, maps_equal,
@@ -21,7 +21,8 @@ from knothom.cobordism import (Move, MoveError, MovieError, apply_move,
                                ribbon_structure_errors,
                                verify_ribbon_composite, _loop_pairs,
                                _relabel_iso, _reidemeister_map,
-                               _reidemeister_reduction)
+                               _reidemeister_reduction, _single_image,
+                               _unique_image_with_x)
 from knothom.jones import jones_polynomial
 from knothom.tables import load_table, braid_pd
 
@@ -308,6 +309,88 @@ def test_relabeling_rejects_a_tampered_small_differential(tamper):
         del col[t]
     with pytest.raises(MoveError, match="differs from the small diagram"):
         _reidemeister_reduction(cx_small, cx_big, info)
+
+
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
+@pytest.mark.parametrize("path", R_MOVIES, ids=os.path.basename)
+def test_reverse_move_maps_match_fresh_ones(path, sel):
+    # the reversed movie reads the eliminations its forward moves left in
+    # the shared complexes; each of its r-move maps must equal, block for
+    # block, the map built on freshly built complexes of the same frames
+    th = theory_from_selector(sel)
+    R = th.ring
+    movie = load_movie(path)
+    cxs = movie.complexes(th)
+    evaluate_movie(movie, th, cxs)
+    rev = movie.reversed()
+    rcxs = cxs[::-1]
+    moves = 0
+    for k, info in enumerate(rev.infos):
+        if info["kind"] not in ("r1+", "r1-", "r2+", "r2-"):
+            continue
+        moves += 1
+        src, tgt = rcxs[k], rcxs[k + 1]
+        big = tgt if info["kind"].endswith("+") else src
+        assert big.move_reductions, (k, info["kind"])
+        shared = move_chain_map(th, src, tgt, info)
+        fresh = _reidemeister_map(th, build_complex(rev.frames[k], th),
+                                  build_complex(rev.frames[k + 1], th), info)
+        for r in src.degrees:
+            assert mat_eq(R, shared.block(r), fresh.block(r)), (k, r)
+    assert moves
+
+
+def test_two_kinks_out_of_one_complex_get_their_own_reductions():
+    # negative control for the key of the shared eliminations: r1- at
+    # crossing 0 and at crossing 1 of one two-kink complex
+    th = theory_from_selector("bn")
+    d = apply_move(unknot_diagram(), Move("r1+", (1, "+")))[0]
+    big = apply_move(d, Move("r1+", (1, "+")))[0]
+    cx_big = build_complex(big, th)
+    smalls = []
+    for c in (0, 1):
+        small, info, _ = apply_move(big, Move("r1-", (c,)))
+        smalls.append((build_complex(small, th), info))
+    (cx_a, info_a), (cx_b, info_b) = smalls
+    assert _reidemeister_map(th, cx_big, cx_a, info_a).is_chain_map()
+    assert _reidemeister_map(th, cx_big, cx_b, info_b).is_chain_map()
+    redn_a = cx_big.move_reductions[(cx_a, frozenset((0,)))][0]
+    redn_b = cx_big.move_reductions[(cx_b, frozenset((1,)))][0]
+    assert redn_a.red.gens != redn_b.red.gens
+    # crossing 1's elimination does not land on crossing 0's small
+    # complex; it must not be answered by crossing 0's elimination
+    with pytest.raises(MoveError):
+        _reidemeister_map(th, cx_big, cx_a, info_b)
+    assert len(cx_big.move_reductions) == 2
+
+
+def test_cancelling_edge_image_checks_raise():
+    th = theory_from_selector("bn")
+    kink = apply_move(unknot_diagram(), Move("r1+", (1, "-")))[0]
+    cx = build_complex(kink, th)       # one circle at 0, two at 1: a split
+    with pytest.raises(MoveError, match="lone image"):
+        _single_image(cx, 0, 0, 0)
+    kink = apply_move(unknot_diagram(), Move("r1+", (1, "+")))[0]
+    cx = build_complex(kink, th)       # two circles at 0, one at 1: a merge
+    with pytest.raises(MoveError, match="unique X-component"):
+        _unique_image_with_x(cx, 0, 0, 0, 0)     # 1 * 1 = 1 has no X
+
+
+def test_saddle_map_rejects_a_band_that_does_not_fit():
+    # an info that does not describe the move between the two complexes
+    th = theory_from_selector("bn")
+    cx = build_complex(LinkDiagram((), (), (1, 2)), th)
+    f = move_chain_map(th, cx, cx, {"kind": "saddle", "case": "standard",
+                                    "e1": 1, "e2": 2, "new": (1, 2)})
+    with pytest.raises(MoveError, match="must merge"):
+        f.block(0)
+    kink = apply_move(unknot_diagram(), Move("r1+", (1, "+")))[0]
+    cx = build_complex(kink, th)       # edges 1 and 2 share a circle at 1
+    g = move_chain_map(th, cx, cx, {"kind": "saddle", "case": "split_loop",
+                                    "e1": 1, "e2": 1, "loop": 2})
+    with pytest.raises(MoveError, match="must split"):
+        for r in cx.degrees:
+            g.block(r)
 
 
 # -- homology-level identities (small instances) --------------------------
