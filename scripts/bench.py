@@ -3,17 +3,17 @@
 
 For each workload listed in BENCHMARK.json this runs
 
-    python3 perfbench/run.py --workload <name> --seed N --seconds S --trace 0
+    python3 perfbench/run.py --workload <name> --seed 9 --seconds S --trace 0
 
-from the repository root and keeps the JSON result line it prints last.
-All of them go into one file, BENCH_<pr>.json at the repository root,
-with the seed, the run length and the machine they were measured on, so
+from the repository root, where S is BENCHMARK.json's run_seconds, and
+keeps the JSON result line it prints last.  All of them go into one file,
+BENCH_<pr>.json at the repository root, with the seed, the run length and
+the machine they were measured on.  The seed and run length are fixed, so
 that successive changes leave a trajectory of the same measurements.
 
-Usage: python3 scripts/bench.py --pr N [--seed N] [--seconds S]
+Usage: python3 scripts/bench.py --pr N
 
---seconds defaults to BENCHMARK.json's run_seconds.  Exits 1 when a
-workload run fails or prints no result line.
+Exits 1 when a workload run fails or prints no result line.
 """
 
 import argparse
@@ -24,6 +24,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 9
 
 
 def run_workload(name, seed, seconds):
@@ -43,22 +44,20 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", type=int, required=True,
                     help="number of the change; names BENCH_<pr>.json")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=None)
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     results = {}
     for workload in spec["workloads"]:
         name = workload["name"]
         try:
-            results[name] = run_workload(name, args.seed, seconds)
+            results[name] = run_workload(name, SEED, seconds)
         except (RuntimeError, ValueError) as e:
             print("bench: %s" % e, file=sys.stderr)
             return 1
         print("bench: %s %s" % (name, json.dumps(results[name])))
-    doc = {"pr": args.pr, "seed": args.seed, "seconds": seconds,
+    doc = {"pr": args.pr, "seed": SEED, "seconds": seconds,
            "machine": {"cpus": os.cpu_count(),
                        "platform": platform.platform(),
                        "python": platform.python_version()},
