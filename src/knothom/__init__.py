@@ -26,7 +26,7 @@ from .cobordism import (Move, MoveError, Movie, MovieError, apply_move,
                         ribbon_structure_errors, verify_dot_crossing,
                         verify_ribbon_composite, verify_saddle_split,
                         verify_star_placement, verify_symmetry)
-from .tables import build_pd, build_table, knot_names, load_table
+from .tables import load_table
 
 __version__ = "0.1.0"
 
@@ -47,6 +47,6 @@ __all__ = [
     "ribbon_structure_errors", "verify_dot_crossing",
     "verify_ribbon_composite", "verify_saddle_split",
     "verify_star_placement", "verify_symmetry",
-    "build_pd", "build_table", "knot_names", "load_table",
+    "load_table",
     "__version__",
 ]

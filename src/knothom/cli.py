@@ -50,7 +50,6 @@ class InputError(click.ClickException):
 
 @dataclass
 class RunConfig:
-    command: str
     theory: str = "bn"
     pd: str = None
     name: str = None
@@ -537,6 +536,9 @@ def cmd_movie(cfg):
             lhs = scale_map(c, f)
             rhs = scale_map(c, ident)
         else:
+            if not movie.frames[0].edges:
+                raise InputError("compare x^d needs an edge on the first "
+                                 "frame for the star; this one has none")
             e0 = movie.frames[0].edges[0]
             rhs = ident
             for _ in range(k):
@@ -576,8 +578,8 @@ def main():
               default="table", show_default=True)
 def homology_cmd(theory, pd, name, input_, output):
     """Homology summary and torsion bound of one knot."""
-    cfg = RunConfig("homology", theory=theory, pd=pd, name=name,
-                    input=input_, output=output)
+    cfg = RunConfig(theory=theory, pd=pd, name=name, input=input_,
+                    output=output)
     sys.exit(cmd_homology(cfg))
 
 
@@ -595,7 +597,7 @@ def bound_cmd(knots, theory, distance, movie_path, output):
 
     KNOTS are bundled names, 'unknot', or literal PD codes.
     """
-    cfg = RunConfig("bound", theory=theory, knots=tuple(knots),
+    cfg = RunConfig(theory=theory, knots=tuple(knots),
                     distance=distance, movie_path=movie_path, output=output)
     sys.exit(cmd_bound(cfg))
 
@@ -617,9 +619,8 @@ def verify_cmd(suite, theory, max_crossings, jobs, verbose):
     if suite not in VERIFY_SUITES:
         raise InputError("unknown suite %r (choose from %s)"
                          % (suite, ", ".join(VERIFY_SUITES)))
-    cfg = RunConfig("verify", theory=theory, max_crossings=max_crossings,
-                    jobs=jobs, verbose=verbose)
-    cfg.suite = suite
+    cfg = RunConfig(theory=theory, max_crossings=max_crossings,
+                    jobs=jobs, verbose=verbose, suite=suite)
     sys.exit(cmd_verify(cfg))
 
 
@@ -635,7 +636,7 @@ def verify_cmd(suite, theory, max_crossings, jobs, verbose):
               default="table", show_default=True)
 def movie_cmd(script, theory, compose_reverse, compare, output):
     """Evaluate a movie script and report the induced map."""
-    cfg = RunConfig("movie", theory=theory, script=script,
+    cfg = RunConfig(theory=theory, script=script,
                     compose_reverse=compose_reverse, compare=compare,
                     output=output)
     sys.exit(cmd_movie(cfg))

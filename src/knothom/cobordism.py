@@ -58,22 +58,10 @@ class Move:
 DECORATIONS = ("dot", "dot1", "dot2", "star")
 
 
-def _insert_bit(L, pos, bit):
-    low = L & ((1 << pos) - 1)
-    high = L >> pos
-    return low | (bit << pos) | (high << (pos + 1))
-
-
 def _drop_bit(L, pos):
     low = L & ((1 << pos) - 1)
     high = L >> (pos + 1)
     return low | (high << pos)
-
-
-def _strip_state(S, removed_desc):
-    for ci in removed_desc:
-        S = _drop_bit(S, ci)
-    return S
 
 
 # -- surgery -------------------------------------------------------------

@@ -21,8 +21,8 @@ doubling, plus the table row picked by the label's bits on the merging or
 splitting circles.  Distinct edges out of one generator reach distinct
 states, so every entry is assigned once and nothing is accumulated.
 ``edge_images`` yields the same images one generator at a time, without
-the sign, for ``check_faces`` and the saddle maps; a test keeps the two
-routes equal.
+the sign, for ``check_faces`` and for the pair finders of the r1/r2 maps
+in ``cobordism``; a test keeps the two routes equal.
 
 Chain maps are evaluated on the sparse vectors they are applied to: an
 elementary map gives the image of one generator, and sums, multiples and

@@ -62,13 +62,19 @@ class LinkDiagram:
         self.crossings = tuple(tuple(c) for c in self.crossings)
         self.signs = tuple(self.signs)
         self.free_edges = tuple(sorted(self.free_edges))
-        assert len(self.signs) == len(self.crossings)
-        assert all(s in (1, -1) for s in self.signs)
+        if len(self.signs) != len(self.crossings):
+            raise PDSyntaxError("%d signs for %d crossings"
+                                % (len(self.signs), len(self.crossings)))
+        if any(s not in (1, -1) for s in self.signs):
+            raise PDSyntaxError("crossing signs must be +1 or -1")
         occ = {}
         for ci, cr in enumerate(self.crossings):
-            assert len(cr) == 4
+            if len(cr) != 4:
+                raise PDSyntaxError("crossing %d does not have 4 edges" % ci)
             for slot, e in enumerate(cr):
-                assert isinstance(e, int) and e > 0, "edge ids are positive ints"
+                if not isinstance(e, int) or e <= 0:
+                    raise PDSyntaxError("edge ids are positive ints, got %r"
+                                        % (e,))
                 occ.setdefault(e, []).append((ci, slot))
         for e, places in occ.items():
             if len(places) != 2:

@@ -395,18 +395,20 @@ def specialize(theory, images, ring):
 
 # -- selector strings ----------------------------------------------------
 
-def _parse_image(token, base):
+def _parse_image(image):
     """Parse '0', '1', '-1', 't', '-t', '2t', 't^2' style root images."""
-    token = token.strip()
-    neg = token.startswith("-")
-    if neg:
-        token = token[1:]
-    if "t" in token:
-        coeff_s, _, rest = token.partition("t")
-        coeff = int(coeff_s) if coeff_s else 1
-        k = int(rest[1:]) if rest.startswith("^") else 1
-        return ("t", k, -coeff if neg else coeff)
-    v = int(token) if token else 0
+    image = image.strip()
+    neg = image.startswith("-")
+    token = image[1:] if neg else image
+    try:
+        if "t" in token:
+            coeff_s, _, rest = token.partition("t")
+            coeff = int(coeff_s) if coeff_s else 1
+            k = int(rest[1:]) if rest.startswith("^") else 1
+            return ("t", k, -coeff if neg else coeff)
+        v = int(token) if token else 0
+    except ValueError:
+        raise TheoryError("bad root image %r" % image)
     return ("const", 0, -v if neg else v)
 
 
@@ -453,7 +455,7 @@ def theory_from_selector(text):
         if len(parts) != 2:
             raise TheoryError("selector needs two root images")
         base = _base_ring(ring_code)
-        parsed = [_parse_image(p, base) for p in parts]
+        parsed = [_parse_image(p) for p in parts]
         if any(kind == "t" for kind, _, _ in parsed):
             if base.is_field:
                 ring = poly_over(base, "t")

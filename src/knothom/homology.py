@@ -882,9 +882,6 @@ class HomologySummary:
     def free_rank(self):
         return sum(m for _, _, m in self.free)
 
-    def torsion_count(self):
-        return sum(m for _, _, _, m in self.torsion)
-
     def max_torsion_order(self):
         return max((k for _, _, k, m in self.torsion), default=0)
 

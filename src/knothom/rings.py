@@ -34,30 +34,6 @@ class BaseRing:
     def eq(self, a, b):
         return self.is_zero(self.sub(a, b))
 
-    def vec_add(self, va, vb):
-        """Add sparse vectors (dicts key -> payload) dropping zeros."""
-        out = dict(va)
-        for k, x in vb.items():
-            if k in out:
-                s = self.add(out[k], x)
-                if self.is_zero(s):
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = x
-        return out
-
-    def vec_scale(self, c, v):
-        if self.is_zero(c):
-            return {}
-        out = {}
-        for k, x in v.items():
-            y = self.mul(c, x)
-            if not self.is_zero(y):
-                out[k] = y
-        return out
-
     def __repr__(self):
         return self.name
 
@@ -397,8 +373,6 @@ class TwoVarPolys(BaseRing):
 
 
 F2 = PrimeField(2)
-QQ = Rationals()
-ZZ = Integers()
 
 
 def poly_over(base, var="t"):

@@ -11,7 +11,7 @@ from knothom.cli import main
 from knothom.cobordism import load_movie
 from knothom.complexes import CubeComplex
 from knothom.homology import HomologyData
-from knothom.tables import TABLE_ENV, rational_pd
+from knothom.tables import TABLE_ENV
 
 MOVIE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                          "knothom", "data", "movies")
@@ -275,8 +275,12 @@ def test_verify_group_without_homology_is_all_error():
 
 
 def test_verify_bad_theory_is_input_error():
-    res = run("verify", "frobenius", "--theory", "nope")
-    assert res.exit_code == 2
+    for selector, named in (("nope", "nope"), ("alpha@2x,t/f3", "2x"),
+                            ("alpha@t^x,0/f3", "t^x")):
+        for args in (("verify", "frobenius"), ("homology", "--name", "3_1")):
+            res = run(*args, "--theory", selector)
+            assert res.exit_code == 2, (selector, args, res.output)
+            assert repr(named) in res.output, (selector, args, res.output)
 
 
 def test_verify_ribbon_bundled_movies():
@@ -322,6 +326,16 @@ def test_movie_compare_needs_closed_movie(tmp_path):
     p.write_text("start unknot\nbirth\n")
     res = run("movie", "--script", str(p), "--compare", "id")
     assert res.exit_code == 2
+
+
+def test_movie_compare_star_needs_an_edge(tmp_path):
+    p = tmp_path / "empty.movie"
+    p.write_text("start empty\nbirth\ndeath 1\n")
+    for power in ("x^0", "x^1"):
+        res = run("movie", "--script", str(p), "--compose-reverse",
+                  "--compare", power)
+        assert res.exit_code == 2, res.output
+        assert "needs an edge on the first frame" in res.output
 
 
 def test_movie_script_errors_are_input_errors(tmp_path):

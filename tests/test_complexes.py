@@ -70,8 +70,8 @@ def test_cube_faces_anticommute():
 
 def _d_from_edge_images(cx, r):
     """d out of degree r as the signed sum of edge_images over each
-    generator's free bits: the route check_faces and the saddle maps
-    read."""
+    generator's free bits: the route check_faces and the r1/r2 pair
+    finders read."""
     R = cx.ring
     out = {}
     for src, (s, labels) in enumerate(cx.gens[r]):
@@ -94,7 +94,7 @@ def _d_from_edge_images(cx, r):
 @pytest.mark.parametrize("name", ["3_1", "4_1", "5_2"])
 def test_differential_matches_edge_images(name, sel):
     # d is built from per-edge label tables; it must not drift from
-    # edge_images, which check_faces and the saddle maps read
+    # edge_images, which check_faces and the r1/r2 pair finders read
     cx = build_complex(load_table()[name], theory_from_selector(sel))
     for r in cx.degrees:
         assert cx.d(r) == _d_from_edge_images(cx, r), (name, sel, r)

@@ -62,6 +62,30 @@ def test_orientation_error_on_two_heads():
         from_pd(((1, 2, 3, 4), (1, 4, 2, 3)))
 
 
+# Each malformed input below is otherwise consistent (every edge occurs
+# twice, one head and one tail), so only the check named in the test
+# stands between it and a broken diagram, also under ``python -O``.
+
+def test_one_sign_per_crossing():
+    with pytest.raises(PDSyntaxError):
+        LinkDiagram(((1, 1, 2, 2),), (1, 1))
+
+
+def test_signs_are_plus_or_minus_one():
+    with pytest.raises(PDSyntaxError):
+        LinkDiagram(((1, 1, 2, 2),), (2,))
+
+
+def test_crossings_have_four_edges():
+    with pytest.raises(PDSyntaxError):
+        LinkDiagram(((1, 1, 2, 2, 3, 3),), (1,))
+
+
+def test_edge_ids_are_positive_ints():
+    with pytest.raises(PDSyntaxError):
+        from_pd([(0, 1, 0, 1)])
+
+
 def test_head_tail_agree_with_successor():
     d = parse_pd(FIG8)
     for e in d.edges:
