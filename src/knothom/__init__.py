@@ -17,8 +17,7 @@ from .complexes import (ChainComplex, ChainMap, CubeComplex, add_maps,
                         scale_map, zero_map)
 from .homology import (HomologyData, HomologySummary, TorsionBound,
                        bn_to_f2_dims, graded_field_dims, homology,
-                       induced_map, maps_equal_on_homology, scaled_summary,
-                       torsion_bound)
+                       induced_map, maps_equal_on_homology, torsion_bound)
 from .jones import (determinant, jones_polynomial, kauffman_bracket,
                     quantum_jones)
 from .cobordism import (Move, MoveError, Movie, MovieError, apply_move,
@@ -40,7 +39,7 @@ __all__ = [
     "compose", "identity_map", "maps_equal", "scale_map", "zero_map",
     "HomologyData", "HomologySummary", "TorsionBound", "bn_to_f2_dims",
     "graded_field_dims", "homology", "induced_map",
-    "maps_equal_on_homology", "scaled_summary", "torsion_bound",
+    "maps_equal_on_homology", "torsion_bound",
     "determinant", "jones_polynomial", "kauffman_bracket", "quantum_jones",
     "Move", "MoveError", "Movie", "MovieError", "apply_move",
     "evaluate_movie", "load_movie", "parse_movie",

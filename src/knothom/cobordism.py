@@ -28,14 +28,18 @@ elementary builders give the image of one generator, and a movie's
 composite pushes a vector through its moves one after another.  An r1 or
 r2 map composes the relabeling with the elimination's inclusion or
 projection, which replays the recorded cancellations on that vector; no
-matrix of it is built unless a check asks for one.
+matrix of it is built unless a check asks for one.  Circle matching,
+label transport and merge/split images come from ``complexes``
+(``circle_match``, ``transport``, ``plan_images``), and generators are
+looked up by ``CubeComplex.gen_index``.
 """
 
 from dataclasses import dataclass, field
 
 from .diagram import LinkDiagram, is_planar, parse_pd, unknot_diagram
-from .complexes import (build_complex, compose, add_maps, generator_map,
-                        identity_map, matrix_map, popcount, scale_map,
+from .complexes import (build_complex, circle_match, compose, add_maps,
+                        generator_map, identity_map, matrix_map,
+                        plan_images, popcount, scale_map, transport,
                         zero_map)
 from .homology import HomologyData, maps_equal_on_homology, reduce_complex
 
@@ -140,14 +144,14 @@ def _apply_saddle(diagram, move):
         new = LinkDiagram(diagram.crossings, diagram.signs,
                           diagram.free_edges + (loop,))
         info = {"kind": "saddle", "case": "split_loop", "e1": e1, "e2": e2,
-                "loop": loop}
+                "ends": ((e1, e1), (e1, loop))}
         return new, info, Move("saddle", (e1, loop))
 
     if e1 in free and e2 in free:
         new = LinkDiagram(diagram.crossings, diagram.signs,
                           tuple(x for x in diagram.free_edges if x != e2))
         info = {"kind": "saddle", "case": "free_merge", "e1": e1, "e2": e2,
-                "kept": e1}
+                "ends": ((e1, e2), (e1, e1))}
         return new, info, Move("saddle", (e1, e1), {"ids": (e2,)})
 
     if (e1 in free) != (e2 in free):
@@ -156,7 +160,7 @@ def _apply_saddle(diagram, move):
         new = LinkDiagram(diagram.crossings, diagram.signs,
                           tuple(x for x in diagram.free_edges if x != lone))
         info = {"kind": "saddle", "case": "absorb", "e1": e1, "e2": e2,
-                "loop": lone, "kept": other}
+                "ends": ((lone, other), (other, other))}
         return new, info, Move("saddle", (other, other), {"ids": (lone,)})
 
     # two honest crossing edges
@@ -168,7 +172,7 @@ def _apply_saddle(diagram, move):
     _rewrite_occurrence(crossings, diagram.head(e1), b)
     new = LinkDiagram(tuple(crossings), diagram.signs, diagram.free_edges)
     info = {"kind": "saddle", "case": "standard", "e1": e1, "e2": e2,
-            "new": (a, b)}
+            "ends": ((e1, e2), (a, b))}
     return new, info, Move("saddle", (a, b), {"ids": (e1, e2)})
 
 
@@ -499,32 +503,13 @@ def _r3_chain_map(theory, cx_src, cx_tgt, info):
 
 # -- elementary chain maps -----------------------------------------------
 
-def _transport(L, match):
-    base = 0
-    for j, mj in enumerate(match):
-        if mj is not None and L >> mj & 1:
-            base |= 1 << j
-    return base
-
-
-def _circle_match(res_src, res_tgt, new_ids):
-    """Source circle index for each target circle, via a persisting edge."""
-    match = []
-    for circ in res_tgt.circles:
-        rep = next((e for e in circ if e not in new_ids), None)
-        match.append(res_src.index[rep] if rep is not None else None)
-    return match
-
-
 def birth_chain_map(theory, cx_src, cx_tgt, info):
-    new = {info["edge"]}
-
     def image(r, i):
         s, L = cx_src.gens[r][i]
-        match = _circle_match(cx_src.diagram.resolve(s),
-                              cx_tgt.diagram.resolve(s), new)
-        # the new circle keeps label 1
-        return {cx_tgt.index[(s, _transport(L, match))][1]: theory.ring.one}
+        # the new circle has no edge in the source, so it keeps label 1
+        match = circle_match(cx_src.diagram.resolve(s),
+                             cx_tgt.diagram.resolve(s))
+        return {cx_tgt.gen_index(s, transport(L, match))[1]: theory.ring.one}
     return generator_map(cx_src, cx_tgt, image, 0, 1, "birth")
 
 
@@ -536,8 +521,8 @@ def death_chain_map(theory, cx_src, cx_tgt, info):
         rs = cx_src.diagram.resolve(s)
         if not (L >> rs.index[e] & 1):
             return None             # counit sends the 1-label to zero
-        match = _circle_match(rs, cx_tgt.diagram.resolve(s), set())
-        return {cx_tgt.index[(s, _transport(L, match))][1]: theory.ring.one}
+        match = circle_match(rs, cx_tgt.diagram.resolve(s))
+        return {cx_tgt.gen_index(s, transport(L, match))[1]: theory.ring.one}
     return generator_map(cx_src, cx_tgt, image, 0, 1, "death")
 
 
@@ -549,57 +534,35 @@ def decoration_chain_map(theory, cx, kind, edge):
         s, L = cx.gens[r][i]
         j = cx.diagram.locate(s, edge)
         prod = theory.act_basis(elem, L >> j & 1)
-        return {cx.index[(s, (L & ~(1 << j)) | (comp << j))][1]: prod[comp]
+        return {cx.gen_index(s, (L & ~(1 << j)) | (comp << j))[1]: prod[comp]
                 for comp in (0, 1) if not R.is_zero(prod[comp])}
     return generator_map(cx, cx, image, 0, -2, kind)
 
 
 def saddle_chain_map(theory, cx_src, cx_tgt, info):
-    """Per-state merge or split along the band of a saddle move."""
+    """Per-state merge or split along the band of a saddle move, whose
+    ends are the source edges ``info["ends"][0]`` and the target edges
+    ``info["ends"][1]``."""
     Ds, Dt = cx_src.diagram, cx_tgt.diagram
-    R = theory.ring
-    case = info["case"]
+    (a, b), (ta, tb) = info["ends"]
 
     def image(r, i):
         s, L = cx_src.gens[r][i]
         rs = Ds.resolve(s)
         rt = Dt.resolve(s)
-        if case == "standard":
-            A, B = info["new"]
-            ia, ib = rs.index[info["e1"]], rs.index[info["e2"]]
-            ja, jb = rt.index[A], rt.index[B]
-            new_ids = {A, B}
-        elif case == "absorb":
-            ia, ib = rs.index[info["loop"]], rs.index[info["kept"]]
-            ja = jb = rt.index[info["kept"]]
-            new_ids = set()
-        elif case == "free_merge":
-            ia, ib = rs.index[info["e1"]], rs.index[info["e2"]]
-            ja = jb = rt.index[info["kept"]]
-            new_ids = set()
-        else:       # split_loop
-            ia = ib = rs.index[info["e1"]]
-            ja, jb = rt.index[info["e1"]], rt.index[info["loop"]]
-            new_ids = {info["loop"]}
-        match = _circle_match(rs, rt, new_ids)
-        col = {}
+        ia, ib = rs.index[a], rs.index[b]
+        ja, jb = rt.index[ta], rt.index[tb]
+        match = circle_match(rs, rt, (ia, ib))
         if ia != ib:
             if ja != jb:
                 raise MoveError("band joining two circles must merge them")
-            match[ja] = None
-            base = _transport(L, match)
-            prod = theory.mul_basis(L >> ia & 1, L >> ib & 1)
-            for comp in (0, 1):
-                if not R.is_zero(prod[comp]):
-                    col[cx_tgt.index[(s, base | (comp << ja))][1]] = prod[comp]
+            plan = ("merge", ia, ib, ja, match)
         else:
             if ja == jb:
                 raise MoveError("band on one circle must split it")
-            match[ja] = match[jb] = None
-            base = _transport(L, match)
-            for (l1, l2), coeff in theory.comul_basis(L >> ia & 1).items():
-                col[cx_tgt.index[(s, base | (l1 << ja) | (l2 << jb))][1]] = coeff
-        return col
+            plan = ("split", ia, ja, jb, match)
+        return {cx_tgt.gen_index(s, tl)[1]: coeff
+                for tl, coeff in plan_images(theory, plan, L)}
     return generator_map(cx_src, cx_tgt, image, 0, -1, "saddle")
 
 
@@ -735,11 +698,11 @@ def _relabel_iso(redn, cx_small, fixed_bits, forced_labels):
             if len(res_small) != len(res_big) - len(forced_labels):
                 raise MoveError("survivor's circles do not match the small "
                                 "diagram's")
-            L2 = 0
-            for j, circ in enumerate(res_small.circles):
-                rep = next(e for e in circ if e in res_big.index)
-                L2 |= (L >> res_big.index[rep] & 1) << j
-            rs, js = cx_small.index[(s_small, L2)]
+            match = circle_match(res_big, res_small)
+            if None in match:
+                raise MoveError("a circle of the small diagram has no edge "
+                                "in the big one")
+            rs, js = cx_small.gen_index(s_small, transport(L, match))
             if rs != r:
                 raise MoveError("homological degree mismatch in relabeling")
             if red.qdeg[r][i] != cx_small.qdeg[rs][js]:
@@ -887,11 +850,6 @@ class Movie:
 
     def saddle_count(self):
         return sum(1 for mv in self.moves if mv.kind == "saddle")
-
-    def decoration_ledger(self):
-        return [(k, info["kind"], info["edge"])
-                for k, info in enumerate(self.infos)
-                if info["kind"] in DECORATIONS]
 
     def reversed(self):
         """The movie played backwards; its frames are the forward frames

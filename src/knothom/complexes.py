@@ -24,6 +24,11 @@ states, so every entry is assigned once and nothing is accumulated.
 the sign, for ``check_faces`` and for the pair finders of the r1/r2 maps
 in ``cobordism``; a test keeps the two routes equal.
 
+``CubeComplex.gen_index`` is the one lookup of a generator (state,
+labels).  ``circle_match``, ``transport`` and ``plan_images`` carry circle
+labels through a local surgery; the cube edges here and the saddle, birth
+and death maps of ``cobordism`` all use them.
+
 Chain maps are evaluated on the sparse vectors they are applied to: an
 elementary map gives the image of one generator, and sums, multiples and
 composites act on whole vectors.  A map's matrix is built on demand,
@@ -98,10 +103,6 @@ class ChainComplex:
         self.ring = theory.ring
         self.gens = gens            # {r: [key, ...]}
         self.qdeg = qdeg            # {r: [int or None, ...]}
-        self.index = {}
-        for r, keys in gens.items():
-            for i, k in enumerate(keys):
-                self.index[k] = (r, i)
         self._diffs = dict(diffs) if diffs else {}
         self._diff_builder = diff_builder
 
@@ -181,6 +182,49 @@ class ChainComplex:
         return out
 
 
+# -- circle labels through a local surgery -------------------------------
+
+def circle_match(rs, rt, skip=()):
+    """For each circle of smoothing ``rt``, the circle of ``rs`` that
+    persists as it, found through an edge that lies in ``rs`` on a circle
+    not listed in ``skip``; None where there is no such edge."""
+    match = []
+    for circ in rt.circles:
+        match.append(next((rs.index[e] for e in circ
+                           if e in rs.index and rs.index[e] not in skip),
+                          None))
+    return tuple(match)
+
+
+def transport(labels, match):
+    """Target labels whose bit j is the bit of source circle match[j]
+    (0, the label 1, where match[j] is None)."""
+    out = 0
+    for j, mj in enumerate(match):
+        if mj is not None and labels >> mj & 1:
+            out |= 1 << j
+    return out
+
+
+def plan_images(theory, plan, labels):
+    """Images of ``labels`` under a merge or split ``plan`` shaped as
+    ``CubeComplex.edge_plan`` returns it: yields (target labels, payload),
+    without a sign."""
+    kind = plan[0]
+    base = transport(labels, plan[4])
+    if kind == "merge":
+        _, ia, ib, it, _ = plan
+        prod = theory.mul_basis(labels >> ia & 1, labels >> ib & 1)
+        for comp in (0, 1):
+            coeff = prod[comp]
+            if not theory.ring.is_zero(coeff):
+                yield base | (comp << it), coeff
+    else:
+        _, ia, it1, it2, _ = plan
+        for (l1, l2), coeff in theory.comul_basis(labels >> ia & 1).items():
+            yield base | (l1 << it1) | (l2 << it2), coeff
+
+
 class CubeComplex(ChainComplex):
     """The cube of resolutions of a diagram, with its local structure."""
 
@@ -219,6 +263,7 @@ class CubeComplex(ChainComplex):
         self.move_reductions = {}
 
     def gen_index(self, s, labels):
+        """(degree, position) of generator (s, labels) of this cube."""
         r, off, _ = self.state_block[s]
         return r, off + labels
 
@@ -237,49 +282,25 @@ class CubeComplex(ChainComplex):
         rs, rt = D.resolve(s), D.resolve(t)
         a, b, c, d = D.crossings[i]
         ia, ic = rs.index[a], rs.index[c]
-        participating = {ia, ic}
-        match = []
-        for j, circ in enumerate(rt.circles):
-            rep = next((e for e in circ if rs.index[e] not in participating), None)
-            match.append(rs.index[rep] if rep is not None else None)
+        match = circle_match(rs, rt, (ia, ic))
         if ia != ic:
             it = rt.index[a]
             if rt.index[c] != it:
                 raise ValueError("smoothing change at crossing %d must merge "
                                  "its two circles" % i)
-            plan = ("merge", ia, ic, it, tuple(match))
+            plan = ("merge", ia, ic, it, match)
         else:
             it1, it2 = rt.index[a], rt.index[b]
             if it1 == it2:
                 raise ValueError("planar smoothing change must split here")
-            plan = ("split", ia, it1, it2, tuple(match))
+            plan = ("split", ia, it1, it2, match)
         self._plans[key] = plan
         return plan
 
     def edge_images(self, s, i, labels):
-        """Images of generator (s, labels) under the cube edge at i.
-
-        Yields (target_labels, payload) without the cube sign.
-        """
-        T = self.theory
-        plan = self.edge_plan(s, i)
-        kind = plan[0]
-        match = plan[4]
-        base = 0
-        for j, mj in enumerate(match):
-            if mj is not None and labels >> mj & 1:
-                base |= 1 << j
-        if kind == "merge":
-            _, ia, ib, it, _ = plan
-            prod = T.mul_basis(labels >> ia & 1, labels >> ib & 1)
-            for comp in (0, 1):
-                coeff = prod[comp]
-                if not T.ring.is_zero(coeff):
-                    yield base | (comp << it), coeff
-        else:
-            _, ia, it1, it2, _ = plan
-            for (l1, l2), coeff in T.comul_basis(labels >> ia & 1).items():
-                yield base | (l1 << it1) | (l2 << it2), coeff
+        """Images (target labels, payload) of generator (s, labels) under
+        the cube edge at i, without the cube sign."""
+        return plan_images(self.theory, self.edge_plan(s, i), labels)
 
     def _signed_images(self, negate):
         """The theory's basis images with the cube sign applied: merge row

@@ -31,6 +31,8 @@ Algebra elements are payload pairs (c0, c1) meaning c0*1 + c1*X; tensors
 are sparse dicts {(i, j): coeff} over the basis {1, X}.
 """
 
+import re
+
 from .rings import PrimeField, PolyRing, Rationals, Integers, TwoVarPolys, F2, poly_over
 
 
@@ -39,7 +41,7 @@ class TheoryError(ValueError):
 
 
 class Theory:
-    def __init__(self, name, ring, s, p, alphas=None, check=True):
+    def __init__(self, name, ring, s, p, alphas=None):
         self.name = name
         self.ring = ring
         self.s = s
@@ -49,9 +51,10 @@ class Theory:
         self.graded = self._compute_graded()
         self._mul_cache = {}
         self._comul_cache = {}
-        if check:
-            bad = [n for n, ok, _ in axiom_report(self) if not ok]
-            assert not bad, "Frobenius axioms failed: %s" % bad
+        bad = [n for n, ok, _ in axiom_report(self) if not ok]
+        if bad:
+            raise TheoryError("Frobenius axioms failed for %s: %s"
+                              % (name, ", ".join(bad)))
 
     def _compute_graded(self):
         R = self.ring
@@ -395,21 +398,20 @@ def specialize(theory, images, ring):
 
 # -- selector strings ----------------------------------------------------
 
+# an optional '-', ASCII digits, then optionally 't' with an optional '^k'
+_IMAGE = re.compile(r"(-?)([0-9]*)(t(?:\^([0-9]+))?)?")
+
+
 def _parse_image(image):
     """Parse '0', '1', '-1', 't', '-t', '2t', 't^2' style root images."""
     image = image.strip()
-    neg = image.startswith("-")
-    token = image[1:] if neg else image
-    try:
-        if "t" in token:
-            coeff_s, _, rest = token.partition("t")
-            coeff = int(coeff_s) if coeff_s else 1
-            k = int(rest[1:]) if rest.startswith("^") else 1
-            return ("t", k, -coeff if neg else coeff)
-        v = int(token) if token else 0
-    except ValueError:
+    m = _IMAGE.fullmatch(image)
+    if not m or not (m[2] or m[3]):
         raise TheoryError("bad root image %r" % image)
-    return ("const", 0, -v if neg else v)
+    sign = -1 if m[1] else 1
+    if m[3]:
+        return ("t", int(m[4] or 1), sign * int(m[2] or 1))
+    return ("const", 0, sign * int(m[2]))
 
 
 _RING_CODES = {

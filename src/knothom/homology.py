@@ -506,7 +506,8 @@ def reduce_complex(cx, pairs=None, track_maps=True):
     """Cancel unit entries of the differential.
 
     ``pairs`` prescribes an elimination order as (r, src_key, tgt_key)
-    tuples; by default every unit entry is eliminated, smallest (degree,
+    tuples of cube generators (state, labels), looked up by ``gen_index``;
+    by default every unit entry is eliminated, smallest (degree,
     source index, target index) first.  A heap of columns gives that
     order: it holds (r, s) for every source column that has held a unit
     entry since it was last popped, and the pivot of a popped column is
@@ -542,8 +543,8 @@ def reduce_complex(cx, pairs=None, track_maps=True):
     else:
         queue = []
         for r, sk, tk in pairs:
-            rs, si = cx.index[sk]
-            rt, ti = cx.index[tk]
+            rs, si = cx.gen_index(*sk)
+            rt, ti = cx.gen_index(*tk)
             if rs != r or rt != r + 1:
                 raise ValueError("prescribed pair has wrong degrees")
             queue.append((r, si, ti))
@@ -879,9 +880,6 @@ class HomologySummary:
     free: tuple      # (r, q, multiplicity)
     torsion: tuple   # (r, q, order, multiplicity)
 
-    def free_rank(self):
-        return sum(m for _, _, m in self.free)
-
     def max_torsion_order(self):
         return max((k for _, _, k, m in self.torsion), default=0)
 
@@ -1022,16 +1020,6 @@ def torsion_bound(summary, theory):
         "nu_phi is only computed when 2X - s acts as a scalar or has "
         "invertible square; got star = (%s) + (%s) X"
         % (R.fmt(star[0]), R.fmt(star[1])))
-
-
-def scaled_summary(summary, d):
-    """Multiply the module by t^d: free parts shift in q, torsion orders
-    drop by d, anything at or below order d dies."""
-    free = tuple((r, (q - 2 * d) if q is not None else None, m)
-                 for r, q, m in summary.free)
-    torsion = tuple((r, (q - 2 * d) if q is not None else None, k - d, m)
-                    for r, q, k, m in summary.torsion if k > d)
-    return HomologySummary(summary.theory, free, torsion)
 
 
 # -- independent field-coefficient dimensions ----------------------------

@@ -265,16 +265,6 @@ class PolyRing(BaseRing):
                     r[kk] = s
         return q, r
 
-    def evaluate(self, a, x):
-        """Evaluate at a base-field point (Horner)."""
-        F = self.base
-        if not a:
-            return F.zero
-        acc = F.zero
-        for k in range(max(a), -1, -1):
-            acc = F.add(F.mul(acc, x), a.get(k, F.zero))
-        return acc
-
     def fmt(self, a):
         if not a:
             return "0"

@@ -276,7 +276,10 @@ def test_verify_group_without_homology_is_all_error():
 
 def test_verify_bad_theory_is_input_error():
     for selector, named in (("nope", "nope"), ("alpha@2x,t/f3", "2x"),
-                            ("alpha@t^x,0/f3", "t^x")):
+                            ("alpha@t^x,0/f3", "t^x"),
+                            ("alpha@1_0,0/f3", "1_0"),
+                            ("alpha@--1,0/f3", "--1"),
+                            ("alpha@+1,0/f3", "+1")):
         for args in (("verify", "frobenius"), ("homology", "--name", "3_1")):
             res = run(*args, "--theory", selector)
             assert res.exit_code == 2, (selector, args, res.output)
@@ -291,6 +294,15 @@ def test_verify_ribbon_bundled_movies():
                "square-knot.movie"):
         assert any(fn in ln for ln in passed), fn
     assert "FAIL" not in res.output
+
+
+@pytest.mark.parametrize("args,count", [
+    (("symmetry",), 14), (("saddle-split", "--max-crossings", "4"), 10)])
+def test_verify_movie_map_suites(args, count):
+    res = run("verify", *args)
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines()[-1] == (
+        "%d/%d instances passed" % (count, count)), res.output
 
 
 def test_verify_unknown_suite():

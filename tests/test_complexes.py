@@ -239,6 +239,5 @@ def test_gen_index_round_trip():
     d = load_table()["3_1"]
     cx = build_complex(d, theory_from_selector("bn"))
     for r in cx.degrees:
-        for key in cx.gens[r]:
-            s, labels = key
-            assert cx.gen_index(s, labels) == cx.index[key]
+        for i, (s, labels) in enumerate(cx.gens[r]):
+            assert cx.gen_index(s, labels) == (r, i)

@@ -159,6 +159,19 @@ def test_selector_parsing():
             theory_from_selector(bad)
 
 
+def test_theory_with_failing_axioms_raises():
+    # a raise, not an assert, so python -O still refuses the theory
+    class BadComul(Theory):
+        def comul_basis(self, i):
+            R = self.ring
+            return {(1, 1): R.one} if i == 0 else {(0, 1): R.one}
+
+    F2H = poly_over(PrimeField(2), "h")
+    with pytest.raises(TheoryError, match="axioms failed for bad: .*counit"):
+        BadComul("bad", F2H, s=F2H.gen(), p=F2H.zero)
+    Theory("bn", F2H, s=F2H.gen(), p=F2H.zero)
+
+
 def test_digit_ordering_agreement():
     # swapping the two roots relabels the digit decorations but keeps
     # the theory itself (s, p, star) fixed

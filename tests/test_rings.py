@@ -126,13 +126,6 @@ def test_poly_divmod(data):
         assert F2H.poly_degree(r) < F2H.poly_degree(b)
 
 
-def test_poly_evaluate():
-    h = F2H.gen()
-    p = F2H.add(F2H.mul(h, h), F2H.one)   # h^2 + 1
-    assert F2H.evaluate(p, F2.one) == F2.zero
-    assert F2H.evaluate(p, F2.zero) == F2.one
-
-
 def test_fmt_round_trip_smoke():
     assert F2H.fmt(F2H.zero) == "0"
     assert "h" in F2H.fmt(F2H.gen())
