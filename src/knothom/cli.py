@@ -436,6 +436,9 @@ def cmd_verify(cfg):
     if cfg.theory:
         _resolve_theory(cfg.theory)
     groups = _verify_groups(cfg)
+    if not any(cases for _, _, _, cases in groups):
+        raise InputError("verify %s selects no instance with at most %d "
+                         "crossings" % (cfg.suite, cfg.max_crossings))
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_run_group, groups))
@@ -586,7 +589,7 @@ def homology_cmd(theory, pd, name, input_, output):
 @main.command("bound")
 @click.argument("knots", nargs=2)
 @click.option("--theory", default="bn", show_default=True)
-@click.option("-d", "--distance", type=int, default=None,
+@click.option("-d", "--distance", type=click.IntRange(min=0), default=None,
               help="ribbon distance hypothesis to check against")
 @click.option("--movie", "movie_path", type=click.Path(), default=None,
               help="movie whose saddle count plays the distance role")
@@ -606,7 +609,8 @@ def bound_cmd(knots, theory, distance, movie_path, output):
 @click.argument("suite")
 @click.option("--theory", default=None,
               help="restrict to one theory selector")
-@click.option("--max-crossings", type=int, default=6, show_default=True)
+@click.option("--max-crossings", type=click.IntRange(min=0), default=6,
+              show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1,
               show_default=True)
 @click.option("-v", "--verbose", is_flag=True)

@@ -11,6 +11,16 @@ labels), so each state occupies a contiguous block.  The differential
 follows cube edges with the usual sign (-1)^(ones below the flipped
 bit); matrices are sparse dicts {source index: {target index: payload}}.
 
+A complex holds its differential as one block per degree.  ``d(r)``
+stores the block it returns, so every reader that comes back to it
+(the d^2 and chain-map checks, the dense route, relabelling in
+``cobordism``) pays for one build.  Elimination consumes its blocks
+instead: ``take_d`` hands it the live columns of one degree, a copy of
+the stored block where there is one and otherwise a fresh build of only
+those columns, which nobody stores.  A cube that only goes through
+elimination thus never holds its whole differential; a reduced complex,
+which has no builder, always keeps its blocks.
+
 The differential is built edge by edge, not label by label.  For each
 state and free bit, the edge's plan (which circles merge or split, and
 where the others go) is read once and its sign applied once, to a 4-row
@@ -104,7 +114,7 @@ class ChainComplex:
         self.gens = gens            # {r: [key, ...]}
         self.qdeg = qdeg            # {r: [int or None, ...]}
         self._diffs = dict(diffs) if diffs else {}
-        self._diff_builder = diff_builder
+        self._diff_builder = diff_builder   # (r, alive=None) -> block
 
     @property
     def degrees(self):
@@ -117,13 +127,24 @@ class ChainComplex:
         return sum(len(v) for v in self.gens.values())
 
     def d(self, r):
-        """Differential out of degree r as {src: {tgt: payload}}."""
+        """Differential out of degree r as {src: {tgt: payload}}, stored
+        on first read and kept for every later reader."""
         if r not in self._diffs:
             if self._diff_builder is not None and r in self.gens:
                 self._diffs[r] = self._diff_builder(r)
             else:
                 self._diffs[r] = {}
         return self._diffs[r]
+
+    def take_d(self, r, alive):
+        """The columns of d out of degree r whose source is in ``alive``,
+        for a caller that consumes them in place: a copy of the stored
+        block when there is one (a complex built from its blocks, or a
+        cube whose block was read through ``d``), else a fresh build from
+        the builder that is not stored, so the complex never holds it."""
+        if r in self._diffs or self._diff_builder is None:
+            return {s: dict(c) for s, c in self.d(r).items() if s in alive}
+        return self._diff_builder(r, alive)
 
     def materialize(self):
         for r in self.degrees:
@@ -322,15 +343,22 @@ class CubeComplex(ChainComplex):
             self._signed[key] = merge, split
         return self._signed[key]
 
-    def _build_degree(self, r):
+    def _build_degree(self, r, alive=None):
         """Columns of d out of degree r, edge by edge from per-edge label
-        tables (see the module docstring)."""
+        tables (see the module docstring).  With ``alive``, a set of
+        indices of degree r, only the columns of those sources are built,
+        and a state none of whose generators is alive is skipped."""
         D = self.diagram
         flip_signs = self.ring.char != 2
         cols = {}
         for s in self.states_by_weight.get(r + D.n_minus, ()):
             _, off, c = self.state_block[s]
-            images = [{} for _ in range(1 << c)]
+            live = range(1 << c)
+            if alive is not None:
+                live = [L for L in live if off + L in alive]
+                if not live:
+                    continue
+            images = {L: {} for L in live}
             below = 0       # ones of s below bit i
             for i in range(D.n):
                 if s >> i & 1:
@@ -360,11 +388,11 @@ class CubeComplex(ChainComplex):
                                     for (l1, l2), coeff in row)
                               for row in split)
                     rows = [one, (), (), x]
-                for L, col in enumerate(images):
+                for L, col in images.items():
                     b = base[L]
                     for bits, coeff in rows[(L >> ia & 1) << 1 | (L >> ib & 1)]:
                         col[b + bits] = coeff
-            for L, col in enumerate(images):
+            for L, col in images.items():
                 if col:
                     cols[off + L] = col
         return cols

@@ -511,36 +511,51 @@ def reduce_complex(cx, pairs=None, track_maps=True):
     source index, target index) first.  A heap of columns gives that
     order: it holds (r, s) for every source column that has held a unit
     entry since it was last popped, and the pivot of a popped column is
-    its least unit target.  A column is pushed once at the start if it
-    holds a unit and again whenever fill-in creates one in it, so the
-    least column on the heap that still holds a unit carries the least
-    unit entry of the whole differential: the order, and every entry the
-    elimination produces, are those of a heap of all unit entries (r, s,
-    t), which pops several times as often.  Returns a Reduction whose maps
-    satisfy proj∘incl = id and id - incl∘proj = dH + Hd.  With
-    track_maps=True the loop records each cancellation, and the maps
-    replay that record on the vectors they are applied to; with
-    track_maps=False nothing is recorded, the maps are None and only the
-    small complex comes back.
+    its least unit target.  A column is pushed once when its degree is
+    loaded if it holds a unit, and again whenever fill-in creates one in
+    it, so the least column on the heap that still holds a unit carries
+    the least unit entry of the whole differential: the order, and every
+    entry the elimination produces, are those of a heap of all unit
+    entries (r, s, t), which pops several times as often.
+
+    Degrees are loaded one at a time, through ``cx.take_d``, when the
+    heap runs out, and the loaded columns are consumed in place.  This
+    keeps the order: fill-in from a degree-r pivot lands only in d_r, so
+    every degree-r pop comes before every degree-(r+1) pop, and the
+    cancellations of degree r change nothing in d_{r+1} but delete the
+    columns of their targets, which the loader of degree r + 1 then
+    never builds.  Prescribed pairs come in state order, which mixes
+    adjacent degrees, so that route loads every degree before its first
+    pivot.
+
+    Returns a Reduction whose maps satisfy proj∘incl = id and
+    id - incl∘proj = dH + Hd.  With track_maps=True the loop records each
+    cancellation, and the maps replay that record on the vectors they are
+    applied to; with track_maps=False nothing is recorded, the maps are
+    None and only the small complex comes back.
     """
     R = cx.ring
     is_zero, is_unit, add, mul, neg = R.is_zero, R.is_unit, R.add, R.mul, R.neg
     degrees = cx.degrees
-    cols = {r: {s: dict(c) for s, c in cx.d(r).items()} for r in degrees}
-    rows = {r: {} for r in degrees}
-    for r in degrees:
-        rows_r = rows[r]
-        for s, col in cols[r].items():
-            for t in col:
-                rows_r.setdefault(t, set()).add(s)
     alive = {r: set(range(cx.rank(r))) for r in degrees}
+    cols = {}   # {r: {source: {target: payload}}} of the loaded degrees
+    rows = {}   # {r: {target: sources with an entry at it}}
     steps = []
 
+    def load(r):
+        cols[r] = cols_r = cx.take_d(r, alive[r])
+        rows[r] = rows_r = {}
+        for s, col in cols_r.items():
+            for t in col:
+                rows_r.setdefault(t, set()).add(s)
+        return cols_r
+
     if pairs is None:
-        heap = [(r, s) for r in degrees for s, col in cols[r].items()
-                if any(is_unit(v) for v in col.values())]
-        heapq.heapify(heap)
+        unloaded = iter(degrees)
+        heap = []
     else:
+        for r in degrees:
+            load(r)
         queue = []
         for r, sk, tk in pairs:
             rs, si = cx.gen_index(*sk)
@@ -553,7 +568,15 @@ def reduce_complex(cx, pairs=None, track_maps=True):
     while True:
         if pairs is None:
             y = None
-            while heap and y is None:
+            while y is None:
+                if not heap:
+                    r = next(unloaded, None)
+                    if r is None:
+                        break
+                    heap = [(r, s) for s, col in load(r).items()
+                            if any(is_unit(v) for v in col.values())]
+                    heapq.heapify(heap)
+                    continue
                 r, x = heapq.heappop(heap)
                 col = cols[r].get(x)
                 if col:
@@ -1029,7 +1052,9 @@ def graded_field_dims(cx):
     on q-graded slices.  Used as the second route in dimension
     cross-checks; no reduction, no monomial tricks."""
     ring = cx.ring
-    assert ring.is_field
+    if not ring.is_field:
+        raise ValueError("graded_field_dims needs field coefficients, got %s"
+                         % ring.name)
     dims = {}
     qvals = {}
     for r in cx.degrees:

@@ -69,7 +69,8 @@ class PrimeField(BaseRing):
         return a != 0
 
     def inv(self, a):
-        assert a != 0
+        if a % self.p == 0:
+            raise ZeroDivisionError("0 has no inverse in %s" % self.name)
         return pow(a, self.p - 2, self.p)
 
     def is_homogeneous(self, a):
@@ -143,7 +144,8 @@ class Integers(BaseRing):
         return a in (1, -1)
 
     def inv(self, a):
-        assert a in (1, -1)
+        if a not in (1, -1):
+            raise ZeroDivisionError("%s is not a unit in %s" % (a, self.name))
         return a
 
     def is_homogeneous(self, a):
@@ -160,7 +162,9 @@ class PolyRing(BaseRing):
     """F[v] for a field F, elements stored as {exponent: nonzero coeff}."""
 
     def __init__(self, base, var):
-        assert base.is_field
+        if not base.is_field:
+            raise ValueError("polynomial coefficients must be a field, got %s"
+                             % base.name)
         self.base = base
         self.var = var
         self.char = base.char
@@ -222,7 +226,9 @@ class PolyRing(BaseRing):
         return len(a) == 1 and 0 in a
 
     def inv(self, a):
-        assert self.is_unit(a)
+        if not self.is_unit(a):
+            raise ZeroDivisionError("%s is not a unit in %s"
+                                    % (self.fmt(a), self.name))
         return {0: self.base.inv(a[0])}
 
     def is_homogeneous(self, a):
@@ -231,7 +237,9 @@ class PolyRing(BaseRing):
     def exponent(self, a):
         if not a:
             return None
-        assert len(a) == 1, "inhomogeneous element has no exponent"
+        if len(a) != 1:
+            raise ValueError("inhomogeneous element %s has no exponent"
+                             % self.fmt(a))
         return next(iter(a))
 
     def mono_parts(self, a):
@@ -246,7 +254,8 @@ class PolyRing(BaseRing):
 
     def divmod(self, a, b):
         """Polynomial division: a = q*b + r with deg r < deg b."""
-        assert b, "division by zero"
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
         F = self.base
         lead_b = max(b)
         inv_lb = F.inv(b[lead_b])
@@ -330,7 +339,9 @@ class TwoVarPolys(BaseRing):
         return len(a) == 1 and (0, 0) in a and a[(0, 0)] in (1, -1)
 
     def inv(self, a):
-        assert self.is_unit(a)
+        if not self.is_unit(a):
+            raise ZeroDivisionError("%s is not a unit in %s"
+                                    % (self.fmt(a), self.name))
         return dict(a)
 
     def is_homogeneous(self, a):
@@ -340,7 +351,9 @@ class TwoVarPolys(BaseRing):
         if not a:
             return None
         degs = {i + j for i, j in a}
-        assert len(degs) == 1, "inhomogeneous element has no exponent"
+        if len(degs) != 1:
+            raise ValueError("inhomogeneous element %s has no exponent"
+                             % self.fmt(a))
         return degs.pop()
 
     def fmt(self, a):

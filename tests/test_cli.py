@@ -129,6 +129,13 @@ def test_bound_distance_hypothesis():
     assert bad.exit_code == 1
 
 
+def test_bound_negative_distance_is_input_error():
+    res = run("bound", "3_1", "4_1", "-d", "-1")
+    assert res.exit_code == 2, res.output
+    assert "--distance" in res.output
+    assert "VIOLATED" not in res.output
+
+
 def test_bound_movie_supplies_distance():
     res = run("bound", "unknot", "unknot", "--movie", TRIVIAL)
     assert res.exit_code == 0, res.output
@@ -237,6 +244,25 @@ def test_verify_jobs_below_one_is_input_error(jobs):
     res = run("verify", "frobenius", "--jobs", jobs)
     assert res.exit_code == 2
     assert "--jobs" in res.output
+    assert "instances passed" not in res.output
+
+
+@pytest.mark.parametrize("suite,limit", [
+    ("dot-crossing", "0"), ("dot-crossing", "2"), ("movie-star", "2")])
+def test_verify_selecting_no_instance_is_input_error(suite, limit):
+    res = run("verify", suite, "--max-crossings", limit)
+    assert res.exit_code == 2, res.output
+    assert ("verify %s selects no instance with at most %s crossings"
+            % (suite, limit)) in res.output
+    assert "instances passed" not in res.output
+
+
+@pytest.mark.parametrize("suite,limit", [
+    ("dot-crossing", "-1"), ("frobenius", "-5")])
+def test_verify_negative_max_crossings_is_input_error(suite, limit):
+    res = run("verify", suite, "--max-crossings", limit)
+    assert res.exit_code == 2, res.output
+    assert "--max-crossings" in res.output
     assert "instances passed" not in res.output
 
 

@@ -100,6 +100,37 @@ def test_differential_matches_edge_images(name, sel):
         assert cx.d(r) == _d_from_edge_images(cx, r), (name, sel, r)
 
 
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
+def test_build_of_live_columns_restricts_the_full_build(sel):
+    cx = build_complex(load_table()["6_2"], theory_from_selector(sel))
+    for r in cx.degrees:
+        full = cx._build_degree(r)
+        blocks = [(off, off + (1 << c))
+                  for s, (rs, off, c) in sorted(cx.state_block.items())
+                  if rs == r]
+        # every other state whole, every third generator, none, all
+        alives = [{i for k, (lo, hi) in enumerate(blocks) if k % 2
+                   for i in range(lo, hi)},
+                  set(range(0, cx.rank(r), 3)), set(), set(range(cx.rank(r)))]
+        for alive in alives:
+            assert cx._build_degree(r, alive) == {
+                s: col for s, col in full.items() if s in alive}, (r, alive)
+    assert cx._diffs == {}
+
+
+def test_take_d_copies_a_stored_block_and_stores_no_fresh_one():
+    cx = build_complex(load_table()["4_1"], theory_from_selector("bn"))
+    r = cx.degrees[1]
+    alive = set(range(1, cx.rank(r)))
+    taken = cx.take_d(r, alive)
+    assert cx._diffs == {}
+    stored = cx.d(r)
+    assert taken == {s: col for s, col in stored.items() if s in alive}
+    for col in cx.take_d(r, alive).values():
+        col.clear()
+    assert stored == cx._build_degree(r)
+
+
 def test_edge_image_comparison_flags_a_tampered_differential():
     cx = _trefoil_with_entry(lambda R: R.monomial(1, 5))
     assert any(cx.d(r) != _d_from_edge_images(cx, r) for r in cx.degrees)

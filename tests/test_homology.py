@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from knothom.diagram import parse_pd, unknot_diagram
 from knothom.frobenius import theory_from_selector, alpha_generic
-from knothom.complexes import (ChainMap, axpy, build_complex, identity_map,
-                               zero_map, scale_map)
+from knothom.complexes import (ChainMap, CubeComplex, axpy, build_complex,
+                               identity_map, zero_map, scale_map)
 from knothom.homology import (SparseMat, graded_snf, dense_snf,
                               reduce_complex, reduction_identities_hold,
                               HomologyData, homology, induced_map,
@@ -234,6 +234,60 @@ def test_prescribed_pairs_are_checked():
         reduce_complex(cx, pairs=[_pair(cx, r, s1, t1)])
 
 
+# -- streamed elimination -------------------------------------------------
+
+@pytest.mark.parametrize("name", ["3_1", "8_19", "T(2,9)"])
+def test_summary_streams_the_cube(name, monkeypatch):
+    # elimination builds each degree once, at its turn, and the cube
+    # stores none of the blocks it consumed
+    built = []
+    build = CubeComplex._build_degree
+
+    def counting_build(self, r, *args, **kwargs):
+        built.append(r)
+        return build(self, r, *args, **kwargs)
+
+    monkeypatch.setattr(CubeComplex, "_build_degree", counting_build)
+    diagram = (parse_pd(braid_pd([1] * 9, 2)) if name == "T(2,9)"
+               else load_table()[name])
+    cx = build_complex(diagram, theory_from_selector("bn"))
+    homology(cx)
+    assert cx._diffs == {}
+    assert sorted(built) == cx.degrees
+
+
+def _record(redn):
+    """The cancellation steps the reduction's maps replay, or None."""
+    return None if redn.proj is None else redn.proj.act.__self__.steps
+
+
+def _same_reduction(a, b):
+    assert a.red.gens == b.red.gens
+    assert a.red.qdeg == b.red.qdeg
+    assert all(a.red.d(r) == b.red.d(r) for r in a.red.degrees)
+    assert _record(a) == _record(b)
+
+
+@pytest.mark.parametrize("track_maps", [False, True])
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
+def test_stored_blocks_reduce_like_fresh_ones(sel, track_maps):
+    # a materialized cube hands elimination copies of its blocks: the
+    # reduction equals that of a fresh cube, which builds its blocks at
+    # their turn, and the stored blocks are left as they were built
+    th = theory_from_selector(sel)
+    table = load_table()
+    names = [n for n in sorted(table) if len(table[n].crossings) <= 7]
+    assert len(names) == 14
+    for name in names:
+        fresh = reduce_complex(build_complex(table[name], th),
+                               track_maps=track_maps)
+        cx = build_complex(table[name], th).materialize()
+        _same_reduction(reduce_complex(cx, track_maps=track_maps), fresh)
+        rebuilt = build_complex(table[name], th)
+        assert all(cx.d(r) == rebuilt._build_degree(r) for r in cx.degrees)
+        assert cx.check_d_squared()
+
+
 @pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
 def test_summary_route_equals_homology_data(sel):
     # homology() eliminates without maps; HomologyData keeps them
@@ -302,6 +356,12 @@ def test_bn_determines_f2_dims():
         s = homology(build_complex(table[name], theory_from_selector("bn")))
         cx2 = build_complex(table[name], theory_from_selector("kh-f2"))
         assert bn_to_f2_dims(s) == graded_field_dims(cx2), name
+
+
+def test_graded_field_dims_needs_field_coefficients():
+    cx = build_complex(load_table()["3_1"], theory_from_selector("bn"))
+    with pytest.raises(ValueError, match="field"):
+        graded_field_dims(cx)
 
 
 def test_mirror_duality_of_summaries():

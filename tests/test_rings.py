@@ -81,6 +81,33 @@ def test_unit_inverses(re):
         assert R.eq(R.mul(a, R.inv(a)), R.one)
 
 
+@pytest.mark.parametrize("ring,a", [
+    (F3, 0), (Z, 2), (Z, 0), (F2H, F2H.zero), (F2H, {1: 1}),
+    (F2H, {0: 1, 1: 1}), (ZA, {(1, 0): 1}), (ZA, {(0, 0): 2})],
+    ids=["F3-0", "Z-2", "Z-0", "F2h-0", "F2h-h", "F2h-1+h", "Za-a1", "Za-2"])
+def test_inverse_of_a_non_unit_raises(ring, a):
+    # typed raises, so they hold under python -O too
+    with pytest.raises(ZeroDivisionError):
+        ring.inv(a)
+
+
+def test_poly_divmod_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        F2H.divmod(F2H.gen(), F2H.zero)
+
+
+def test_exponent_of_inhomogeneous_element_raises():
+    with pytest.raises(ValueError, match="no exponent"):
+        PolyRing(F2, "h").exponent({0: 1, 1: 1})
+    with pytest.raises(ValueError, match="no exponent"):
+        ZA.exponent(ZA.add(ZA.gen1(), ZA.one))
+
+
+def test_poly_ring_needs_field_coefficients():
+    with pytest.raises(ValueError, match="field"):
+        PolyRing(Z, "t")
+
+
 def test_prime_field_rejects_composite_modulus():
     with pytest.raises(ValueError):
         PrimeField(6)
