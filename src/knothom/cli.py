@@ -7,7 +7,9 @@ relation-check suites over the bundled knot table; ``movie`` evaluates
 a movie script to its induced map.
 
 Exit codes: 0 on success, 1 when a verification or comparison fails,
-2 on input errors, 3 when a verify instance raised (reported as ERROR).
+2 on input errors, 3 on an internal error: a verify instance that raised
+(reported as ERROR), or any other exception that escapes a command,
+whose traceback goes to stderr.
 Output is deterministic for a fixed config: table entries are iterated
 in sorted order and every report is assembled before printing.
 
@@ -23,6 +25,7 @@ from functools import partial
 import json
 import os
 import sys
+import traceback
 
 import click
 
@@ -566,7 +569,25 @@ def cmd_movie(cfg):
 
 # -- click wiring --------------------------------------------------------
 
-@click.group()
+class _Main(click.Group):
+    """The command group; an exception that escapes a command, other than
+    click's own and ``SystemExit``, is an internal error: its traceback
+    goes to stderr and the exit code is 3, never 1, which means a failed
+    verification.  A broken output pipe is left to click, which exits 1
+    quietly."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.exceptions.ClickException, click.exceptions.Exit,
+                click.exceptions.Abort, BrokenPipeError):
+            raise
+        except Exception:
+            traceback.print_exc()
+            sys.exit(3)
+
+
+@click.group(cls=_Main)
 def main():
     """Bar-Natan and alpha homology of knots, with movie verification."""
 

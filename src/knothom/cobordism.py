@@ -663,11 +663,19 @@ def _relabel_iso(redn, cx_small, fixed_bits, forced_labels):
     {edge: label bit} for big circles absent from the small diagram.
     Removing a fixed 1-bit changes the cube sign convention, so survivors
     pick up (-1) per set bit above the removed crossing; the returned
-    relabeling maps carry those signs.  The relabeling is checked to be
-    a signed bijection, so it and its inverse are chain maps exactly when
-    each degree's differentials have equal nnz and every reduced entry v
-    at (i, t) appears as sign_i sign_t v at the relabeled (i, t) of the
-    small differential; that is checked entry by entry.
+    relabeling maps carry those signs.
+
+    What depends only on a survivor's big state is worked out once per
+    state: that the state lies in the fixed layer, its sign, its small
+    state, that the two resolutions have matching circle counts, the
+    circle match between them and the circle positions of the forced
+    labels.  Each survivor then checks its forced labels, and its
+    relabeled generator its degree, its q and that no other survivor
+    relabels to it.  The relabeling is thus a signed bijection, so it and
+    its inverse are chain maps exactly when each degree's differentials
+    have equal nnz and every reduced entry v at (i, t) appears as
+    sign_i sign_t v at the relabeled (i, t) of the small differential;
+    that is checked entry by entry.
     """
     red = redn.red
     big = redn.original
@@ -675,33 +683,43 @@ def _relabel_iso(redn, cx_small, fixed_bits, forced_labels):
     R = red.ring
     removed = sorted(fixed_bits, reverse=True)
     minus_one = R.from_int(-1)
+    states = {}
+
+    def state_relabel(S):
+        if any(S >> ci & 1 != bit for ci, bit in fixed_bits.items()):
+            raise MoveError("survivor outside expected layer")
+        res_big = D.resolve(S)
+        sgn = 0
+        s_small = S
+        for ci in removed:
+            if fixed_bits[ci]:
+                sgn += popcount(s_small >> (ci + 1))
+            s_small = _drop_bit(s_small, ci)
+        res_small = Ds.resolve(s_small)
+        if len(res_small) != len(res_big) - len(forced_labels):
+            raise MoveError("survivor's circles do not match the small "
+                            "diagram's")
+        match = circle_match(res_big, res_small)
+        if None in match:
+            raise MoveError("a circle of the small diagram has no edge "
+                            "in the big one")
+        forced = tuple((res_big.index[e], bit)
+                       for e, bit in forced_labels.items())
+        coeff = minus_one if (R.char != 2 and sgn % 2) else R.one
+        return coeff, s_small, match, forced
+
     fwd_blocks = {}
     bwd_blocks = {}
     seen = set()
     for r in red.degrees:
         fblk = {}
         for i, (S, L) in enumerate(red.gens[r]):
-            res_big = D.resolve(S)
-            if any(S >> ci & 1 != bit for ci, bit in fixed_bits.items()):
-                raise MoveError("survivor outside expected layer")
-            if any(L >> res_big.index[e] & 1 != bit
-                   for e, bit in forced_labels.items()):
+            if S not in states:
+                states[S] = state_relabel(S)
+            coeff, s_small, match, forced = states[S]
+            if any(L >> j & 1 != bit for j, bit in forced):
                 raise MoveError(
                     "survivor carries the wrong label on a collapsed circle")
-            sgn = 0
-            s_small = S
-            for ci in removed:
-                if fixed_bits[ci]:
-                    sgn += popcount(s_small >> (ci + 1))
-                s_small = _drop_bit(s_small, ci)
-            res_small = Ds.resolve(s_small)
-            if len(res_small) != len(res_big) - len(forced_labels):
-                raise MoveError("survivor's circles do not match the small "
-                                "diagram's")
-            match = circle_match(res_big, res_small)
-            if None in match:
-                raise MoveError("a circle of the small diagram has no edge "
-                                "in the big one")
             rs, js = cx_small.gen_index(s_small, transport(L, match))
             if rs != r:
                 raise MoveError("homological degree mismatch in relabeling")
@@ -710,7 +728,6 @@ def _relabel_iso(redn, cx_small, fixed_bits, forced_labels):
             if (rs, js) in seen:
                 raise MoveError("two survivors relabel to one generator")
             seen.add((rs, js))
-            coeff = minus_one if (R.char != 2 and sgn % 2) else R.one
             fblk[i] = {js: coeff}
             bwd_blocks.setdefault(r, {})[js] = {i: coeff}
         if fblk:
@@ -729,7 +746,9 @@ def _relabel_iso(redn, cx_small, fixed_bits, forced_labels):
 def _relabels_onto(R, d_red, d_small, rel_src, rel_tgt):
     """Does the signed relabeling (rel_src on the sources, rel_tgt on the
     targets, each {i: {j: sign}}) carry d_red entry for entry onto
-    d_small?"""
+    d_small?  Entries are compared by value, which every ring keeps
+    canonical (see ``rings``); d_red holds no zero entry, so a missing
+    small entry never compares equal."""
     if (sum(len(col) for col in d_red.values())
             != sum(len(col) for col in d_small.values())):
         return False
@@ -739,8 +758,7 @@ def _relabels_onto(R, d_red, d_small, rel_src, rel_tgt):
         for t, v in col.items():
             ((st, ct),) = rel_tgt[t].items()
             # the signs are units +-1, so ci ct v is v or -v
-            if not R.eq(small_col.get(st, R.zero),
-                        v if R.eq(ci, ct) else R.neg(v)):
+            if small_col.get(st) != (v if ci == ct else R.neg(v)):
                 return False
     return True
 

@@ -17,9 +17,11 @@ stores the block it returns, so every reader that comes back to it
 ``cobordism``) pays for one build.  Elimination consumes its blocks
 instead: ``take_d`` hands it the live columns of one degree, a copy of
 the stored block where there is one and otherwise a fresh build of only
-those columns, which nobody stores.  A cube that only goes through
-elimination thus never holds its whole differential; a reduced complex,
-which has no builder, always keeps its blocks.
+those columns, which nobody stores.  Both routes of elimination, the
+default order and the prescribed pairs of an r1/r2 move, load a degree
+this way at its turn.  A cube that only goes through elimination thus
+never holds its whole differential; a reduced complex, which has no
+builder, always keeps its blocks.
 
 The differential is built edge by edge, not label by label.  For each
 state and free bit, the edge's plan (which circles merge or split, and

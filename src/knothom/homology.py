@@ -29,6 +29,7 @@ are torsion, missing diagonal means free).
 
 from dataclasses import dataclass
 import heapq
+from operator import itemgetter
 
 from .rings import PolyRing
 from .complexes import (ChainComplex, ChainMap, axpy, matrix_map, mat_eq,
@@ -524,9 +525,22 @@ def reduce_complex(cx, pairs=None, track_maps=True):
     every degree-r pop comes before every degree-(r+1) pop, and the
     cancellations of degree r change nothing in d_{r+1} but delete the
     columns of their targets, which the loader of degree r + 1 then
-    never builds.  Prescribed pairs come in state order, which mixes
-    adjacent degrees, so that route loads every degree before its first
-    pivot.
+    never builds.
+
+    Prescribed pairs are checked up front (each key must exist and sit
+    in degrees r, r + 1), then cancelled in degree order by a stable
+    sort, which keeps their given order within a degree, and each degree
+    is loaded through the same loader when its first pair comes up, so
+    the column of a prescribed target is never built.  Reordering across
+    degrees changes no result: a cancellation in degree r + 1 deletes
+    only row x' of d_r, and one in degree r deletes only column y of
+    d_{r+1}, so cancellations of adjacent degrees commute.  The reduced
+    complex, and what incl, proj and the homotopy do to every vector, are
+    those of the given order.  The only record entries that depend on
+    the order are the entries of ``dx`` at an x' and of ``into_y`` at a
+    y, and no replay reads them: the projection sends x' to 0 and never
+    seeds from it, and the inclusion never holds a cancelled target.
+    Whether a pair is already gone or not a unit is checked at its turn.
 
     Returns a Reduction whose maps satisfy proj∘incl = id and
     id - incl∘proj = dH + Hd.  With track_maps=True the loop records each
@@ -550,12 +564,10 @@ def reduce_complex(cx, pairs=None, track_maps=True):
                 rows_r.setdefault(t, set()).add(s)
         return cols_r
 
+    unloaded = iter(degrees)
     if pairs is None:
-        unloaded = iter(degrees)
         heap = []
     else:
-        for r in degrees:
-            load(r)
         queue = []
         for r, sk, tk in pairs:
             rs, si = cx.gen_index(*sk)
@@ -563,7 +575,8 @@ def reduce_complex(cx, pairs=None, track_maps=True):
             if rs != r or rt != r + 1:
                 raise ValueError("prescribed pair has wrong degrees")
             queue.append((r, si, ti))
-        queue.reverse()  # pop() order below
+        queue.sort(key=itemgetter(0))
+        queue.reverse()  # pop() order below: by degree, as given within one
 
     while True:
         if pairs is None:
@@ -588,6 +601,8 @@ def reduce_complex(cx, pairs=None, track_maps=True):
             if not queue:
                 break
             r, x, y = queue.pop()
+            while r not in cols:
+                load(next(unloaded))
             if x not in alive[r] or y not in alive[r + 1]:
                 raise ValueError("prescribed pair already gone")
             if not is_unit(cols[r].get(x, {}).get(y, R.zero)):
@@ -623,7 +638,8 @@ def reduce_complex(cx, pairs=None, track_maps=True):
             elif unit and pairs is None:
                 heapq.heappush(heap, (r, w))
 
-        # drop the arrows out of x, into x and out of y
+        # drop the arrows out of x and into x; degree r + 1 is not loaded
+        # yet on either route, and its loader skips y once y is not alive
         for t in dx:
             rows_r[t].discard(x)
         if r - 1 in cols:
@@ -633,12 +649,11 @@ def reduce_complex(cx, pairs=None, track_maps=True):
                 del col[x]
                 if not col:
                     del cols_below[w]
-        if r + 1 in cols:
-            rows_above = rows[r + 1]
-            for t in cols[r + 1].pop(y, ()):
-                rows_above[t].discard(y)
         alive[r].discard(x)
         alive[r + 1].discard(y)
+
+    for r in unloaded:
+        load(r)
 
     # assemble the reduced complex, keeping original key order
     red_gens = {}
@@ -738,6 +753,7 @@ class HomologyData:
             self.work = cx
             self._snf = dense_snf
         self._pres = {}
+        self._cycles = {}
         self._solvers = {}
         self._rel_snf = {}
 
@@ -871,11 +887,17 @@ class HomologyData:
         return self.redn.proj.apply(r, orig_vec)
 
     def gen_cycles_original(self, r):
-        """Generator cycles pushed back to the original complex."""
-        pres = self.presentation(r)
-        if self.redn is None:
-            return list(pres.gen_vecs)
-        return [self.redn.incl.apply(r, z) for z in pres.gen_vecs]
+        """Generator cycles pushed back to the original complex, computed
+        once per degree and kept, like the presentation they come from;
+        callers must not change them."""
+        if r not in self._cycles:
+            pres = self.presentation(r)
+            if self.redn is None:
+                self._cycles[r] = list(pres.gen_vecs)
+            else:
+                self._cycles[r] = [self.redn.incl.apply(r, z)
+                                   for z in pres.gen_vecs]
+        return self._cycles[r]
 
     def summary(self):
         free = {}

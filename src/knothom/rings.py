@@ -14,6 +14,12 @@ Payload conventions:
                          with no zero coefficients; ``{}`` is zero
 * ``TwoVarPolys()``   -- Z[a1, a2] as ``{(i, j): int}``
 
+Every payload is kept canonical, so two elements are equal exactly when
+their payloads compare equal with ``==`` and ``eq`` is that comparison:
+``PrimeField`` reduces every result mod p, the dict rings never store a
+zero coefficient (zero is ``{}``), and ``Fraction`` normalises itself.
+Code that builds a payload by hand must keep these conventions.
+
 Polynomial generators carry weight 1 per exponent; ``exponent()`` reports
 the total generator exponent of a homogeneous element, which callers turn
 into whatever grading sign they need (coefficients act with degree -2 on
@@ -32,7 +38,7 @@ class BaseRing:
         return self.add(a, self.neg(b))
 
     def eq(self, a, b):
-        return self.is_zero(self.sub(a, b))
+        return a == b
 
     def __repr__(self):
         return self.name

@@ -288,6 +288,22 @@ def test_verify_reports_exceptions_as_error(tmp_path, monkeypatch):
     ]
 
 
+def test_an_uncaught_exception_is_an_internal_error(monkeypatch):
+    # exit 3 with the traceback on stderr, not exit 1, which means a
+    # failed verification
+    from knothom import cli
+
+    def boom(cx):
+        raise RuntimeError("internal failure")
+
+    monkeypatch.setattr(cli, "homology", boom)
+    res = run("homology", "--name", "3_1")
+    assert res.exit_code == 3, res.output
+    assert "Traceback" in res.stderr
+    assert "RuntimeError: internal failure" in res.stderr
+    assert "free summands" not in res.stdout
+
+
 def test_verify_group_without_homology_is_all_error():
     # the generic theory has no homology, so the shared build fails
     res = run("verify", "dot-crossing", "--theory", "alpha",

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from knothom.diagram import LinkDiagram, parse_pd, unknot_diagram, is_planar
 from knothom.frobenius import theory_from_selector
-from knothom.complexes import (build_complex, identity_map, zero_map,
+from knothom.complexes import (CubeComplex, build_complex, identity_map,
+                               zero_map,
                                compose, add_maps, scale_map, maps_equal,
                                mat_eq, mat_mul)
 from knothom.homology import (HomologyData, maps_equal_on_homology,
@@ -19,8 +20,8 @@ from knothom.cobordism import (Move, MoveError, MovieError, apply_move,
                                verify_dot_crossing, verify_saddle_split,
                                verify_symmetry, verify_star_placement,
                                ribbon_structure_errors,
-                               verify_ribbon_composite, _loop_pairs,
-                               _relabel_iso, _reidemeister_map,
+                               verify_ribbon_composite, _bigon_pairs,
+                               _loop_pairs,                               _relabel_iso, _reidemeister_map,
                                _reidemeister_reduction, _single_image,
                                _unique_image_with_x)
 from knothom.jones import jones_polynomial
@@ -343,6 +344,40 @@ def test_reverse_move_maps_match_fresh_ones(path, sel):
         for r in src.degrees:
             assert mat_eq(R, shared.block(r), fresh.block(r)), (k, r)
     assert moves
+
+
+@pytest.mark.parametrize("name,kind", [("trivial-ribbon", "r1+"),
+                                       ("square-knot", "r2+")])
+def test_prescribed_elimination_streams_the_big_cube(name, kind,
+                                                     monkeypatch):
+    # a move's elimination builds each degree of the bigger cube once, at
+    # its turn, never with the column of a prescribed target, and the
+    # cube stores none of the blocks it consumed
+    built = []
+    build = CubeComplex._build_degree
+
+    def recording_build(self, r, alive=None):
+        built.append((self, r, None if alive is None else set(alive)))
+        return build(self, r, alive)
+
+    monkeypatch.setattr(CubeComplex, "_build_degree", recording_build)
+    th = theory_from_selector("bn")
+    movie = load_movie(os.path.join(MOVIE_DIR, name + ".movie"))
+    k = max(k for k, info in enumerate(movie.infos) if info["kind"] == kind)
+    info = movie.infos[k]
+    small = build_complex(movie.frames[k], th)
+    big = build_complex(movie.frames[k + 1], th)
+    pairs = (_loop_pairs(big, info["crossing"])[0] if kind == "r1+"
+             else _bigon_pairs(big, info["c1"], info["c2"])[0])
+    targets = {big.gen_index(*tk) for _, _, tk in pairs}
+    assert {r for r, _ in targets} & set(big.degrees[1:])
+    _reidemeister_reduction(small, big, info)
+    calls = [(r, alive) for cx, r, alive in built if cx is big]
+    assert [r for r, _ in calls] == big.degrees
+    for r, alive in calls:
+        assert alive is not None
+        assert not {(r, t) for t in alive} & targets, r
+    assert big._diffs == {}
 
 
 def test_two_kinks_out_of_one_complex_get_their_own_reductions():

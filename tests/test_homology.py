@@ -1,5 +1,6 @@
 """Homology pipeline: SNF kernels, reductions, summaries, bounds."""
 
+from copy import deepcopy
 from dataclasses import replace
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from knothom.diagram import parse_pd, unknot_diagram
 from knothom.frobenius import theory_from_selector, alpha_generic
-from knothom.complexes import (ChainMap, CubeComplex, axpy, build_complex,
-                               identity_map, zero_map, scale_map)
+from knothom.cobordism import decoration_chain_map
+from knothom.complexes import (ChainMap, CubeComplex, add_maps, axpy,
+                               build_complex, compose, identity_map,
+                               zero_map, scale_map)
 from knothom.homology import (SparseMat, graded_snf, dense_snf,
                               reduce_complex, reduction_identities_hold,
                               HomologyData, homology, induced_map,
@@ -401,6 +404,36 @@ def test_induced_identity_and_scaling():
     # (there is free part in degree 0), but it is a chain map
     assert hone.is_chain_map()
     assert not maps_equal_on_homology(hone, one, hd, hd)
+
+
+def test_generator_cycles_are_replayed_once():
+    # induced_map pushes the presentation generators back through incl
+    # once per HomologyData; a second map, and maps built from sums,
+    # multiples and composites, replay nothing and leave the kept cycles
+    # as they were
+    th = theory_from_selector("bn")
+    cx = build_complex(load_table()["4_1"], th)
+    hd = HomologyData(cx)
+    incl = hd.redn.incl
+    replays = []
+    act = incl.act
+    incl.act = lambda r, vec: replays.append(r) or act(r, vec)
+    one = identity_map(cx)
+    induced_map(one, hd, hd)
+    n_gens = sum(len(hd.presentation(r).gens) for r in hd.degrees())
+    assert n_gens and len(replays) == n_gens
+    kept = {r: deepcopy(hd.gen_cycles_original(r)) for r in hd.degrees()}
+    induced_map(one, hd, hd)
+    p, q = cx.diagram.under_edges(0)
+    dot_p = decoration_chain_map(th, cx, "dot", p)
+    dot_q = decoration_chain_map(th, cx, "dot", q)
+    assert maps_equal_on_homology(add_maps(dot_p, dot_q),
+                                  scale_map(th.s, one), hd, hd)
+    assert maps_equal_on_homology(compose(dot_p, dot_q),
+                                  compose(dot_q, dot_p), hd, hd)
+    assert not maps_equal_on_homology(scale_map(th.s, one), one, hd, hd)
+    assert len(replays) == n_gens
+    assert {r: hd.gen_cycles_original(r) for r in hd.degrees()} == kept
 
 
 def test_summary_formatting():

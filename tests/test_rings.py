@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knothom.frobenius import theory_from_selector
 from knothom.rings import (PrimeField, Rationals, Integers, PolyRing,
                            TwoVarPolys, poly_over)
 
@@ -71,6 +72,46 @@ def test_ring_axioms(re):
     assert R.eq(R.mul(a, R.one), a)
     assert R.eq(R.mul(a, R.zero), R.zero)
     assert R.eq(R.sub(a, b), R.add(a, R.neg(b)))
+
+
+def _eq_by_value_holds(R, elts):
+    # eq compares payloads with ==, which is only right while every
+    # payload stays canonical; check it against is_zero(a - b) on the
+    # given elements and their sums, products and expanded products
+    a, b, c = elts
+    pool = [a, b, c, R.add(a, b), R.add(b, a), R.mul(a, b), R.mul(b, a),
+            R.mul(a, R.add(b, c)), R.add(R.mul(a, b), R.mul(a, c)),
+            R.sub(a, a), R.zero, R.one, R.neg(R.neg(a))]
+    for x in pool:
+        for y in pool:
+            assert R.eq(x, y) == R.is_zero(R.sub(x, y)), (x, y)
+
+
+@given(ring_and_elts(3))
+@settings(max_examples=120, deadline=None)
+def test_eq_by_value_agrees_with_a_zero_difference(re):
+    R, elts = re
+    _eq_by_value_holds(R, elts)
+
+
+THEORY_SELECTORS = ["bn", "kh-f2", "alpha", "alpha@0,t/f2", "alpha@0,t/f3",
+                    "alpha@t,-t/q", "alpha@1,-1/q", "alpha@2,-1/f5"]
+
+
+@given(st.sampled_from(THEORY_SELECTORS), st.data())
+@settings(max_examples=80, deadline=None)
+def test_eq_by_value_on_theory_elements(sel, data):
+    # the same over each theory's s, p and root images
+    th = theory_from_selector(sel)
+    R = th.ring
+    base = [th.s, th.p] + list(th.alphas or ())
+    elts = []
+    for _ in range(3):
+        x = data.draw(st.sampled_from(base))
+        for y in data.draw(st.lists(st.sampled_from(base), max_size=2)):
+            x = R.add(x, y) if data.draw(st.booleans()) else R.mul(x, y)
+        elts.append(x)
+    _eq_by_value_holds(R, elts)
 
 
 @given(ring_and_elts(1))
