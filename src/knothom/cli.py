@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 import json
 import os
+import re
 import sys
 import traceback
 
@@ -463,24 +464,21 @@ def cmd_verify(cfg):
 
 # -- movie ---------------------------------------------------------------
 
+# ASCII digits only: int() would also take '_', a leading '+' and
+# non-ASCII digits
+_COMPARE = re.compile(r"([htx])\^([0-9]+)")
+
+
 def _parse_compare(token):
     """``id`` or ``h^d``/``t^d`` (coefficient scalar) or ``x^d`` (star)."""
     token = token.strip().lower()
     if token == "id":
         return ("scalar", 0)
-    if "^" in token:
-        letter, _, exp = token.partition("^")
-        try:
-            k = int(exp)
-        except ValueError:
-            raise InputError("bad exponent in compare spec %r" % token)
-        if k < 0:
-            raise InputError("compare exponent must be >= 0")
-        if letter in ("h", "t"):
-            return ("scalar", k)
-        if letter == "x":
-            return ("star", k)
-    raise InputError("compare spec must be id, h^d, t^d or x^d")
+    m = _COMPARE.fullmatch(token)
+    if not m:
+        raise InputError("compare spec must be id, h^d, t^d or x^d, with d "
+                         "in ASCII digits; got %r" % token)
+    return ("star" if m[1] == "x" else "scalar", int(m[2]))
 
 
 def cmd_movie(cfg):
@@ -660,7 +658,14 @@ def verify_cmd(suite, theory, max_crossings, jobs, verbose):
 @click.option("--output", type=click.Choice(["table", "json"]),
               default="table", show_default=True)
 def movie_cmd(script, theory, compose_reverse, compare, output):
-    """Evaluate a movie script and report the induced map."""
+    """Evaluate a movie script and report the induced map.
+
+    The map is printed column by column in coordinates of the homology
+    presentation basis that elimination and Smith normal form choose.
+    These coordinates are not invariants: another elimination order can
+    print the same map in another basis.  The --compare verdict does not
+    depend on the basis.
+    """
     cfg = RunConfig(theory=theory, script=script,
                     compose_reverse=compose_reverse, compare=compare,
                     output=output)

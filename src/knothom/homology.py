@@ -508,24 +508,29 @@ def reduce_complex(cx, pairs=None, track_maps=True):
 
     ``pairs`` prescribes an elimination order as (r, src_key, tgt_key)
     tuples of cube generators (state, labels), looked up by ``gen_index``;
-    by default every unit entry is eliminated, smallest (degree,
-    source index, target index) first.  A heap of columns gives that
-    order: it holds (r, s) for every source column that has held a unit
-    entry since it was last popped, and the pivot of a popped column is
-    its least unit target.  A column is pushed once when its degree is
-    loaded if it holds a unit, and again whenever fill-in creates one in
-    it, so the least column on the heap that still holds a unit carries
-    the least unit entry of the whole differential: the order, and every
-    entry the elimination produces, are those of a heap of all unit
-    entries (r, s, t), which pops several times as often.
+    by default every unit entry is eliminated, degree by degree.  The
+    columns of a degree are popped least source index first from a heap:
+    every column is pushed when its degree is loaded, and again whenever
+    fill-in creates a unit in it.  The
+    pivot of a popped column x is its unit target y with the fewest live
+    entries in its row, ties to the least y.  Cancelling x against y adds
+    a multiple of dx to every other column with an entry at y, so it
+    fills in at most (|dx| - 1)(|row y| - 1) entries; with the column
+    fixed, this is the Markowitz choice.  A popped column without a unit
+    is left in place.
 
     Degrees are loaded one at a time, through ``cx.take_d``, when the
     heap runs out, and the loaded columns are consumed in place.  This
-    keeps the order: fill-in from a degree-r pivot lands only in d_r, so
-    every degree-r pop comes before every degree-(r+1) pop, and the
-    cancellations of degree r change nothing in d_{r+1} but delete the
-    columns of their targets, which the loader of degree r + 1 then
-    never builds.
+    keeps every result.  Fill-in from a degree-r pivot lands only in
+    d_r, so the heap runs out only when d_r holds no unit.  The
+    cancellations of degree r + 1 then delete rows of d_r and add nothing
+    to it, so no unit comes back there; and those of degree r change
+    nothing in d_{r+1} but delete the columns of their targets, which
+    the loader of degree r + 1 then never builds.  So the reduced
+    complex holds no unit entry.  Over a field or a graded F[t] such a
+    complex is unique up to isomorphism, and its homology is that of
+    ``cx`` whatever the order; only its basis, and so the coordinates
+    that ``induced_map`` prints, depend on the order.
 
     Prescribed pairs are checked up front (each key must exist and sit
     in degrees r, r + 1), then cancelled in degree order by a stable
@@ -557,6 +562,7 @@ def reduce_complex(cx, pairs=None, track_maps=True):
     steps = []
 
     def load(r):
+        rows.pop(r - 2, None)   # read only by cancellations of degree r - 1
         cols[r] = cols_r = cx.take_d(r, alive[r])
         rows[r] = rows_r = {}
         for s, col in cols_r.items():
@@ -566,7 +572,7 @@ def reduce_complex(cx, pairs=None, track_maps=True):
 
     unloaded = iter(degrees)
     if pairs is None:
-        heap = []
+        heap = []   # source indices of degree r
     else:
         queue = []
         for r, sk, tk in pairs:
@@ -586,15 +592,15 @@ def reduce_complex(cx, pairs=None, track_maps=True):
                     r = next(unloaded, None)
                     if r is None:
                         break
-                    heap = [(r, s) for s, col in load(r).items()
-                            if any(is_unit(v) for v in col.values())]
+                    heap = list(load(r))
                     heapq.heapify(heap)
                     continue
-                r, x = heapq.heappop(heap)
+                x = heapq.heappop(heap)
                 col = cols[r].get(x)
                 if col:
-                    y = min((t for t, v in col.items() if is_unit(v)),
-                            default=None)
+                    rows_r = rows[r]
+                    y = min(((len(rows_r[t]), t) for t, v in col.items()
+                             if is_unit(v)), default=(0, None))[1]
             if y is None:
                 break
         else:
@@ -636,7 +642,7 @@ def reduce_complex(cx, pairs=None, track_maps=True):
             if not col:
                 del cols_r[w]
             elif unit and pairs is None:
-                heapq.heappush(heap, (r, w))
+                heapq.heappush(heap, w)
 
         # drop the arrows out of x and into x; degree r + 1 is not loaded
         # yet on either route, and its loader skips y once y is not alive
@@ -833,7 +839,10 @@ class HomologyData:
 
     def canonical_coords(self, r, zvec):
         """Coordinates of a cycle (working coords) in the presentation,
-        reduced modulo the annihilators."""
+        reduced modulo the annihilators.  The presentation basis is the
+        one that elimination and the two SNFs chose, so these are not
+        invariants: another elimination order gives the same class other
+        coordinates."""
         ring = self.work.ring
         res, kernel_pos = self._solve(r)
         pos_of = {p: a for a, p in enumerate(kernel_pos)}
@@ -964,7 +973,11 @@ def homology(cx, method="reduced"):
 
 def induced_map(f, ha, hb):
     """Matrix of f on homology: canonical coordinates of images of the
-    source presentation generators, per degree."""
+    source presentation generators, per degree.  The columns are
+    coordinates in the presentation bases that elimination and SNF chose
+    for ha and hb, not invariants: another elimination order can give
+    the same map another matrix.  ``maps_equal_on_homology`` compares
+    two maps in the same bases, which does not depend on that choice."""
     if f.r_shift != 0:
         raise ValueError("induced_map needs a degree-preserving map, got "
                          "r_shift %d" % f.r_shift)

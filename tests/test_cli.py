@@ -392,6 +392,15 @@ def test_movie_compare_star_needs_an_edge(tmp_path):
         assert "needs an edge on the first frame" in res.output
 
 
+@pytest.mark.parametrize("spec", ["x^1_0", "h^+1", "x^١"])
+def test_movie_compare_exponent_is_ascii_digits(spec):
+    # int() would read these as 10, 1 and 1 (an Arabic-Indic one)
+    res = run("movie", "--script", TRIVIAL, "--compose-reverse",
+              "--compare", spec)
+    assert res.exit_code == 2, res.output
+    assert "ASCII digits" in res.output
+
+
 def test_movie_script_errors_are_input_errors(tmp_path):
     p = tmp_path / "bad.movie"
     p.write_text("start unknot\nsaddle 9 4\n")

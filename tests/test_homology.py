@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from knothom.diagram import parse_pd, unknot_diagram
 from knothom.frobenius import theory_from_selector, alpha_generic
 from knothom.cobordism import decoration_chain_map
-from knothom.complexes import (ChainMap, CubeComplex, add_maps, axpy,
-                               build_complex, compose, identity_map,
-                               zero_map, scale_map)
+from knothom.complexes import (ChainComplex, ChainMap, CubeComplex,
+                               add_maps, axpy, build_complex, compose,
+                               identity_map, zero_map, scale_map)
 from knothom.homology import (SparseMat, graded_snf, dense_snf,
                               reduce_complex, reduction_identities_hold,
                               HomologyData, homology, induced_map,
@@ -199,11 +199,23 @@ def test_default_elimination_is_maximal_on_t_2_9():
     assert not _unit_entries(redn.red)
 
 
+def _two_degree_complex(sel, gens, d0):
+    """A hand-built complex in degrees 0 and 1 with differential d0."""
+    qdeg = {r: [0] * len(g) for r, g in gens.items()}
+    return ChainComplex(theory_from_selector(sel), gens, qdeg,
+                        diffs={0: d0})
+
+
 def test_default_elimination_pushes_a_column_again_on_fill_in():
     # over a field or F[h] a graded complex only gains units in columns
-    # that already hold one; over Z two non-units can sum to a unit
-    # (3 - 4 = -1 on 6_3 here), so fill-in makes one in a column that
-    # held none, and without the second push it survives
+    # that already hold one; over Z two non-units can sum to a unit.
+    # Column a0 (d a0 = 3 b0 + 2 b1) holds no unit when it is popped;
+    # cancelling a1 (d a1 = b0 + b1) against b0 turns it into -b1, and
+    # without the second push it survives
+    cx = _two_degree_complex("alpha@-1,2/z",
+                             {0: ["a0", "a1"], 1: ["b0", "b1"]},
+                             {0: {0: 3, 1: 2}, 1: {0: 1, 1: 1}})
+    assert reduce_complex(cx, track_maps=False).red.total_rank() == 0
     cx = build_complex(load_table()["6_3"],
                        theory_from_selector("alpha@-1,2/z"))
     assert not _unit_entries(reduce_complex(cx, track_maps=False).red)
@@ -303,6 +315,25 @@ def test_summary_route_equals_homology_data(sel):
         assert homology(cx) == HomologyData(cx).summary(), name
 
 
+# -- pivot rule -----------------------------------------------------------
+
+@pytest.mark.parametrize("d0, first", [
+    # d(a0) = b0 + b1 and d(a1) = b0: row b1 is shorter than row b0
+    ({0: {0: 1, 1: 1}, 1: {0: 1}}, (0, 0, 1)),
+    # rows b0 and b1 both have one entry: the tie goes to b0
+    ({0: {0: 1, 1: 1}, 1: {2: 1}}, (0, 0, 0)),
+])
+def test_pivot_is_the_unit_target_with_the_shortest_row(d0, first):
+    # a popped column cancels against its unit target with the fewest
+    # live entries in its row, ties to the least target
+    cx = _two_degree_complex("kh-f2", {0: ["a0", "a1"],
+                                       1: ["b0", "b1", "b2"]}, d0)
+    redn = reduce_complex(cx)
+    assert _record(redn)[0][:3] == first
+    assert reduction_identities_hold(redn)
+    assert redn.red.total_rank() == 1
+
+
 def test_unknot_homology():
     cx = build_complex(unknot_diagram(), theory_from_selector("bn"))
     s = homology(cx)
@@ -359,6 +390,34 @@ def test_bn_determines_f2_dims():
         s = homology(build_complex(table[name], theory_from_selector("bn")))
         cx2 = build_complex(table[name], theory_from_selector("kh-f2"))
         assert bn_to_f2_dims(s) == graded_field_dims(cx2), name
+
+
+@st.composite
+def braid_words(draw):
+    """(word, strands): a braid word on 3 or 4 strands with at most 6
+    letters that crosses every position."""
+    strands = draw(st.sampled_from([3, 4]))
+    extra = draw(st.lists(st.integers(1, strands - 1), max_size=7 - strands))
+    positions = draw(st.permutations(list(range(1, strands)) + extra))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(positions),
+                          max_size=len(positions)))
+    return [s * p for s, p in zip(signs, positions)], strands
+
+
+@given(braid_words())
+@settings(max_examples=10, deadline=None)
+def test_reduced_route_matches_the_dense_oracle_on_braid_closures(braid):
+    # routes that share no elimination must agree on diagrams nobody
+    # picked: the reduced summary against the dense SNF, and the bn
+    # summary against field dimensions under kh-f2
+    diagram = parse_pd(braid_pd(*braid))
+    for sel in ("bn", "alpha@0,t/f3"):
+        cx = build_complex(diagram, theory_from_selector(sel))
+        s = homology(cx)
+        assert s == homology(cx, method="dense"), sel
+        if sel == "bn":
+            cx2 = build_complex(diagram, theory_from_selector("kh-f2"))
+            assert bn_to_f2_dims(s) == graded_field_dims(cx2)
 
 
 def test_graded_field_dims_needs_field_coefficients():
