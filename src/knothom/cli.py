@@ -52,25 +52,6 @@ class InputError(click.ClickException):
     exit_code = 2
 
 
-@dataclass
-class RunConfig:
-    theory: str = "bn"
-    pd: str = None
-    name: str = None
-    input: str = None
-    output: str = "table"
-    max_crossings: int = 6
-    jobs: int = 1
-    script: str = None
-    compare: str = None
-    compose_reverse: bool = False
-    distance: int = None
-    movie_path: str = None
-    knots: tuple = ()
-    suite: str = None
-    verbose: bool = False
-
-
 def _resolve_theory(selector):
     try:
         return theory_from_selector(selector)
@@ -107,8 +88,8 @@ def _table():
     return _TABLE_CACHE[path]
 
 
-def _emit(cfg, payload, text):
-    if cfg.output == "json":
+def _emit(output, payload, text):
+    if output == "json":
         click.echo(json.dumps(payload, sort_keys=True, indent=2))
     else:
         click.echo(text)
@@ -116,32 +97,32 @@ def _emit(cfg, payload, text):
 
 # -- homology ------------------------------------------------------------
 
-def cmd_homology(cfg):
-    theory = _resolve_theory(cfg.theory)
-    sources = [s for s in (cfg.pd, cfg.name, cfg.input) if s is not None]
+def cmd_homology(selector, pd, name, input_, output):
+    theory = _resolve_theory(selector)
+    sources = [s for s in (pd, name, input_) if s is not None]
     if len(sources) != 1:
         raise InputError("give exactly one of --pd, --name, --input")
-    if cfg.pd is not None:
-        if not cfg.pd.strip():
+    if pd is not None:
+        if not pd.strip():
             raise InputError("empty PD code")
         try:
-            diagram = parse_pd(cfg.pd)
+            diagram = parse_pd(pd)
         except Exception as e:
             raise InputError("bad PD code: %s" % e)
         label = None
-    elif cfg.name:
-        diagram, label = _load_diagram_arg(cfg.name)
+    elif name:
+        diagram, label = _load_diagram_arg(name)
     else:
         try:
-            with open(cfg.input) as fh:
+            with open(input_) as fh:
                 text = fh.read()
         except OSError as e:
             raise InputError(str(e))
         try:
             diagram = parse_pd(text)
         except Exception as e:
-            raise InputError("bad PD code in %s: %s" % (cfg.input, e))
-        label = os.path.basename(cfg.input)
+            raise InputError("bad PD code in %s: %s" % (input_, e))
+        label = os.path.basename(input_)
 
     cx = build_complex(diagram, theory)
     try:
@@ -166,7 +147,7 @@ def cmd_homology(cfg):
         lines.append("%s = %d%s" % (tb.label, tb.value, note))
         payload["bound"] = {"label": tb.label, "value": tb.value,
                             "note": tb.note}
-    _emit(cfg, payload, "\n".join(lines))
+    _emit(output, payload, "\n".join(lines))
     return 0
 
 
@@ -237,15 +218,15 @@ def _check_movie_ends(movie, theory, names, summaries):
                 "summaries differ" % (end, name, theory.name))
 
 
-def cmd_bound(cfg):
-    theory = _resolve_theory(cfg.theory)
-    if len(cfg.knots) != 2:
+def cmd_bound(knots, selector, distance, movie_path, output):
+    theory = _resolve_theory(selector)
+    if len(knots) != 2:
         raise InputError("bound needs exactly two knot arguments")
     values = []
     names = []
     pds = []
     summaries = []
-    for k, text in enumerate(cfg.knots):
+    for k, text in enumerate(knots):
         diagram, label = _load_diagram_arg(text)
         names.append(label or "knot%d" % (k + 1))
         pds.append(None if label else " ".join(text.split()))
@@ -262,17 +243,16 @@ def cmd_bound(cfg):
     if values[0].label != values[1].label:
         raise InputError("mismatched invariants %s vs %s"
                          % (values[0].label, values[1].label))
-    d = cfg.distance
-    if cfg.movie_path:
+    if movie_path:
         try:
-            movie = load_movie(cfg.movie_path)
+            movie = load_movie(movie_path)
         except (OSError, MovieError) as e:
             raise InputError(str(e))
         _check_movie_ends(movie, theory, names, summaries)
-        d = movie.saddle_count()
+        distance = movie.saddle_count()
     report = BoundReport(theory.name, tuple(names), values[0].label,
-                         tuple(v.value for v in values), d, tuple(pds))
-    _emit(cfg, report.as_dict(), report.format_table())
+                         tuple(v.value for v in values), distance, tuple(pds))
+    _emit(output, report.as_dict(), report.format_table())
     return 0 if report.consistent else 1
 
 
@@ -323,7 +303,7 @@ SYMMETRY_MOVIES = (
 )
 
 
-def _verify_groups(cfg):
+def _verify_groups(suite, selector, max_crossings):
     """The suite's instances, grouped.
 
     Each group is ``(suite, selector, subject, cases)`` with ``cases`` a
@@ -331,19 +311,18 @@ def _verify_groups(cfg):
     theory and, for the knot suites, one complex and its homology.
     Groups are picklable and listed in report order.
     """
-    suite = cfg.suite
     if suite in ("frobenius", "neckcut"):
         return [(suite, sel, None, [("%s %s" % (suite, sel), ())])
-                for sel in ([cfg.theory] if cfg.theory else ALL_THEORIES)]
+                for sel in ([selector] if selector else ALL_THEORIES)]
     groups = []
-    for sel in [cfg.theory] if cfg.theory else HOMOLOGY_THEORIES:
+    for sel in [selector] if selector else HOMOLOGY_THEORIES:
         if suite == "dot-crossing":
-            for name in _knots_upto(cfg.max_crossings):
+            for name in _knots_upto(max_crossings):
                 groups.append((suite, sel, name, [
                     ("dot-crossing %s c%d %s" % (name, ci, sel), (ci,))
                     for ci in range(len(_table()[name].crossings))]))
         elif suite == "saddle-split":
-            for name in ["unknot"] + _knots_upto(cfg.max_crossings):
+            for name in ["unknot"] + _knots_upto(max_crossings):
                 edges = [1] if name == "unknot" else _table()[name].edges
                 groups.append((suite, sel, name, [
                     ("saddle-split %s e%d %s" % (name, e, sel),
@@ -361,7 +340,7 @@ def _verify_groups(cfg):
                 groups.append((suite, sel, p, [
                     ("ribbon %s %s" % (os.path.basename(p), sel), ())]))
         elif suite == "movie-star":
-            for name in _knots_upto(cfg.max_crossings):
+            for name in _knots_upto(max_crossings):
                 edges = sorted(_table()[name].edges)
                 if len(edges) < 2:
                     continue
@@ -436,15 +415,15 @@ def _run_group(group):
         return [_error(e)] * len(cases)
 
 
-def cmd_verify(cfg):
-    if cfg.theory:
-        _resolve_theory(cfg.theory)
-    groups = _verify_groups(cfg)
+def cmd_verify(suite, selector, max_crossings, jobs, verbose):
+    if selector:
+        _resolve_theory(selector)
+    groups = _verify_groups(suite, selector, max_crossings)
     if not any(cases for _, _, _, cases in groups):
         raise InputError("verify %s selects no instance with at most %d "
-                         "crossings" % (cfg.suite, cfg.max_crossings))
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+                         "crossings" % (suite, max_crossings))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_group, groups))
     else:
         results = [_run_group(group) for group in groups]
@@ -453,7 +432,7 @@ def cmd_verify(cfg):
         for (label, _), (status, detail) in zip(cases, outcomes):
             counts[status] += 1
             tail = ("  [%s]" % detail) if detail and (
-                cfg.verbose or status != "PASS") else ""
+                verbose or status != "PASS") else ""
             click.echo("%s %s%s" % (status, label, tail))
     click.echo("%d/%d instances passed" % (counts["PASS"],
                                            sum(counts.values())))
@@ -481,10 +460,10 @@ def _parse_compare(token):
     return ("star" if m[1] == "x" else "scalar", int(m[2]))
 
 
-def cmd_movie(cfg):
-    theory = _resolve_theory(cfg.theory)
+def cmd_movie(script, selector, compose_reverse, compare, output):
+    theory = _resolve_theory(selector)
     try:
-        movie = load_movie(cfg.script)
+        movie = load_movie(script)
     except OSError as e:
         raise InputError(str(e))
     except MovieError as e:
@@ -505,7 +484,7 @@ def cmd_movie(cfg):
         cxs = movie.complexes(theory)
         f = evaluate_movie(movie, theory, cxs)
         tgt_cx = cxs[-1]
-        if cfg.compose_reverse:
+        if compose_reverse:
             f = compose(evaluate_movie(movie.reversed(), theory, cxs[::-1]),
                         f)
             tgt_cx = cxs[0]
@@ -527,14 +506,14 @@ def cmd_movie(cfg):
         ind_json[str(r)] = [[ring.fmt(v) for v in col] for col in cols]
 
     verdict = None
-    if cfg.compare is not None:
-        mode, k = _parse_compare(cfg.compare)
+    if compare is not None:
+        mode, k = _parse_compare(compare)
         ident = identity_map(ha.original)
         if mode == "scalar":
             c = theory.ring.one
             if k and not hasattr(theory.ring, "gen"):
                 raise InputError("theory %s has no coefficient variable "
-                                 "to raise to a power" % cfg.theory)
+                                 "to raise to a power" % selector)
             for _ in range(k):
                 c = theory.ring.mul(c, theory.ring.gen())
             lhs = scale_map(c, f)
@@ -549,19 +528,19 @@ def cmd_movie(cfg):
                 rhs = compose(decoration_chain_map(theory, ha.original,
                                                    "star", e0), rhs)
             lhs = f
-        if not cfg.compose_reverse and movie.frames[-1] != movie.frames[0]:
+        if not compose_reverse and movie.frames[-1] != movie.frames[0]:
             raise InputError("--compare needs an endomorphism; use "
                              "--compose-reverse or a closed movie")
         ok = maps_equal_on_homology(lhs, rhs, ha, ha,
                                     up_to_sign=theory.ring.char != 2)
         verdict = ok
-        lines.append("compare %s: %s" % (cfg.compare,
+        lines.append("compare %s: %s" % (compare,
                                          "equal" if ok else "DIFFERENT"))
 
-    payload = {"movie": movie.name, "theory": cfg.theory,
+    payload = {"movie": movie.name, "theory": selector,
                "frames": frames_json, "induced": ind_json,
-               "compare": cfg.compare, "equal": verdict}
-    _emit(cfg, payload, "\n".join(lines))
+               "compare": compare, "equal": verdict}
+    _emit(output, payload, "\n".join(lines))
     return 1 if verdict is False else 0
 
 
@@ -600,9 +579,7 @@ def main():
               default="table", show_default=True)
 def homology_cmd(theory, pd, name, input_, output):
     """Homology summary and torsion bound of one knot."""
-    cfg = RunConfig(theory=theory, pd=pd, name=name, input=input_,
-                    output=output)
-    sys.exit(cmd_homology(cfg))
+    sys.exit(cmd_homology(theory, pd, name, input_, output))
 
 
 @main.command("bound")
@@ -619,9 +596,7 @@ def bound_cmd(knots, theory, distance, movie_path, output):
 
     KNOTS are bundled names, 'unknot', or literal PD codes.
     """
-    cfg = RunConfig(theory=theory, knots=tuple(knots),
-                    distance=distance, movie_path=movie_path, output=output)
-    sys.exit(cmd_bound(cfg))
+    sys.exit(cmd_bound(knots, theory, distance, movie_path, output))
 
 
 @main.command("verify")
@@ -642,9 +617,7 @@ def verify_cmd(suite, theory, max_crossings, jobs, verbose):
     if suite not in VERIFY_SUITES:
         raise InputError("unknown suite %r (choose from %s)"
                          % (suite, ", ".join(VERIFY_SUITES)))
-    cfg = RunConfig(theory=theory, max_crossings=max_crossings,
-                    jobs=jobs, verbose=verbose, suite=suite)
-    sys.exit(cmd_verify(cfg))
+    sys.exit(cmd_verify(suite, theory, max_crossings, jobs, verbose))
 
 
 @main.command("movie")
@@ -666,10 +639,7 @@ def movie_cmd(script, theory, compose_reverse, compare, output):
     print the same map in another basis.  The --compare verdict does not
     depend on the basis.
     """
-    cfg = RunConfig(theory=theory, script=script,
-                    compose_reverse=compose_reverse, compare=compare,
-                    output=output)
-    sys.exit(cmd_movie(cfg))
+    sys.exit(cmd_movie(script, theory, compose_reverse, compare, output))
 
 
 if __name__ == "__main__":

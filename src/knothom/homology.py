@@ -1,24 +1,28 @@
 """Homology of the cube complexes, with enough structure to push maps
 through.
 
-Two pipelines compute the same thing:
+Every complex is presented by one Smith normal form, ``dense_snf``, and
+``HomologyData``'s ``method`` decides only whether elimination runs
+first:
 
-* the default one first cancels unit differential entries (a discrete
-  homotopy equivalence with inclusion, projection and homotopy maps),
-  then runs a graded Smith normal form that assumes every entry
-  is a monomial c*t^k.  On a q-homogeneous complex monomiality is
-  preserved by elimination, the grading forces cancellations to be
-  exact, and picking minimal-exponent pivots makes the divisibility
-  chain automatic.  An elimination that keeps its maps records its
-  cancellations, and the inclusion, projection and homotopy replay that
-  record on the vectors they are applied to, so no matrix of them is
-  built unless a check asks for one.  ``HomologyData`` keeps the maps
-  so that chain maps can be pushed through homology; ``homology()``,
-  the summary route, records nothing, because a summary reads only the
-  small complex.
+* the default route cancels unit differential entries (a discrete
+  homotopy equivalence with inclusion, projection and homotopy maps)
+  and presents the small complex that is left.  An elimination that
+  keeps its maps records its cancellations, and the inclusion,
+  projection and homotopy replay that record on the vectors they are
+  applied to, so no matrix of them is built unless a check asks for
+  one.  ``HomologyData`` keeps the maps so that chain maps can be
+  pushed through homology; ``homology()``, the summary route,
+  eliminates once without recording anything, because a summary reads
+  only the small complex.
 
-* the oracle one skips reduction entirely and runs a classical dense
-  Smith normal form with polynomial division, no monomial assumptions.
+* the oracle route skips elimination and presents the complex as it
+  is.
+
+On a q-homogeneous complex, eliminated or not, every matrix the normal
+form factors has monomial entries c*t^k; its least-degree pivots then
+divide the rest of their row and column exactly, and its diagonal is a
+chain of powers of t.
 
 Homology in degree r is presented as coker of the boundary matrix
 written in kernel coordinates: kernel basis from the column transform of
@@ -140,28 +144,6 @@ class SparseMat:
         return out
 
 
-def _mono(ring, v):
-    """(scalar, exponent) of a monomial payload."""
-    if isinstance(ring, PolyRing):
-        parts = ring.mono_parts(v)
-        if parts is None:
-            raise ValueError("graded SNF met a non-monomial entry")
-        return parts
-    return v, 0
-
-
-def _scalar_inv(ring, c):
-    if isinstance(ring, PolyRing):
-        return ring.monomial(ring.base.inv(c), 0)
-    return ring.inv(c)
-
-
-def _scalar_to_ring(ring, c):
-    if isinstance(ring, PolyRing):
-        return ring.monomial(c, 0)
-    return c
-
-
 @dataclass
 class SNFResult:
     diag: list          # nonzero diagonal entries, divisibility chain
@@ -175,86 +157,12 @@ class SNFResult:
         return len(self.diag)
 
 
-def graded_snf(M, with_transforms=True):
-    """Smith normal form for monomial matrices over F[t] or a field.
-
-    Pivots minimize the t-exponent (ties by row, then column), which on a
-    homogeneous matrix yields the divisibility chain directly; clearing
-    never leaves non-monomial residue because equal-degree monomials
-    either cancel or combine.
-    """
-    ring = M.ring
-    n, m = M.nrows, M.ncols
-    U = Uinv = V = Vinv = None
-    if with_transforms:
-        U = SparseMat.identity(n, ring)
-        Uinv = SparseMat.identity(n, ring)
-        V = SparseMat.identity(m, ring)
-        Vinv = SparseMat.identity(m, ring)
-    diag = []
-    k = 0
-    while True:
-        best = None
-        for (i, j), v in M.data.items():
-            if i < k or j < k:
-                continue
-            _, e = _mono(ring, v)
-            key = (e, i, j)
-            if best is None or key < best:
-                best = key
-        if best is None:
-            break
-        _, pi, pj = best
-        M.swap_rows(k, pi)
-        M.swap_cols(k, pj)
-        if with_transforms:
-            U.swap_rows(k, pi)
-            Uinv.swap_cols(k, pi)
-            V.swap_cols(k, pj)
-            Vinv.swap_rows(k, pj)
-        c, e = _mono(ring, M.get(k, k))
-        cinv = _scalar_inv(ring, c)
-        M.scale_row(k, cinv)
-        if with_transforms:
-            U.scale_row(k, cinv)
-            Uinv.scale_col(k, _scalar_to_ring(ring, c))
-        for i in list(M.col_support(k)):
-            if i == k:
-                continue
-            ci, ei = _mono(ring, M.get(i, k))
-            if ei < e:
-                raise ValueError("graded SNF pivot was not minimal in its "
-                                 "column")
-            factor = (ring.monomial(ci, ei - e)
-                      if isinstance(ring, PolyRing) else ci)
-            neg = ring.neg(factor)
-            M.addmul_row(i, k, neg)
-            if with_transforms:
-                U.addmul_row(i, k, neg)
-                Uinv.addmul_col(k, i, factor)
-        for j in list(M.row_support(k)):
-            if j == k:
-                continue
-            cj, ej = _mono(ring, M.get(k, j))
-            if ej < e:
-                raise ValueError("graded SNF pivot was not minimal in its "
-                                 "row")
-            factor = (ring.monomial(cj, ej - e)
-                      if isinstance(ring, PolyRing) else cj)
-            neg = ring.neg(factor)
-            M.addmul_col(j, k, neg)
-            if with_transforms:
-                V.addmul_col(j, k, neg)
-                Vinv.addmul_row(k, j, factor)
-        diag.append(M.get(k, k))
-        k += 1
-    return SNFResult(diag, U, Uinv, V, Vinv)
-
-
 def dense_snf(M, with_transforms=True):
     """Classical Smith normal form over F[t] (or a field) by repeated
-    polynomial division.  No monomial or homogeneity assumptions; this is
-    the oracle the graded version is checked against."""
+    polynomial division, with no monomial or homogeneity assumptions.
+    Pivots have least degree, ties to the least row, then column.  Every
+    homology presentation goes through it; the oracle for elimination is
+    the route that presents the unreduced complex with it."""
     ring = M.ring
     is_poly = isinstance(ring, PolyRing)
 
@@ -736,11 +644,20 @@ def _check_presentable(theory):
             "specialize the theory first")
     if isinstance(ring, PolyRing) and not theory.graded:
         raise ValueError(
-            "polynomial coefficients need a graded theory for the "
-            "monomial normal form")
+            "polynomial coefficients need a graded theory: torsion orders "
+            "are read as exponents of the normal form's diagonal, and "
+            "q-degrees come from the grading")
 
 
 class HomologyData:
+    """The homology of ``cx``, presented one degree at a time by
+    ``dense_snf``.  ``method`` decides only whether elimination runs
+    first: "reduced" eliminates with maps (``redn``) and presents the
+    reduced complex, and chain maps on ``cx`` are pushed through those
+    maps; "dense" presents ``cx`` as it is and ``redn`` is None.  A
+    complex that is already reduced, like the one ``homology()`` passes
+    in, is presented as it is with "dense"."""
+
     def __init__(self, cx, method="reduced"):
         if method not in ("reduced", "dense"):
             raise ValueError("unknown homology method %r (reduced or dense)"
@@ -752,12 +669,10 @@ class HomologyData:
         if method == "reduced":
             self.redn = reduce_complex(cx, track_maps=True)
             self.work = self.redn.red
-            self._snf = graded_snf
         else:
             cx.materialize()
             self.redn = None
             self.work = cx
-            self._snf = dense_snf
         self._pres = {}
         self._cycles = {}
         self._solvers = {}
@@ -776,7 +691,7 @@ class HomologyData:
         M = SparseMat.from_columns(n_tgt, n_src,
                                    {s: dict(c) for s, c in W.d(r).items()},
                                    W.ring)
-        res = self._snf(M)
+        res = dense_snf(M)
         kernel_pos = list(range(res.rank, n_src))
         self._solvers[r] = (res, kernel_pos)
         return self._solvers[r]
@@ -886,7 +801,7 @@ class HomologyData:
                     raise ValueError("boundary is not a cycle in degree %d"
                                      % r)
                 rel.put(pos_of[p], g, v)
-        rres = self._snf(rel)
+        rres = dense_snf(rel)
         self._rel_snf[r] = rres
         return rres
 
@@ -961,11 +876,14 @@ class HomologySummary:
 
 def homology(cx, method="reduced"):
     """The homology summary of a complex.  The reduced route eliminates
-    without maps and presents the small complex that is left, in which
-    HomologyData's own elimination finds no unit entry to cancel."""
+    once, without maps, and presents the small complex that is left as
+    it is (``HomologyData(red, method="dense")``): it holds no unit
+    entry, so a second elimination would cancel nothing.  The dense
+    route presents ``cx`` without elimination."""
     if method == "reduced":
         _check_presentable(cx.theory)
         cx = reduce_complex(cx, track_maps=False).red
+        method = "dense"
     return HomologyData(cx, method=method).summary()
 
 

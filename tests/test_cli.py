@@ -84,6 +84,20 @@ def test_homology_generic_theory_rejected():
     assert res.exit_code == 2
 
 
+def test_homology_ungraded_polynomial_theory_rejected():
+    # torsion orders are exponents of t and q-degrees need a grading, so
+    # an F2[t] theory with a constant root is refused as bad input
+    res = run("homology", "--name", "3_1", "--theory", "alpha@1,t/f2")
+    assert res.exit_code == 2
+    assert "need a graded theory" in res.output
+
+
+def test_homology_reports_torsion_of_order_two():
+    res = run("homology", "--name", "8_19")
+    assert res.exit_code == 0, res.output
+    assert "mu = 2" in res.output.splitlines()
+
+
 def test_homology_composite_modulus_is_input_error():
     res = run("homology", "--name", "3_1", "--theory", "alpha@0,t/f4")
     assert res.exit_code == 2

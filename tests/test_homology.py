@@ -2,6 +2,7 @@
 
 from copy import deepcopy
 from dataclasses import replace
+from importlib import import_module
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +13,11 @@ from knothom.cobordism import decoration_chain_map
 from knothom.complexes import (ChainComplex, ChainMap, CubeComplex,
                                add_maps, axpy, build_complex, compose,
                                identity_map, zero_map, scale_map)
-from knothom.homology import (SparseMat, graded_snf, dense_snf,
-                              reduce_complex, reduction_identities_hold,
-                              HomologyData, homology, induced_map,
-                              maps_equal_on_homology, torsion_bound,
-                              graded_field_dims, bn_to_f2_dims)
-from knothom.rings import PrimeField, poly_over
+from knothom.homology import (SparseMat, dense_snf, reduce_complex,
+                              reduction_identities_hold, HomologyData,
+                              homology, induced_map, maps_equal_on_homology,
+                              torsion_bound, graded_field_dims, bn_to_f2_dims)
+from knothom.rings import PolyRing, PrimeField, poly_over
 from knothom.tables import braid_pd, load_table
 
 F2 = PrimeField(2)
@@ -27,21 +27,48 @@ F2H = poly_over(F2, "h")
 BN_3_1 = {
     "free": [(0, -3, 1), (0, -1, 1)],
     "torsion": [(-2, -7, 1, 1), (-2, -5, 1, 1)],
+    "mu": 1,
 }
 BN_4_1 = {
     "free": [(0, -1, 1), (0, 1, 1)],
     "torsion": [(-1, -3, 1, 1), (-1, -1, 1, 1), (2, 3, 1, 1), (2, 5, 1, 1)],
+    "mu": 1,
 }
 BN_5_1 = {
     "free": [(0, -5, 1), (0, -3, 1)],
     "torsion": [(-4, -13, 1, 1), (-4, -11, 1, 1),
                 (-2, -9, 1, 1), (-2, -7, 1, 1)],
+    "mu": 1,
 }
 BN_6_1 = {
     "free": [(0, -1, 1), (0, 1, 1)],
     "torsion": [(-1, -3, 1, 1), (-1, -1, 1, 1), (1, 1, 1, 1), (1, 3, 1, 1),
                 (2, 3, 1, 1), (2, 5, 1, 1), (4, 7, 1, 1), (4, 9, 1, 1)],
+    "mu": 1,
 }
+# torsion of order 2: 8_19 = T(3,4), and T(3,5) as the closure of
+# (s1 s2)^5
+BN_8_19 = {
+    "free": [(0, 5, 1), (0, 7, 1)],
+    "torsion": [(3, 11, 1, 1), (3, 13, 1, 1), (5, 15, 2, 1), (5, 17, 2, 1)],
+    "mu": 2,
+}
+BN_T_3_5 = {
+    "free": [(0, 7, 1), (0, 9, 1)],
+    "torsion": [(3, 13, 1, 1), (3, 15, 1, 1), (5, 17, 2, 1), (5, 19, 2, 1),
+                (7, 19, 1, 1), (7, 21, 1, 1)],
+    "mu": 2,
+}
+
+
+TORUS_BRAIDS = {"T(2,9)": ([1] * 9, 2), "T(3,5)": ([1, 2] * 5, 3)}
+
+
+def diagram_of(name):
+    """A table knot, or a torus knot as the closure of its braid."""
+    if name in TORUS_BRAIDS:
+        return parse_pd(braid_pd(*TORUS_BRAIDS[name]))
+    return load_table()[name]
 
 
 def mono(c, k):
@@ -73,51 +100,84 @@ def mats_same(A, B):
     return all(A.ring.eq(A.get(i, j), B.get(i, j)) for i, j in keys)
 
 
-def check_snf_certificate(rows, snf_fn):
-    M = mat_from_rows(rows, F2H)
-    M0 = mat_from_rows(rows, F2H)
-    res = snf_fn(M)
-    # M was turned into D in place: D == U @ M0 @ V
+def check_snf_certificate(M):
+    """Factor M in place with dense_snf and check the certificate: U M V is
+    the diagonal D that M became, U Uinv = I, V Vinv = I, and over F[t]
+    each diagonal entry divides the next, which for monomials says that
+    their exponents do not decrease."""
+    ring = M.ring
+    M0 = deepcopy(M)
+    res = dense_snf(M)
+    assert set(M.data) == {(k, k) for k in range(res.rank)}
+    assert all(ring.eq(M.get(k, k), v) for k, v in enumerate(res.diag))
     D = sparse_matmat(sparse_matmat(res.U, M0), res.V)
     assert mats_same(D, M)
-    eye_n = SparseMat.identity(M.nrows, F2H)
-    eye_m = SparseMat.identity(M.ncols, F2H)
+    eye_n = SparseMat.identity(M.nrows, ring)
+    eye_m = SparseMat.identity(M.ncols, ring)
     assert mats_same(sparse_matmat(res.U, res.Uinv), eye_n)
     assert mats_same(sparse_matmat(res.V, res.Vinv), eye_m)
-    # divisibility chain on exponents
-    exps = [F2H.exponent(v) for v in res.diag]
-    assert exps == sorted(exps)
+    if isinstance(ring, PolyRing):
+        for a, b in zip(res.diag, res.diag[1:]):
+            assert ring.is_zero(ring.divmod(b, a)[1])
     return res
 
 
-def test_graded_snf_hand_matrix():
+def test_dense_snf_hand_matrix():
     h = F2H.gen()
     rows = [[mono(1, 2), h], [h, F2H.one]]
-    res = check_snf_certificate(rows, graded_snf)
+    res = check_snf_certificate(mat_from_rows(rows, F2H))
     assert [F2H.exponent(v) for v in res.diag] == [0]
 
 
-def test_graded_snf_diagonalizes_torsion():
+def test_dense_snf_diagonalizes_torsion():
     h = F2H.gen()
     rows = [[h, F2H.zero], [F2H.zero, mono(1, 3)]]
-    res = check_snf_certificate(rows, graded_snf)
+    res = check_snf_certificate(mat_from_rows(rows, F2H))
     assert [F2H.exponent(v) for v in res.diag] == [1, 3]
 
 
 def test_dense_snf_agrees_on_monomial_input():
+    # the diagonal does not depend on whether the transforms are kept
     h = F2H.gen()
     rows = [[mono(1, 2), h, F2H.zero], [h, F2H.one, h]]
-    r1 = check_snf_certificate(rows, graded_snf)
-    r2 = check_snf_certificate(rows, dense_snf)
-    assert [F2H.exponent(v) for v in r1.diag] == \
-        [F2H.exponent(v) for v in r2.diag]
+    res = check_snf_certificate(mat_from_rows(rows, F2H))
+    bare = dense_snf(mat_from_rows(rows, F2H), with_transforms=False)
+    assert [F2H.exponent(v) for v in res.diag] == [0, 2]
+    assert bare.diag == res.diag
+
+
+def test_dense_snf_factors_a_non_monomial_entry():
+    m = SparseMat(1, 1, F2H)
+    m.put(0, 0, F2H.add(F2H.one, mono(1, 1)))
+    res = check_snf_certificate(m)
+    assert res.diag == [F2H.add(F2H.one, mono(1, 1))]
+
+
+@pytest.mark.parametrize("name, sel", [
+    ("8_19", "bn"), ("T(3,5)", "bn"), ("6_1", "alpha@0,t/f3")])
+def test_homology_data_factors_with_a_valid_certificate(name, sel,
+                                                        monkeypatch):
+    # every kernel and relation matrix that a presentation factors
+    # passes the certificate, torsion of order 2 included
+    factored = []
+
+    def certified(M):
+        factored.append(check_snf_certificate(M))
+        return factored[-1]
+
+    monkeypatch.setattr(import_module("knothom.homology"), "dense_snf",
+                        certified)
+    hd = HomologyData(build_complex(diagram_of(name),
+                                    theory_from_selector(sel)))
+    hd.summary()
+    assert len(factored) == 2 * len(hd.degrees())
 
 
 @given(st.data())
 @settings(max_examples=50, deadline=None)
 def test_snf_random_graded_matrices(data):
     # exponents forced by row/column degrees, as in a homogeneous
-    # differential; that is the input class graded_snf promises to handle
+    # differential, the input class that homology presents
     n = data.draw(st.integers(1, 4))
     m = data.draw(st.integers(1, 4))
     rdeg = [data.draw(st.integers(0, 3)) for _ in range(n)]
@@ -132,7 +192,7 @@ def test_snf_random_graded_matrices(data):
             else:
                 row.append(F2H.zero)
         rows.append(row)
-    res = check_snf_certificate(rows, graded_snf)
+    res = check_snf_certificate(mat_from_rows(rows, F2H))
     assert res.rank <= min(n, m)
 
 
@@ -263,9 +323,7 @@ def test_summary_streams_the_cube(name, monkeypatch):
         return build(self, r, *args, **kwargs)
 
     monkeypatch.setattr(CubeComplex, "_build_degree", counting_build)
-    diagram = (parse_pd(braid_pd([1] * 9, 2)) if name == "T(2,9)"
-               else load_table()[name])
-    cx = build_complex(diagram, theory_from_selector("bn"))
+    cx = build_complex(diagram_of(name), theory_from_selector("bn"))
     homology(cx)
     assert cx._diffs == {}
     assert sorted(built) == cx.degrees
@@ -315,6 +373,27 @@ def test_summary_route_equals_homology_data(sel):
         assert homology(cx) == HomologyData(cx).summary(), name
 
 
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
+def test_summary_eliminates_once(sel, monkeypatch):
+    # homology() eliminates without maps and presents what is left as it
+    # is: a second elimination would find no unit entry to cancel
+    calls = []
+    reduce = reduce_complex
+
+    def counting_reduce(cx, *args, **kwargs):
+        calls.append(kwargs.get("track_maps", True))
+        return reduce(cx, *args, **kwargs)
+
+    monkeypatch.setattr(import_module("knothom.homology"), "reduce_complex",
+                        counting_reduce)
+    diagram = load_table()["6_1"]
+    th = theory_from_selector(sel)
+    s = homology(build_complex(diagram, th))
+    assert calls == [False]
+    assert s == homology(build_complex(diagram, th), method="dense")
+    assert calls == [False]
+
+
 # -- pivot rule -----------------------------------------------------------
 
 @pytest.mark.parametrize("d0, first", [
@@ -344,13 +423,14 @@ def test_unknot_homology():
 
 
 @pytest.mark.parametrize("name,expected", [
-    ("3_1", BN_3_1), ("4_1", BN_4_1), ("5_1", BN_5_1), ("6_1", BN_6_1)])
+    ("3_1", BN_3_1), ("4_1", BN_4_1), ("5_1", BN_5_1), ("6_1", BN_6_1),
+    ("8_19", BN_8_19), ("T(3,5)", BN_T_3_5)])
 def test_bn_reference_values(name, expected):
-    cx = build_complex(load_table()[name], theory_from_selector("bn"))
+    cx = build_complex(diagram_of(name), theory_from_selector("bn"))
     s = homology(cx)
     assert sorted(s.free) == expected["free"], name
     assert sorted(s.torsion) == expected["torsion"], name
-    assert s.max_torsion_order() == 1
+    assert s.max_torsion_order() == expected["mu"]
 
 
 def test_alpha_specialization_matches_bn_on_trefoil():
@@ -528,13 +608,6 @@ def test_canonical_coords_rejects_a_non_cycle():
     r, s = next((r, s) for r in W.degrees for s in W.d(r))
     with pytest.raises(ValueError, match="not a cycle"):
         hd.canonical_coords(r, {s: W.ring.one})
-
-
-def test_graded_snf_rejects_a_non_monomial_entry():
-    m = SparseMat(1, 1, F2H)
-    m.put(0, 0, F2H.add(F2H.one, mono(1, 1)))
-    with pytest.raises(ValueError, match="non-monomial"):
-        graded_snf(m)
 
 
 def test_dense_homology_rejects_a_boundary_that_is_not_a_cycle():
