@@ -16,8 +16,8 @@ from .complexes import (ChainComplex, ChainMap, CubeComplex, add_maps,
                         build_complex, compose, identity_map, maps_equal,
                         scale_map, zero_map)
 from .homology import (HomologyData, HomologySummary, TorsionBound,
-                       bn_to_f2_dims, graded_field_dims, homology,
-                       induced_map, maps_equal_on_homology, torsion_bound)
+                       homology, induced_map, maps_equal_on_homology,
+                       quotient_dims, torsion_bound)
 from .jones import (determinant, jones_polynomial, kauffman_bracket,
                     quantum_jones)
 from .cobordism import (Move, MoveError, Movie, MovieError, apply_move,
@@ -37,9 +37,9 @@ __all__ = [
     "theory_from_selector",
     "ChainComplex", "ChainMap", "CubeComplex", "add_maps", "build_complex",
     "compose", "identity_map", "maps_equal", "scale_map", "zero_map",
-    "HomologyData", "HomologySummary", "TorsionBound", "bn_to_f2_dims",
-    "graded_field_dims", "homology", "induced_map",
-    "maps_equal_on_homology", "torsion_bound",
+    "HomologyData", "HomologySummary", "TorsionBound", "homology",
+    "induced_map", "maps_equal_on_homology", "quotient_dims",
+    "torsion_bound",
     "determinant", "jones_polynomial", "kauffman_bracket", "quantum_jones",
     "Move", "MoveError", "Movie", "MovieError", "apply_move",
     "evaluate_movie", "load_movie", "parse_movie",

@@ -634,10 +634,10 @@ def movie_cmd(script, theory, compose_reverse, compare, output):
     """Evaluate a movie script and report the induced map.
 
     The map is printed column by column in coordinates of the homology
-    presentation basis that elimination and Smith normal form choose.
-    These coordinates are not invariants: another elimination order can
-    print the same map in another basis.  The --compare verdict does not
-    depend on the basis.
+    basis that elimination and its torsion split choose: the generators
+    that survive, free or torsion.  These coordinates are not
+    invariants: another elimination order can print the same map in
+    another basis.  The --compare verdict does not depend on the basis.
     """
     sys.exit(cmd_movie(script, theory, compose_reverse, compare, output))
 

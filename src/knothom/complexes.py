@@ -12,9 +12,9 @@ follows cube edges with the usual sign (-1)^(ones below the flipped
 bit); matrices are sparse dicts {source index: {target index: payload}}.
 
 A complex holds its differential as one block per degree.  ``d(r)``
-stores the block it returns, so every reader that comes back to it
-(the d^2 and chain-map checks, a homology presentation of a cube
-without elimination, relabelling in ``cobordism``) pays for one build.  Elimination consumes its blocks
+stores the block it returns, so every reader that comes back to it (the
+d^2 and chain-map checks, the ``quotient_dims`` oracle, relabelling in
+``cobordism``) pays for one build.  Elimination consumes its blocks
 instead: ``take_d`` hands it the live columns of one degree, a copy of
 the stored block where there is one and otherwise a fresh build of only
 those columns, which nobody stores.  Both routes of elimination, the

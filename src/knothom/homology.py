@@ -1,278 +1,42 @@
 """Homology of the cube complexes, with enough structure to push maps
 through.
 
-Every complex is presented by one Smith normal form, ``dense_snf``, and
-``HomologyData``'s ``method`` decides only whether elimination runs
-first:
+One engine, elimination, computes every homology, in two passes that
+share their cancellation step (``_Blocks.cancel``):
 
-* the default route cancels unit differential entries (a discrete
-  homotopy equivalence with inclusion, projection and homotopy maps)
-  and presents the small complex that is left.  An elimination that
-  keeps its maps records its cancellations, and the inclusion,
-  projection and homotopy replay that record on the vectors they are
-  applied to, so no matrix of them is built unless a check asks for
-  one.  ``HomologyData`` keeps the maps so that chain maps can be
-  pushed through homology; ``homology()``, the summary route,
-  eliminates once without recording anything, because a summary reads
-  only the small complex.
+* ``reduce_complex`` cancels unit differential entries, a discrete
+  homotopy equivalence with inclusion, projection and homotopy maps.  An
+  elimination that keeps its maps records its cancellations, and the
+  inclusion, projection and homotopy replay that record on the vectors
+  they are applied to, so no matrix of them is built unless a check asks
+  for one.  ``HomologyData`` keeps the maps so that chain maps can be
+  pushed through homology; ``homology()``, the summary route, eliminates
+  without recording anything, because a summary reads only the small
+  complex.
 
-* the oracle route skips elimination and presents the complex as it
-  is.
+* ``_split`` then splits the small complex, which has no unit entry.
+  Over a field it has no entry at all.  Over a graded F[t] each entry
+  <dx, y> is c*t^k with k = (q_y - q_x)/2, fixed by the q-degrees of
+  its two ends, so an entry of least exponent divides every entry of
+  its row and column, and cancelling it by the same fill-in step splits
+  x -> c*t^k*y off as a summand: y generates torsion of order k.  The
+  generators that no pivot touches are free.  This is the graded
+  elimination of Bar-Natan, *Fast Khovanov homology computations*,
+  JKTR 16 (2007), arXiv:math/0606318.
 
-On a q-homogeneous complex, eliminated or not, every matrix the normal
-form factors has monomial entries c*t^k; its least-degree pivots then
-divide the rest of their row and column exactly, and its diagonal is a
-chain of powers of t.
-
-Homology in degree r is presented as coker of the boundary matrix
-written in kernel coordinates: kernel basis from the column transform of
-the first SNF, relations pushed through its inverse, then a second SNF
-whose diagonal gives annihilators t^k (k = 0 summands are dropped, k >= 1
-are torsion, missing diagonal means free).
+``quotient_dims``, the oracle, shares no code with either pass: it ranks
+the q-slices of C/t^k over the base field on the unreduced complex, and
+a summary predicts those dimensions by universal coefficients.
 """
 
 from dataclasses import dataclass
+from functools import partial
 import heapq
 from operator import itemgetter
 
 from .rings import PolyRing
 from .complexes import (ChainComplex, ChainMap, axpy, matrix_map, mat_eq,
-                        mat_add, compose, add_maps, identity_map)
-
-
-# -- sparse matrices with row and column indexes -------------------------
-
-class SparseMat:
-    def __init__(self, nrows, ncols, ring):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.ring = ring
-        self.data = {}
-        self.rows = {}
-        self.cols = {}
-
-    @classmethod
-    def identity(cls, n, ring):
-        m = cls(n, n, ring)
-        for i in range(n):
-            m.put(i, i, ring.one)
-        return m
-
-    @classmethod
-    def from_columns(cls, nrows, ncols, cols, ring):
-        m = cls(nrows, ncols, ring)
-        for j, col in cols.items():
-            for i, v in col.items():
-                m.put(i, j, v)
-        return m
-
-    def get(self, i, j):
-        return self.data.get((i, j), self.ring.zero)
-
-    def put(self, i, j, v):
-        if self.ring.is_zero(v):
-            if (i, j) in self.data:
-                del self.data[(i, j)]
-                self.rows[i].discard(j)
-                self.cols[j].discard(i)
-        else:
-            self.data[(i, j)] = v
-            self.rows.setdefault(i, set()).add(j)
-            self.cols.setdefault(j, set()).add(i)
-
-    def row_support(self, i):
-        return self.rows.get(i, set())
-
-    def col_support(self, j):
-        return self.cols.get(j, set())
-
-    def swap_rows(self, a, b):
-        if a == b:
-            return
-        cols = set(self.row_support(a)) | set(self.row_support(b))
-        for j in cols:
-            va, vb = self.get(a, j), self.get(b, j)
-            self.put(a, j, vb)
-            self.put(b, j, va)
-
-    def swap_cols(self, a, b):
-        if a == b:
-            return
-        rows = set(self.col_support(a)) | set(self.col_support(b))
-        for i in rows:
-            va, vb = self.get(i, a), self.get(i, b)
-            self.put(i, a, vb)
-            self.put(i, b, va)
-
-    def addmul_row(self, dst, src, c):
-        """row dst += c * row src"""
-        R = self.ring
-        for j in list(self.row_support(src)):
-            v = R.add(self.get(dst, j), R.mul(c, self.get(src, j)))
-            self.put(dst, j, v)
-
-    def addmul_col(self, dst, src, c):
-        R = self.ring
-        for i in list(self.col_support(src)):
-            v = R.add(self.get(i, dst), R.mul(c, self.get(i, src)))
-            self.put(i, dst, v)
-
-    def scale_row(self, i, c):
-        R = self.ring
-        for j in list(self.row_support(i)):
-            self.put(i, j, R.mul(c, self.get(i, j)))
-
-    def scale_col(self, j, c):
-        R = self.ring
-        for i in list(self.col_support(j)):
-            self.put(i, j, R.mul(c, self.get(i, j)))
-
-    def column(self, j):
-        return {i: self.get(i, j) for i in self.col_support(j)}
-
-    def apply(self, vec):
-        """Matrix times sparse vector {j: payload}."""
-        R = self.ring
-        out = {}
-        for j, c in vec.items():
-            for i in self.col_support(j):
-                w = R.add(out.get(i, R.zero), R.mul(self.get(i, j), c))
-                if R.is_zero(w):
-                    out.pop(i, None)
-                else:
-                    out[i] = w
-        return out
-
-
-@dataclass
-class SNFResult:
-    diag: list          # nonzero diagonal entries, divisibility chain
-    U: SparseMat        # D = U M V
-    Uinv: SparseMat
-    V: SparseMat
-    Vinv: SparseMat
-
-    @property
-    def rank(self):
-        return len(self.diag)
-
-
-def dense_snf(M, with_transforms=True):
-    """Classical Smith normal form over F[t] (or a field) by repeated
-    polynomial division, with no monomial or homogeneity assumptions.
-    Pivots have least degree, ties to the least row, then column.  Every
-    homology presentation goes through it; the oracle for elimination is
-    the route that presents the unreduced complex with it."""
-    ring = M.ring
-    is_poly = isinstance(ring, PolyRing)
-
-    def deg(v):
-        return ring.poly_degree(v) if is_poly else 0
-
-    def div(a, b):
-        if is_poly:
-            return ring.divmod(a, b)
-        return ring.mul(a, ring.inv(b)), ring.zero
-
-    n, m = M.nrows, M.ncols
-    U = Uinv = V = Vinv = None
-    if with_transforms:
-        U = SparseMat.identity(n, ring)
-        Uinv = SparseMat.identity(n, ring)
-        V = SparseMat.identity(m, ring)
-        Vinv = SparseMat.identity(m, ring)
-
-    def row_op(dst, src, c):
-        neg = ring.neg(c)
-        M.addmul_row(dst, src, neg)
-        if with_transforms:
-            U.addmul_row(dst, src, neg)
-            Uinv.addmul_col(src, dst, c)
-
-    def col_op(dst, src, c):
-        neg = ring.neg(c)
-        M.addmul_col(dst, src, neg)
-        if with_transforms:
-            V.addmul_col(dst, src, neg)
-            Vinv.addmul_row(src, dst, c)
-
-    diag = []
-    k = 0
-    while True:
-        best = None
-        for (i, j), v in M.data.items():
-            if i < k or j < k:
-                continue
-            key = (deg(v), i, j)
-            if best is None or key < best:
-                best = key
-        if best is None:
-            break
-        _, pi, pj = best
-
-        def move(pi, pj):
-            M.swap_rows(k, pi)
-            M.swap_cols(k, pj)
-            if with_transforms:
-                U.swap_rows(k, pi)
-                Uinv.swap_cols(k, pi)
-                V.swap_cols(k, pj)
-                Vinv.swap_rows(k, pj)
-
-        move(pi, pj)
-        while True:
-            # clear the pivot column; remainders become smaller pivots
-            dirty = True
-            while dirty:
-                dirty = False
-                for i in sorted(M.col_support(k)):
-                    if i == k:
-                        continue
-                    q, r = div(M.get(i, k), M.get(k, k))
-                    row_op(i, k, q)
-                    if not ring.is_zero(r):
-                        move(i, k)
-                        dirty = True
-                        break
-                else:
-                    for j in sorted(M.row_support(k)):
-                        if j == k:
-                            continue
-                        q, r = div(M.get(k, j), M.get(k, k))
-                        col_op(j, k, q)
-                        if not ring.is_zero(r):
-                            move(k, j)
-                            dirty = True
-                            break
-            # divisibility of the remaining block
-            piv = M.get(k, k)
-            offender = None
-            for (i, j), v in M.data.items():
-                if i <= k or j <= k:
-                    continue
-                _, r = div(v, piv)
-                if not ring.is_zero(r):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            row_op(k, offender, ring.neg(ring.one))
-        piv = M.get(k, k)
-        if is_poly:
-            lead = piv[max(piv)]
-            cinv = ring.monomial(ring.base.inv(lead), 0)
-        else:
-            cinv = ring.inv(piv)
-        M.scale_row(k, cinv)
-        if with_transforms:
-            U.scale_row(k, cinv)
-            if is_poly:
-                Uinv.scale_col(k, ring.monomial(lead, 0))
-            else:
-                Uinv.scale_col(k, piv)
-        diag.append(M.get(k, k))
-        k += 1
-    return SNFResult(diag, U, Uinv, V, Vinv)
+                        mat_add, mat_vec, compose, add_maps, identity_map)
 
 
 # -- elimination of unit differential entries ----------------------------
@@ -308,6 +72,12 @@ class _Cancellations:
     complex; ``keep[r]`` lists the survivors of degree r in the order of
     the reduced complex.  Each index below is built the first time a map
     that reads it is applied, so a caller of one map pays for no other.
+
+    A torsion split of x against y through a = <dx, y> (see ``_split``)
+    is the step (r, x, y, 1, a^-1 dx, a^-1 into_y).  In the basis where
+    y' = a^-1 d(x) replaces y and w - a^-1 <dw, y> x replaces each other
+    w, the same replays hold, and the projection's seed <P_k v, y> is
+    the coordinate of v at the torsion generator y'.
     """
 
     def __init__(self, ring, steps, keep):
@@ -411,6 +181,90 @@ def _diff_as_map(cx):
     return matrix_map(cx, cx, {r: cx.d(r) for r in cx.degrees}, 1, 0, "d")
 
 
+class _Blocks:
+    """The differential of ``cx``, loaded one degree at a time through
+    ``take_d`` and consumed in place by cancellations: unit elimination
+    and the torsion split both run on it.  ``cols[r]`` holds the columns
+    {source: {target: payload}} of a loaded degree, ``rows[r]`` the
+    sources with an entry at each target, and ``alive[r]`` the indices
+    of degree r that no cancellation has taken."""
+
+    def __init__(self, cx):
+        R = cx.ring
+        self.cx = cx
+        self.ops = R.is_zero, R.is_unit, R.add, R.mul, R.neg
+        self.alive = {r: set(range(cx.rank(r))) for r in cx.degrees}
+        self.cols = {}
+        self.rows = {}
+
+    def load(self, r):
+        rows = self.rows
+        rows.pop(r - 2, None)   # read only by cancellations of degree r - 1
+        self.cols[r] = cols_r = self.cx.take_d(r, self.alive[r])
+        rows[r] = rows_r = {}
+        for s, col in cols_r.items():
+            for t in col:
+                rows_r.setdefault(t, set()).add(s)
+        return cols_r
+
+    def survivors(self):
+        return {r: sorted(alive) for r, alive in self.alive.items()}
+
+    def cancel(self, r, x, y, over):
+        """Cancel x in degree r against y in degree r + 1 through the
+        pivot p = <dx, y>, where ``over(c)`` is c / p for an entry c of
+        row y: d(w) += -(<dw, y> / p) dx for every other w with an entry
+        at y.  Column x, row y and the arrows into x then leave the
+        loaded blocks, and x and y leave ``alive``.  Degree r + 1 is not
+        loaded yet, and its loader skips y once y is not alive.  Returns
+        dx without y, into_y = {w: <dw, y>} and the sources whose column
+        gained a unit entry."""
+        is_zero, is_unit, add, mul, neg = self.ops
+        cols, rows = self.cols, self.rows
+        cols_r, rows_r = cols[r], rows[r]
+
+        # take x's column and the arrows into y out of the differential
+        dx = cols_r.pop(x)
+        del dx[y]
+        into_y = {w: cols_r[w].pop(y) for w in rows_r.pop(y) if w != x}
+
+        grown = []
+        for w, cw in into_y.items():
+            coef = neg(over(cw))
+            col = cols_r[w]
+            unit = False
+            for t, v in dx.items():
+                old = col.get(t)
+                nv = mul(coef, v) if old is None else add(old, mul(coef, v))
+                if is_zero(nv):
+                    if old is not None:
+                        del col[t]
+                        rows_r[t].discard(w)
+                    continue
+                if old is None:
+                    rows_r[t].add(w)
+                col[t] = nv
+                unit = unit or is_unit(nv)
+            if not col:
+                del cols_r[w]
+            elif unit:
+                grown.append(w)
+
+        # drop the arrows out of x and into x
+        for t in dx:
+            rows_r[t].discard(x)
+        if r - 1 in cols:
+            cols_below = cols[r - 1]
+            for w in rows[r - 1].pop(x, ()):
+                col = cols_below[w]
+                del col[x]
+                if not col:
+                    del cols_below[w]
+        self.alive[r].discard(x)
+        self.alive[r + 1].discard(y)
+        return dx, into_y, grown
+
+
 def reduce_complex(cx, pairs=None, track_maps=True):
     """Cancel unit entries of the differential.
 
@@ -462,23 +316,12 @@ def reduce_complex(cx, pairs=None, track_maps=True):
     None and only the small complex comes back.
     """
     R = cx.ring
-    is_zero, is_unit, add, mul, neg = R.is_zero, R.is_unit, R.add, R.mul, R.neg
-    degrees = cx.degrees
-    alive = {r: set(range(cx.rank(r))) for r in degrees}
-    cols = {}   # {r: {source: {target: payload}}} of the loaded degrees
-    rows = {}   # {r: {target: sources with an entry at it}}
+    is_unit = R.is_unit
+    blocks = _Blocks(cx)
+    cols, rows, alive = blocks.cols, blocks.rows, blocks.alive
     steps = []
 
-    def load(r):
-        rows.pop(r - 2, None)   # read only by cancellations of degree r - 1
-        cols[r] = cols_r = cx.take_d(r, alive[r])
-        rows[r] = rows_r = {}
-        for s, col in cols_r.items():
-            for t in col:
-                rows_r.setdefault(t, set()).add(s)
-        return cols_r
-
-    unloaded = iter(degrees)
+    unloaded = iter(cx.degrees)
     if pairs is None:
         heap = []   # source indices of degree r
     else:
@@ -500,7 +343,7 @@ def reduce_complex(cx, pairs=None, track_maps=True):
                     r = next(unloaded, None)
                     if r is None:
                         break
-                    heap = list(load(r))
+                    heap = list(blocks.load(r))
                     heapq.heapify(heap)
                     continue
                 x = heapq.heappop(heap)
@@ -516,63 +359,28 @@ def reduce_complex(cx, pairs=None, track_maps=True):
                 break
             r, x, y = queue.pop()
             while r not in cols:
-                load(next(unloaded))
+                blocks.load(next(unloaded))
             if x not in alive[r] or y not in alive[r + 1]:
                 raise ValueError("prescribed pair already gone")
             if not is_unit(cols[r].get(x, {}).get(y, R.zero)):
                 raise ValueError("prescribed pair is not a unit")
-        cols_r, rows_r = cols[r], rows[r]
 
-        # take x's column and the arrows into y out of the differential
-        dx = cols_r.pop(x)
-        uinv = R.inv(dx.pop(y))
-        into_y = {w: cols_r[w].pop(y) for w in rows_r.pop(y) if w != x}
+        uinv = R.inv(cols[r][x][y])
+        dx, into_y, grown = blocks.cancel(r, x, y, partial(R.mul, uinv))
         if track_maps:
             steps.append((r, x, y, uinv, dx, into_y))
-
-        # d(w) += -uinv <dw,y> dx for every other w with an arrow into y
-        for w, cw in into_y.items():
-            coef = neg(mul(uinv, cw))
-            col = cols_r[w]
-            unit = False
-            for t, v in dx.items():
-                old = col.get(t)
-                nv = mul(coef, v) if old is None else add(old, mul(coef, v))
-                if is_zero(nv):
-                    if old is not None:
-                        del col[t]
-                        rows_r[t].discard(w)
-                    continue
-                if old is None:
-                    rows_r[t].add(w)
-                col[t] = nv
-                unit = unit or is_unit(nv)
-            if not col:
-                del cols_r[w]
-            elif unit and pairs is None:
+        if pairs is None:
+            for w in grown:
                 heapq.heappush(heap, w)
 
-        # drop the arrows out of x and into x; degree r + 1 is not loaded
-        # yet on either route, and its loader skips y once y is not alive
-        for t in dx:
-            rows_r[t].discard(x)
-        if r - 1 in cols:
-            cols_below = cols[r - 1]
-            for w in rows[r - 1].pop(x, ()):
-                col = cols_below[w]
-                del col[x]
-                if not col:
-                    del cols_below[w]
-        alive[r].discard(x)
-        alive[r + 1].discard(y)
-
     for r in unloaded:
-        load(r)
+        blocks.load(r)
 
     # assemble the reduced complex, keeping original key order
+    degrees = cx.degrees
     red_gens = {}
     red_qdeg = {}
-    keep = {r: sorted(alive[r]) for r in degrees}
+    keep = blocks.survivors()
     reindex = {}
     for r in degrees:
         red_gens[r] = [cx.gens[r][i] for i in keep[r]]
@@ -622,18 +430,85 @@ def reduction_identities_hold(redn):
 
 # -- homology presentations ----------------------------------------------
 
-class DegreePresentation:
-    """H_r = (free module on kernel coords) / relations, post-SNF.
+def _exact_quotient(R, a, r, c):
+    """c / a over F[t], for a pivot a of the torsion split in degree r."""
+    q, rem = R.divmod(c, a)
+    if rem:
+        raise ValueError("torsion split in degree %d: the pivot %s does not "
+                         "divide the entry %s of its row or column"
+                         % (r, R.fmt(a), R.fmt(c)))
+    return q
 
-    ann[b] is None for a free summand, k >= 1 for a t^k torsion summand;
-    order-0 summands are dropped (they are zero in homology).
+
+def _split(red):
+    """Split the torsion pairs off ``red``, a complex with no unit entry.
+
+    Degree by degree, the pivot is an entry <dx, y> of least exponent
+    (q_y - q_x)/2, ties to the least source x, then the least target y.
+    Its exponent must be that one, and it must divide every entry of its
+    row and column; either failure raises ValueError.  ``_Blocks.cancel``
+    then splits x -> a*y off, and the step is recorded in the form that
+    ``_Cancellations`` replays.  Over a field ``red`` has no entry, and
+    nothing is split.  Returns the record, whose ``keep`` lists the free
+    generators, and the torsion order of each step."""
+    R = red.ring
+    blocks = _Blocks(red)
+    steps, orders = [], []
+    for r in red.degrees:
+        cols_r = blocks.load(r)
+        qs, qt = red.qdeg[r], red.qdeg.get(r + 1)
+        while cols_r:
+            _, x, y = min((qt[t] - qs[s], s, t)
+                          for s, col in cols_r.items() for t in col)
+            a = cols_r[x][y]
+            k = R.exponent(a)
+            if 2 * k != qt[y] - qs[x]:
+                raise ValueError("torsion split in degree %d: the pivot %s "
+                                 "disagrees with the q-degrees %s -> %s of "
+                                 "its ends" % (r, R.fmt(a), qs[x], qt[y]))
+            over = partial(_exact_quotient, R, a, r)
+            dx, into_y, _ = blocks.cancel(r, x, y, over)
+            steps.append((r, x, y, R.one,
+                          {t: over(v) for t, v in dx.items()},
+                          {w: over(c) for w, c in into_y.items()}))
+            orders.append(k)
+    return _Cancellations(R, steps, blocks.survivors()), orders
+
+
+def _summary(theory, red, split, orders):
+    """The summary of ``red`` from its split: a free summand per
+    survivor, a torsion summand per step, at its target y."""
+    free = {}
+    torsion = {}
+    for r, keep in split.keep.items():
+        for i in keep:
+            key = (r, red.qdeg[r][i] if theory.graded else None)
+            free[key] = free.get(key, 0) + 1
+    for (r, _, y, _, _, _), k in zip(split.steps, orders):
+        key = (r + 1, red.qdeg[r + 1][y], k)
+        torsion[key] = torsion.get(key, 0) + 1
+
+    def _k(t):
+        return tuple((x if x is not None else -10**9) for x in t)
+    return HomologySummary(
+        theory.name,
+        tuple(sorted(((r, q, m) for (r, q), m in free.items()), key=_k)),
+        tuple(sorted(((r, q, a, m) for (r, q, a), m in torsion.items()),
+                     key=_k)))
+
+
+class DegreePresentation:
+    """H_r as a direct sum of cyclic summands, one per generator.
+
+    gens[b] is the index of generator b in the reduced complex, ann[b]
+    None for a free summand and k >= 1 for a t^k torsion summand, and
+    gen_vecs[b] its cycle in reduced coordinates.
     """
 
-    def __init__(self, gens, ann, qdeg, gen_vecs):
-        self.gens = gens          # indices surviving (into internal data)
-        self.ann = ann            # per surviving generator
-        self.qdeg = qdeg
-        self.gen_vecs = gen_vecs  # cycles in C_r coordinates
+    def __init__(self, gens, ann, gen_vecs):
+        self.gens = gens
+        self.ann = ann
+        self.gen_vecs = gen_vecs
 
 
 def _check_presentable(theory):
@@ -644,170 +519,72 @@ def _check_presentable(theory):
             "specialize the theory first")
     if isinstance(ring, PolyRing) and not theory.graded:
         raise ValueError(
-            "polynomial coefficients need a graded theory: torsion orders "
-            "are read as exponents of the normal form's diagonal, and "
-            "q-degrees come from the grading")
+            "polynomial coefficients need a graded theory: torsion splits "
+            "off at entries of least exponent, and the exponents come from "
+            "the grading")
 
 
 class HomologyData:
-    """The homology of ``cx``, presented one degree at a time by
-    ``dense_snf``.  ``method`` decides only whether elimination runs
-    first: "reduced" eliminates with maps (``redn``) and presents the
-    reduced complex, and chain maps on ``cx`` are pushed through those
-    maps; "dense" presents ``cx`` as it is and ``redn`` is None.  A
-    complex that is already reduced, like the one ``homology()`` passes
-    in, is presented as it is with "dense"."""
+    """The homology of ``cx``: elimination with maps (``redn``) reduces
+    it to ``work``, and the torsion split of ``work`` presents it.  The
+    generators of H_r are the generators of ``work`` that survive the
+    split (free) and the targets y of its pivots x -> a*y (torsion of
+    order exp(a), with cycle y + a^-1 dx); chain maps on ``cx`` are
+    pushed through ``redn``'s maps."""
 
-    def __init__(self, cx, method="reduced"):
-        if method not in ("reduced", "dense"):
-            raise ValueError("unknown homology method %r (reduced or dense)"
-                             % (method,))
+    def __init__(self, cx):
         _check_presentable(cx.theory)
         self.theory = cx.theory
         self.original = cx
-        self.method = method
-        if method == "reduced":
-            self.redn = reduce_complex(cx, track_maps=True)
-            self.work = self.redn.red
-        else:
-            cx.materialize()
-            self.redn = None
-            self.work = cx
+        self.redn = reduce_complex(cx, track_maps=True)
+        self.work = self.redn.red
+        self._record, self._orders = _split(self.work)
         self._pres = {}
         self._cycles = {}
-        self._solvers = {}
-        self._rel_snf = {}
 
     def degrees(self):
         return self.work.degrees
 
-    def _solve(self, r):
-        """First SNF: kernel data of d_r on the working complex."""
-        if r in self._solvers:
-            return self._solvers[r]
-        W = self.work
-        n_tgt = W.rank(r + 1)
-        n_src = W.rank(r)
-        M = SparseMat.from_columns(n_tgt, n_src,
-                                   {s: dict(c) for s, c in W.d(r).items()},
-                                   W.ring)
-        res = dense_snf(M)
-        kernel_pos = list(range(res.rank, n_src))
-        self._solvers[r] = (res, kernel_pos)
-        return self._solvers[r]
-
     def presentation(self, r):
-        if r in self._pres:
-            return self._pres[r]
-        W = self.work
-        ring = W.ring
-        res, kernel_pos = self._solve(r)
-        kappa = len(kernel_pos)
-        rres = self._snf_of(r)
-        gens = []
-        ann = []
-        qdeg = []
-        gen_vecs = []
-        for b in range(kappa):
-            if b < rres.rank:
-                d = rres.diag[b]
-                if isinstance(ring, PolyRing):
-                    e = ring.exponent(d)
-                else:
-                    e = 0
-                if e == 0:
-                    continue  # unit relation, generator dies
-                a = e
-            else:
-                a = None
-            yvec = rres.Uinv.column(b)
-            zvec = {}
-            for aidx, v in yvec.items():
-                p = kernel_pos[aidx]
-                for i in res.V.col_support(p):
-                    w = ring.add(zvec.get(i, ring.zero),
-                                 ring.mul(res.V.get(i, p), v))
-                    if ring.is_zero(w):
-                        zvec.pop(i, None)
-                    else:
-                        zvec[i] = w
-            q = self._vec_qdeg(r, zvec)
-            gens.append(b)
-            ann.append(a)
-            qdeg.append(q)
-            gen_vecs.append(zvec)
-        pres = DegreePresentation(gens, ann, qdeg, gen_vecs)
-        self._pres[r] = pres
-        return pres
-
-    def _vec_qdeg(self, r, vec):
-        if not self.theory.graded or not vec:
-            return None
-        ring = self.work.ring
-        qs = set()
-        for i, c in vec.items():
-            qs.add(self.work.qdeg[r][i] - 2 * ring.exponent(c))
-        if len(qs) != 1:
-            raise ValueError("homology generator is not q-homogeneous in "
-                             "degree %d" % r)
-        return qs.pop()
+        if r not in self._pres:
+            record, one = self._record, self.work.ring.one
+            summands = {i: (None, record.incl(r, {j: one}))
+                        for j, i in enumerate(record.keep[r])}
+            for (rk, _, y, _, dxa, _), k in zip(record.steps, self._orders):
+                if rk == r - 1:
+                    summands[y] = (k, {**dxa, y: one})
+            gens = sorted(summands)
+            self._pres[r] = DegreePresentation(
+                gens, [summands[i][0] for i in gens],
+                [summands[i][1] for i in gens])
+        return self._pres[r]
 
     def canonical_coords(self, r, zvec):
         """Coordinates of a cycle (working coords) in the presentation,
-        reduced modulo the annihilators.  The presentation basis is the
-        one that elimination and the two SNFs chose, so these are not
+        reduced modulo the annihilators: the split's projection, which
+        keeps the coordinate at each torsion generator y.  The basis is
+        the one that elimination and the split chose, so these are not
         invariants: another elimination order gives the same class other
         coordinates."""
-        ring = self.work.ring
-        res, kernel_pos = self._solve(r)
-        pos_of = {p: a for a, p in enumerate(kernel_pos)}
-        y = res.Vinv.apply(zvec)
-        yk = {}
-        for p, v in y.items():
-            if p not in pos_of:
-                raise ValueError("canonical_coords: the vector is not a "
-                                 "cycle in degree %d" % r)
-            yk[pos_of[p]] = v
-        rres = self._snf_of(r)
-        c = rres.U.apply(yk)
-        pres = self.presentation(r)
-        out = []
-        for slot, b in enumerate(pres.gens):
-            v = c.get(b, ring.zero)
-            a = pres.ann[slot]
-            if a is not None:
-                # torsion only arises over F[t]; reduce mod t^a
-                v = {k: co for k, co in v.items() if k < a}
-            out.append(v)
-        return out
-
-    def _snf_of(self, r):
-        """SNF of the relation matrix (boundaries in kernel coordinates)."""
-        if r in self._rel_snf:
-            return self._rel_snf[r]
         W = self.work
         ring = W.ring
-        res, kernel_pos = self._solve(r)
-        pos_of = {p: a for a, p in enumerate(kernel_pos)}
-        rel = SparseMat(len(kernel_pos), W.rank(r - 1), ring)
-        below = W.d(r - 1)
-        for g in range(W.rank(r - 1)):
-            col = below.get(g)
-            if not col:
-                continue
-            y = res.Vinv.apply(col)
-            for p, v in y.items():
-                if p not in pos_of:
-                    raise ValueError("boundary is not a cycle in degree %d"
-                                     % r)
-                rel.put(pos_of[p], g, v)
-        rres = dense_snf(rel)
-        self._rel_snf[r] = rres
-        return rres
+        if mat_vec(ring, W.d(r).get, zvec):
+            raise ValueError("canonical_coords: the vector is not a cycle "
+                             "in degree %d" % r)
+        seeds = {}
+        free = self._record._project(r, zvec, seeds)
+        step_of = self._record._kill_index().get(r, {})
+        pres = self.presentation(r)
+        out = []
+        for i, a in zip(pres.gens, pres.ann):
+            if a is None:
+                out.append(free.get(i, ring.zero))
+            else:
+                v = seeds.get(step_of[i], ring.zero)
+                out.append({k: c for k, c in v.items() if k < a})
+        return out
 
     def to_work_coords(self, r, orig_vec):
-        if self.redn is None:
-            return orig_vec
         return self.redn.proj.apply(r, orig_vec)
 
     def gen_cycles_original(self, r):
@@ -815,32 +592,12 @@ class HomologyData:
         once per degree and kept, like the presentation they come from;
         callers must not change them."""
         if r not in self._cycles:
-            pres = self.presentation(r)
-            if self.redn is None:
-                self._cycles[r] = list(pres.gen_vecs)
-            else:
-                self._cycles[r] = [self.redn.incl.apply(r, z)
-                                   for z in pres.gen_vecs]
+            self._cycles[r] = [self.redn.incl.apply(r, z)
+                               for z in self.presentation(r).gen_vecs]
         return self._cycles[r]
 
     def summary(self):
-        free = {}
-        torsion = {}
-        for r in self.degrees():
-            pres = self.presentation(r)
-            for a, q in zip(pres.ann, pres.qdeg):
-                if a is None:
-                    free[(r, q)] = free.get((r, q), 0) + 1
-                else:
-                    torsion[(r, q, a)] = torsion.get((r, q, a), 0) + 1
-        def _k(t):
-            return tuple((x if x is not None else -10**9) for x in t)
-        return HomologySummary(
-            self.theory.name,
-            tuple(sorted(((r, q, m) for (r, q), m in free.items()),
-                         key=lambda t: _k(t))),
-            tuple(sorted(((r, q, a, m) for (r, q, a), m in torsion.items()),
-                         key=lambda t: _k(t))))
+        return _summary(self.theory, self.work, self._record, self._orders)
 
 
 @dataclass(frozen=True)
@@ -874,17 +631,13 @@ class HomologySummary:
         return "\n".join(lines)
 
 
-def homology(cx, method="reduced"):
-    """The homology summary of a complex.  The reduced route eliminates
-    once, without maps, and presents the small complex that is left as
-    it is (``HomologyData(red, method="dense")``): it holds no unit
-    entry, so a second elimination would cancel nothing.  The dense
-    route presents ``cx`` without elimination."""
-    if method == "reduced":
-        _check_presentable(cx.theory)
-        cx = reduce_complex(cx, track_maps=False).red
-        method = "dense"
-    return HomologyData(cx, method=method).summary()
+def homology(cx):
+    """The homology summary of a complex.  It eliminates once, without
+    maps, and splits the torsion pairs off the small complex that is
+    left, as ``HomologyData`` does with its maps."""
+    _check_presentable(cx.theory)
+    red = reduce_complex(cx, track_maps=False).red
+    return _summary(cx.theory, red, *_split(red))
 
 
 # -- induced maps --------------------------------------------------------
@@ -892,10 +645,11 @@ def homology(cx, method="reduced"):
 def induced_map(f, ha, hb):
     """Matrix of f on homology: canonical coordinates of images of the
     source presentation generators, per degree.  The columns are
-    coordinates in the presentation bases that elimination and SNF chose
-    for ha and hb, not invariants: another elimination order can give
-    the same map another matrix.  ``maps_equal_on_homology`` compares
-    two maps in the same bases, which does not depend on that choice."""
+    coordinates in the presentation bases that elimination and the
+    torsion split chose for ha and hb, not invariants: another
+    elimination order can give the same map another matrix.
+    ``maps_equal_on_homology`` compares two maps in the same bases,
+    which does not depend on that choice."""
     if f.r_shift != 0:
         raise ValueError("induced_map needs a degree-preserving map, got "
                          "r_shift %d" % f.r_shift)
@@ -998,50 +752,71 @@ def torsion_bound(summary, theory):
         % (R.fmt(star[0]), R.fmt(star[1])))
 
 
-# -- independent field-coefficient dimensions ----------------------------
+# -- the oracle -----------------------------------------------------------
 
-def graded_field_dims(cx):
-    """Homology dimensions per (r, q) over a field, via the dense engine
-    on q-graded slices.  Used as the second route in dimension
-    cross-checks; no reduction, no monomial tricks."""
-    ring = cx.ring
-    if not ring.is_field:
-        raise ValueError("graded_field_dims needs field coefficients, got %s"
-                         % ring.name)
-    dims = {}
-    qvals = {}
-    for r in cx.degrees:
-        for i, q in enumerate(cx.qdeg[r]):
-            qvals.setdefault((r, q), []).append(i)
+def _rank(F, vectors):
+    """Rank over the field F of sparse vectors {key: coefficient}, by
+    elimination on their greatest keys."""
+    basis = {}      # greatest key -> vector with coefficient one there
+    for v in vectors:
+        v = dict(v)
+        while v:
+            p = max(v)
+            b = basis.get(p)
+            if b is None:
+                inv = F.inv(v[p])
+                basis[p] = {key: F.mul(inv, c) for key, c in v.items()}
+                break
+            c = F.neg(v[p])
+            for key, bc in b.items():
+                nv = F.add(v.get(key, F.zero), F.mul(c, bc))
+                if F.is_zero(nv):
+                    v.pop(key, None)
+                else:
+                    v[key] = nv
+    return len(basis)
+
+
+def quotient_dims(cx, k):
+    """The dimension over the base field F of H(C / t^k) at each (r, q),
+    for a complex C over a graded F[t]; no elimination, no split.  C/t^k
+    has the F-basis t^j g (j < k) of q-degree q_g - 2j, and each q-slice
+    of its differential is ranked over F.  A summary predicts these
+    dimensions by universal coefficients: a free summand at (r, q) gives
+    one at each (r, q - 2j), and a torsion summand of order a gives one
+    at each (r, q - 2j) for j < min(a, k) and one at each
+    (r - 1, q - 2a - 2j) for k - a <= j < k."""
+    R = cx.ring
+    if not isinstance(R, PolyRing) or not cx.theory.graded:
+        raise ValueError("quotient_dims needs a graded theory over F[t], "
+                         "got %s" % R.name)
+    F = R.base
+    size = {}
     ranks = {}
-    for (r, q), idxs in sorted(qvals.items()):
-        tgt_idx = {i: a for a, i in enumerate(qvals.get((r + 1, q), []))}
-        M = SparseMat(len(tgt_idx), len(idxs), ring)
-        d = cx.d(r)
-        for a, i in enumerate(idxs):
-            col = d.get(i, {})
-            for t, v in col.items():
-                if t in tgt_idx:
-                    M.put(tgt_idx[t], a, v)
-        ranks[(r, q)] = dense_snf(M, with_transforms=False).rank
-    for (r, q), idxs in qvals.items():
-        rk_out = ranks.get((r, q), 0)
-        rk_in = ranks.get((r - 1, q), 0)
-        dim = len(idxs) - rk_out - rk_in
+    for r in cx.degrees:
+        qs, qt = cx.qdeg[r], cx.qdeg.get(r + 1)
+        for q in qs:
+            for j in range(k):
+                size[(r, q - 2 * j)] = size.get((r, q - 2 * j), 0) + 1
+        slices = {}
+        for s, col in cx.d(r).items():
+            for j in range(k):
+                q = qs[s] - 2 * j
+                vec = {}
+                for t, v in col.items():
+                    for e, c in v.items():
+                        if j + e < k:
+                            if qt[t] - 2 * (j + e) != q:
+                                raise ValueError("differential entry changes "
+                                                 "q at degree %d" % r)
+                            vec[(t, j + e)] = c
+                if vec:
+                    slices.setdefault(q, []).append(vec)
+        for q, vecs in slices.items():
+            ranks[(r, q)] = _rank(F, vecs)
+    dims = {}
+    for (r, q), n in size.items():
+        dim = n - ranks.get((r, q), 0) - ranks.get((r - 1, q), 0)
         if dim:
             dims[(r, q)] = dim
-    return dims
-
-
-def bn_to_f2_dims(summary):
-    """Expected kh-f2 dimensions from an F2[h] summary: each free summand
-    keeps its bidegree, each order-k torsion summand contributes its own
-    bidegree and one extra class at (r-1, q-2k)."""
-    dims = {}
-    for r, q, m in summary.free:
-        dims[(r, q)] = dims.get((r, q), 0) + m
-    for r, q, k, m in summary.torsion:
-        dims[(r, q)] = dims.get((r, q), 0) + m
-        key = (r - 1, q - 2 * k)
-        dims[key] = dims.get(key, 0) + m
     return dims

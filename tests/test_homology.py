@@ -1,4 +1,5 @@
-"""Homology pipeline: SNF kernels, reductions, summaries, bounds."""
+"""Homology pipeline: reductions, torsion splits, summaries, the quotient
+oracle, bounds."""
 
 from copy import deepcopy
 from dataclasses import replace
@@ -13,15 +14,11 @@ from knothom.cobordism import decoration_chain_map
 from knothom.complexes import (ChainComplex, ChainMap, CubeComplex,
                                add_maps, axpy, build_complex, compose,
                                identity_map, zero_map, scale_map)
-from knothom.homology import (SparseMat, dense_snf, reduce_complex,
-                              reduction_identities_hold, HomologyData,
-                              homology, induced_map, maps_equal_on_homology,
-                              torsion_bound, graded_field_dims, bn_to_f2_dims)
-from knothom.rings import PolyRing, PrimeField, poly_over
+from knothom.homology import (reduce_complex, reduction_identities_hold,
+                              HomologyData, homology, induced_map,
+                              maps_equal_on_homology, torsion_bound,
+                              quotient_dims)
 from knothom.tables import braid_pd, load_table
-
-F2 = PrimeField(2)
-F2H = poly_over(F2, "h")
 
 # reference values computed by the dense SNF pipeline and frozen
 BN_3_1 = {
@@ -71,129 +68,87 @@ def diagram_of(name):
     return load_table()[name]
 
 
-def mono(c, k):
-    return F2H.monomial(c, k)
+def predicted_quotient_dims(summary, k):
+    """dim H(C / t^k) at each (r, q) as a summary of H(C) predicts it by
+    universal coefficients: t^j times each free generator for j < k; for
+    each torsion generator y of order a, t^j y for j < min(a, k) and
+    t^j x for k - a <= j < k, where d x = t^a y."""
+    dims = {}
+
+    def add(key, m):
+        dims[key] = dims.get(key, 0) + m
+    for r, q, m in summary.free:
+        for j in range(k):
+            add((r, q - 2 * j), m)
+    for r, q, a, m in summary.torsion:
+        for j in range(min(a, k)):
+            add((r, q - 2 * j), m)
+        for j in range(max(0, k - a), k):
+            add((r - 1, q - 2 * a - 2 * j), m)
+    return dims
 
 
-def mat_from_rows(rows, ring):
-    m = SparseMat(len(rows), len(rows[0]) if rows else 0, ring)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if not ring.is_zero(v):
-                m.put(i, j, v)
-    return m
-
-
-def sparse_matmat(A, B):
-    out = SparseMat(A.nrows, B.ncols, A.ring)
-    for j in range(B.ncols):
-        col = A.apply(B.column(j))
-        for i, v in col.items():
-            out.put(i, j, v)
-    return out
-
-
-def mats_same(A, B):
-    if (A.nrows, A.ncols) != (B.nrows, B.ncols):
-        return False
-    keys = set(A.data) | set(B.data)
-    return all(A.ring.eq(A.get(i, j), B.get(i, j)) for i, j in keys)
-
-
-def check_snf_certificate(M):
-    """Factor M in place with dense_snf and check the certificate: U M V is
-    the diagonal D that M became, U Uinv = I, V Vinv = I, and over F[t]
-    each diagonal entry divides the next, which for monomials says that
-    their exponents do not decrease."""
-    ring = M.ring
-    M0 = deepcopy(M)
-    res = dense_snf(M)
-    assert set(M.data) == {(k, k) for k in range(res.rank)}
-    assert all(ring.eq(M.get(k, k), v) for k, v in enumerate(res.diag))
-    D = sparse_matmat(sparse_matmat(res.U, M0), res.V)
-    assert mats_same(D, M)
-    eye_n = SparseMat.identity(M.nrows, ring)
-    eye_m = SparseMat.identity(M.ncols, ring)
-    assert mats_same(sparse_matmat(res.U, res.Uinv), eye_n)
-    assert mats_same(sparse_matmat(res.V, res.Vinv), eye_m)
-    if isinstance(ring, PolyRing):
-        for a, b in zip(res.diag, res.diag[1:]):
-            assert ring.is_zero(ring.divmod(b, a)[1])
-    return res
-
-
-def test_dense_snf_hand_matrix():
-    h = F2H.gen()
-    rows = [[mono(1, 2), h], [h, F2H.one]]
-    res = check_snf_certificate(mat_from_rows(rows, F2H))
-    assert [F2H.exponent(v) for v in res.diag] == [0]
-
-
-def test_dense_snf_diagonalizes_torsion():
-    h = F2H.gen()
-    rows = [[h, F2H.zero], [F2H.zero, mono(1, 3)]]
-    res = check_snf_certificate(mat_from_rows(rows, F2H))
-    assert [F2H.exponent(v) for v in res.diag] == [1, 3]
-
-
-def test_dense_snf_agrees_on_monomial_input():
-    # the diagonal does not depend on whether the transforms are kept
-    h = F2H.gen()
-    rows = [[mono(1, 2), h, F2H.zero], [h, F2H.one, h]]
-    res = check_snf_certificate(mat_from_rows(rows, F2H))
-    bare = dense_snf(mat_from_rows(rows, F2H), with_transforms=False)
-    assert [F2H.exponent(v) for v in res.diag] == [0, 2]
-    assert bare.diag == res.diag
-
-
-def test_dense_snf_factors_a_non_monomial_entry():
-    m = SparseMat(1, 1, F2H)
-    m.put(0, 0, F2H.add(F2H.one, mono(1, 1)))
-    res = check_snf_certificate(m)
-    assert res.diag == [F2H.add(F2H.one, mono(1, 1))]
+def matches_quotient_dims(cx, summary):
+    """Whether the oracle, which ranks C / t^k on the whole complex
+    without elimination, gives what the summary predicts for every
+    k = 1 .. mu + 1; the last k would see torsion of order above mu."""
+    return all(quotient_dims(cx, k) == predicted_quotient_dims(summary, k)
+               for k in range(1, summary.max_torsion_order() + 2))
 
 
 @pytest.mark.parametrize("name, sel", [
     ("8_19", "bn"), ("T(3,5)", "bn"), ("6_1", "alpha@0,t/f3")])
-def test_homology_data_factors_with_a_valid_certificate(name, sel,
-                                                        monkeypatch):
-    # every kernel and relation matrix that a presentation factors
-    # passes the certificate, torsion of order 2 included
-    factored = []
-
-    def certified(M):
-        factored.append(check_snf_certificate(M))
-        return factored[-1]
-
-    monkeypatch.setattr(import_module("knothom.homology"), "dense_snf",
-                        certified)
+def test_torsion_generators_have_their_order(name, sel):
+    # t^(k-1) times a torsion generator of order k is not zero in
+    # homology, and t^k times it is: its canonical coordinates say so
     hd = HomologyData(build_complex(diagram_of(name),
                                     theory_from_selector(sel)))
-    hd.summary()
-    assert len(factored) == 2 * len(hd.degrees())
+    R = hd.theory.ring
+    orders = []
+    for r in hd.degrees():
+        pres = hd.presentation(r)
+        for z, k in zip(hd.gen_cycles_original(r), pres.ann):
+            if k is None:
+                continue
+            orders.append(k)
+            multiples = [{i: R.mul(R.monomial(R.base.one, j), v)
+                          for i, v in z.items()} for j in (k - 1, k)]
+            below, at = (hd.canonical_coords(r, hd.to_work_coords(r, v))
+                         for v in multiples)
+            assert any(below) and not any(at), (r, k)
+    assert max(orders) == hd.summary().max_torsion_order()
 
 
 @given(st.data())
 @settings(max_examples=50, deadline=None)
-def test_snf_random_graded_matrices(data):
-    # exponents forced by row/column degrees, as in a homogeneous
-    # differential, the input class that homology presents
-    n = data.draw(st.integers(1, 4))
-    m = data.draw(st.integers(1, 4))
-    rdeg = [data.draw(st.integers(0, 3)) for _ in range(n)]
-    cdeg = [data.draw(st.integers(0, 3)) for _ in range(m)]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            e = cdeg[j] - rdeg[i]
-            if e >= 0 and data.draw(st.booleans()):
-                row.append(mono(1, e))
-            else:
-                row.append(F2H.zero)
-        rows.append(row)
-    res = check_snf_certificate(mat_from_rows(rows, F2H))
-    assert res.rank <= min(n, m)
+def test_split_of_random_graded_complexes(data):
+    # two-term complexes with exponents forced by generator degrees, as
+    # in a homogeneous differential, the input class that homology
+    # presents: the summary matches the oracle, and each generator cycle
+    # has its own unit vector as canonical coordinates
+    th = theory_from_selector(data.draw(st.sampled_from(["bn",
+                                                         "alpha@0,t/f3"])))
+    R = th.ring
+    sdeg = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    tdeg = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    d0 = {}
+    for s, ds in enumerate(sdeg):
+        for t, dt in enumerate(tdeg):
+            if ds >= dt and data.draw(st.booleans()):
+                c = data.draw(st.integers(1, R.char - 1))
+                d0.setdefault(s, {})[t] = R.monomial(R.base.from_int(c),
+                                                     ds - dt)
+    cx = ChainComplex(th, {0: [("a", s) for s in range(len(sdeg))],
+                           1: [("b", t) for t in range(len(tdeg))]},
+                      {0: [-2 * e for e in sdeg], 1: [-2 * e for e in tdeg]},
+                      diffs={0: d0})
+    hd = HomologyData(cx)
+    assert matches_quotient_dims(cx, hd.summary())
+    for r in hd.degrees():
+        for b, z in enumerate(hd.presentation(r).gen_vecs):
+            coords = hd.canonical_coords(r, z)
+            assert coords == [R.one if c == b else R.zero
+                              for c in range(len(coords))]
 
 
 def test_reduction_identities():
@@ -375,7 +330,7 @@ def test_summary_route_equals_homology_data(sel):
 
 @pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
 def test_summary_eliminates_once(sel, monkeypatch):
-    # homology() eliminates without maps and presents what is left as it
+    # homology() eliminates without maps and splits what is left as it
     # is: a second elimination would find no unit entry to cancel
     calls = []
     reduce = reduce_complex
@@ -388,9 +343,10 @@ def test_summary_eliminates_once(sel, monkeypatch):
                         counting_reduce)
     diagram = load_table()["6_1"]
     th = theory_from_selector(sel)
-    s = homology(build_complex(diagram, th))
+    cx = build_complex(diagram, th)
+    s = homology(cx)
     assert calls == [False]
-    assert s == homology(build_complex(diagram, th), method="dense")
+    assert matches_quotient_dims(cx, s)
     assert calls == [False]
 
 
@@ -443,12 +399,31 @@ def test_alpha_specialization_matches_bn_on_trefoil():
 
 @pytest.mark.parametrize("name", ["3_1", "4_1", "5_2"])
 def test_dense_equals_reduced(name):
-    cx1 = build_complex(load_table()[name], theory_from_selector("bn"))
-    cx2 = build_complex(load_table()[name], theory_from_selector("bn"))
-    a = homology(cx1, method="reduced")
-    b = homology(cx2, method="dense")
-    assert sorted(a.free) == sorted(b.free)
-    assert sorted(a.torsion) == sorted(b.torsion)
+    # the reduced route against the oracle on the whole cube; alpha@t,-t/q
+    # is the graded theory over a field of characteristic 0
+    for sel in ("bn", "alpha@0,t/f3", "alpha@t,-t/q"):
+        cx = build_complex(load_table()[name], theory_from_selector(sel))
+        assert matches_quotient_dims(cx, homology(cx)), sel
+
+
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3", "alpha@t,-t/q"])
+def test_order_two_torsion_matches_the_oracle(sel):
+    cx = build_complex(load_table()["8_19"], theory_from_selector(sel))
+    s = homology(cx)
+    assert s.max_torsion_order() == 2
+    assert matches_quotient_dims(cx, s)
+
+
+def test_oracle_rejects_a_lowered_torsion_order():
+    # negative control: 8_19's summary with its order-2 torsion lowered to
+    # order 1 predicts other dimensions than the cube has
+    cx = build_complex(load_table()["8_19"], theory_from_selector("bn"))
+    s = homology(cx)
+    lowered = replace(s, torsion=tuple((r, q, min(a, 1), m)
+                                       for r, q, a, m in s.torsion))
+    assert lowered != s and lowered.max_torsion_order() == 1
+    assert matches_quotient_dims(cx, s)
+    assert not matches_quotient_dims(cx, lowered)
 
 
 def test_generic_alpha_needs_specializing():
@@ -464,12 +439,22 @@ def test_field_homology_has_no_torsion():
     assert s.max_torsion_order() == 0
 
 
+def _free_dims(summary):
+    return {(r, q): m for r, q, m in summary.free}
+
+
 def test_bn_determines_f2_dims():
+    # kh-f2 is bn modulo h: its summary, the bn summary's prediction for
+    # k = 1 and the oracle on the bn cube must agree
     table = load_table()
     for name in ("3_1", "4_1", "5_2", "6_3"):
-        s = homology(build_complex(table[name], theory_from_selector("bn")))
-        cx2 = build_complex(table[name], theory_from_selector("kh-f2"))
-        assert bn_to_f2_dims(s) == graded_field_dims(cx2), name
+        cx = build_complex(table[name], theory_from_selector("bn"))
+        s = homology(cx)
+        kh = homology(build_complex(table[name],
+                                    theory_from_selector("kh-f2")))
+        assert kh.torsion == ()
+        assert _free_dims(kh) == predicted_quotient_dims(s, 1), name
+        assert quotient_dims(cx, 1) == _free_dims(kh), name
 
 
 @st.composite
@@ -488,22 +473,24 @@ def braid_words(draw):
 @settings(max_examples=10, deadline=None)
 def test_reduced_route_matches_the_dense_oracle_on_braid_closures(braid):
     # routes that share no elimination must agree on diagrams nobody
-    # picked: the reduced summary against the dense SNF, and the bn
-    # summary against field dimensions under kh-f2
+    # picked: the summary against the oracle on the whole cube, and the
+    # bn summary against the kh-f2 summary
     diagram = parse_pd(braid_pd(*braid))
     for sel in ("bn", "alpha@0,t/f3"):
         cx = build_complex(diagram, theory_from_selector(sel))
         s = homology(cx)
-        assert s == homology(cx, method="dense"), sel
+        assert matches_quotient_dims(cx, s), sel
         if sel == "bn":
-            cx2 = build_complex(diagram, theory_from_selector("kh-f2"))
-            assert bn_to_f2_dims(s) == graded_field_dims(cx2)
+            kh = homology(build_complex(diagram,
+                                        theory_from_selector("kh-f2")))
+            assert _free_dims(kh) == predicted_quotient_dims(s, 1)
 
 
-def test_graded_field_dims_needs_field_coefficients():
-    cx = build_complex(load_table()["3_1"], theory_from_selector("bn"))
-    with pytest.raises(ValueError, match="field"):
-        graded_field_dims(cx)
+@pytest.mark.parametrize("sel", ["kh-f2", "alpha@1,t/f2"])
+def test_quotient_dims_needs_a_graded_polynomial_theory(sel):
+    cx = build_complex(load_table()["3_1"], theory_from_selector(sel))
+    with pytest.raises(ValueError, match=r"graded theory over F\[t\]"):
+        quotient_dims(cx, 1)
 
 
 def test_mirror_duality_of_summaries():
@@ -590,12 +577,6 @@ def _trefoil_homology():
                                       theory_from_selector("bn")))
 
 
-def test_unknown_homology_method_raises():
-    cx = build_complex(load_table()["3_1"], theory_from_selector("bn"))
-    with pytest.raises(ValueError, match="unknown homology method"):
-        HomologyData(cx, method="fast")
-
-
 def test_induced_map_rejects_a_degree_shift():
     hd = _trefoil_homology()
     with pytest.raises(ValueError, match="degree-preserving"):
@@ -610,22 +591,41 @@ def test_canonical_coords_rejects_a_non_cycle():
         hd.canonical_coords(r, {s: W.ring.one})
 
 
-def test_dense_homology_rejects_a_boundary_that_is_not_a_cycle():
-    cx = build_complex(load_table()["3_1"], theory_from_selector("bn"))
-    cx.materialize()
-    col = cx.d(-2)[min(cx.d(-2))]
-    col[min(col)] = cx.ring.monomial(1, 5)
-    with pytest.raises(ValueError, match="boundary is not a cycle"):
-        homology(cx, method="dense")
+def _graded_two_degree_complex(qdeg, d0):
+    """A hand-built bn complex in degrees 0 and 1 with q-degrees qdeg and
+    differential d0, whose entries are exponents of h."""
+    th = theory_from_selector("bn")
+    return ChainComplex(
+        th, {r: [(r, i) for i in range(len(q))] for r, q in qdeg.items()},
+        qdeg, diffs={0: {s: {t: th.ring.monomial(1, e)
+                             for t, e in col.items()}
+                         for s, col in d0.items()}})
+
+
+@pytest.mark.parametrize("d0", [
+    # the pivot h^2 at (a0, b0) does not divide the entry h in its row
+    {0: {0: 2}, 1: {0: 1}},
+    # nor the entry h in its column
+    {0: {0: 2, 1: 1}},
+], ids=["row", "column"])
+def test_split_rejects_a_pivot_that_does_not_divide(d0):
+    # a reduced complex (no unit entry) with an entry that disagrees with
+    # the q-degrees, which put every entry at h^2
+    cx = _graded_two_degree_complex({0: [0, 0], 1: [4, 4]}, d0)
+    with pytest.raises(ValueError, match="does not divide"):
+        homology(cx)
+    with pytest.raises(ValueError, match="does not divide"):
+        HomologyData(cx)
 
 
 def test_presentation_rejects_a_generator_that_is_not_q_homogeneous():
-    # a complex whose q-degrees disagree with its differential: shift one
-    # generator that a dense homology cycle needs together with others
+    # a reduced complex whose q-degrees disagree with its differential:
+    # shift the target of one entry, so that its torsion generator and
+    # the pivot that splits it off disagree with the grading
     cx = build_complex(load_table()["3_1"], theory_from_selector("bn"))
-    r, z = next((r, z) for r, pres in (
-        (r, HomologyData(cx, method="dense").presentation(r))
-        for r in cx.degrees) for z in pres.gen_vecs if len(z) > 1)
-    cx.qdeg[r][min(z)] += 2
-    with pytest.raises(ValueError, match="not q-homogeneous"):
-        HomologyData(cx, method="dense").presentation(r)
+    red = reduce_complex(cx, track_maps=False).red
+    homology(red)
+    r, col = next((r, col) for r in red.degrees for col in red.d(r).values())
+    red.qdeg[r + 1][min(col)] += 2
+    with pytest.raises(ValueError, match="disagrees with the q-degrees"):
+        homology(red)
