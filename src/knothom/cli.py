@@ -222,6 +222,9 @@ def cmd_bound(knots, selector, distance, movie_path, output):
     theory = _resolve_theory(selector)
     if len(knots) != 2:
         raise InputError("bound needs exactly two knot arguments")
+    if distance is not None and movie_path:
+        raise InputError("give at most one of --distance and --movie; the "
+                         "movie's saddle count is the distance")
     values = []
     names = []
     pds = []

@@ -32,6 +32,14 @@ matrix of it is built unless a check asks for one.  Circle matching,
 label transport and merge/split images come from ``complexes``
 (``circle_match``, ``transport``, ``plan_images``), and generators are
 looked up by ``CubeComplex.gen_index``.
+
+Applying a move gives the next frame and a step record, the ``info``
+dict that is all a chain map reads.  The record of the step back is read
+off that record (``_inverse_info``), so a movie is reversed from its
+frames and records without any surgery.  The reverse of a ribbon movie
+after the movie itself induces the identity on homology (Levine-Zemke,
+*Khovanov homology and ribbon concordances*); ``verify_ribbon_composite``
+checks that one instance at a time.
 """
 
 from dataclasses import dataclass, field
@@ -52,8 +60,8 @@ class MoveError(ValueError):
 class Move:
     kind: str
     args: tuple = ()
-    exact: dict = None
-    line: int = field(default=None, compare=False)   # script line, if parsed
+    line: int = field(default=None, compare=False,   # script line, if parsed
+                      kw_only=True)
 
     def __str__(self):
         return " ".join([self.kind] + [str(a) for a in self.args])
@@ -70,15 +78,7 @@ def _drop_bit(L, pos):
 
 # -- surgery -------------------------------------------------------------
 
-def _fresh_ids(diagram, k, forced=None):
-    if forced is not None:
-        ids = tuple(forced)
-        assert len(ids) == k
-        used = set(diagram.edges)
-        for e in ids:
-            if e in used:
-                raise MoveError("forced edge id %d already in use" % e)
-        return ids
+def _fresh_ids(diagram, k):
     base = diagram.max_edge()
     return tuple(base + i + 1 for i in range(k))
 
@@ -91,45 +91,60 @@ def _rewrite_occurrence(crossings, place, new_edge):
 
 
 def apply_move(diagram, move):
-    """Apply one move.  Returns (new_diagram, info, reverse_move).
+    """Apply one move.  Returns (new_diagram, info, inverse_info).
 
-    Raises MoveError when the move does not apply, or when it changes
-    crossings and the result is not a plane diagram (for instance
-    ``r2+`` or ``saddle`` on two edges that share no face).
+    ``info`` is the step record that ``move_chain_map`` reads, and
+    ``inverse_info`` the record of the step back from new_diagram to
+    diagram (``_inverse_info(info)``).  Raises MoveError when the move
+    does not apply, or when it changes crossings and the result is not a
+    plane diagram (for instance ``r2+`` or ``saddle`` on two edges that
+    share no face).
     """
     kind = move.kind
     if kind == "birth":
-        (f,) = _fresh_ids(diagram, 1, move.exact and move.exact.get("ids"))
+        (f,) = _fresh_ids(diagram, 1)
         new = LinkDiagram(diagram.crossings, diagram.signs,
                           diagram.free_edges + (f,))
         info = {"kind": "birth", "edge": f}
-        return new, info, Move("death", (f,))
-
-    if kind == "death":
+    elif kind == "death":
         (e,) = move.args
         if e not in diagram.free_edges:
             raise MoveError("death needs a free (crossingless) edge, got %d" % e)
         new = LinkDiagram(diagram.crossings, diagram.signs,
                           tuple(x for x in diagram.free_edges if x != e))
         info = {"kind": "death", "edge": e}
-        return new, info, Move("birth", (), {"ids": (e,)})
-
-    if kind in DECORATIONS:
+    elif kind in DECORATIONS:
         (e,) = move.args
         if e not in diagram.edges:
             raise MoveError("decoration on unknown edge %d" % e)
-        info = {"kind": kind, "edge": e}
-        return diagram, info, Move(kind, (e,))
+        new, info = diagram, {"kind": kind, "edge": e}
+    else:
+        surgery = {"saddle": _apply_saddle, "r1+": _apply_r1_plus,
+                   "r1-": _apply_r1_minus, "r2+": _apply_r2_plus,
+                   "r2-": _apply_r2_minus, "r3": _apply_r3}.get(kind)
+        if surgery is None:
+            raise MoveError("unknown move kind %r" % kind)
+        new, info = surgery(diagram, move)
+        if not is_planar(new):
+            raise MoveError("the resulting frame is non-planar")
+    return new, info, _inverse_info(info)
 
-    surgery = {"saddle": _apply_saddle, "r1+": _apply_r1_plus,
-               "r1-": _apply_r1_minus, "r2+": _apply_r2_plus,
-               "r2-": _apply_r2_minus, "r3": _apply_r3}.get(kind)
-    if surgery is None:
-        raise MoveError("unknown move kind %r" % kind)
-    new, info, rev = surgery(diagram, move)
-    if not is_planar(new):
-        raise MoveError("the resulting frame is non-planar")
-    return new, info, rev
+
+_INVERSE_KIND = {"birth": "death", "death": "birth", "r1+": "r1-",
+                 "r1-": "r1+", "r2+": "r2-", "r2-": "r2+"}
+
+
+def _inverse_info(info):
+    """The record of the step that undoes the step ``info`` records, read
+    off without surgery.  Birth and death swap, and so do r1+ and r1-, and
+    r2+ and r2-: they name the same crossings of the bigger frame.  A
+    saddle's band ends swap sides.  A decoration or r3 is its own inverse.
+    Every other field is carried over as it is, so the inverse of the
+    inverse is ``info`` again."""
+    inv = dict(info, kind=_INVERSE_KIND.get(info["kind"], info["kind"]))
+    if info["kind"] == "saddle":
+        inv["ends"] = info["ends"][::-1]
+    return inv
 
 
 def _apply_saddle(diagram, move):
@@ -140,19 +155,19 @@ def _apply_saddle(diagram, move):
     free = set(diagram.free_edges)
 
     if e1 == e2:
-        (loop,) = _fresh_ids(diagram, 1, move.exact and move.exact.get("ids"))
+        (loop,) = _fresh_ids(diagram, 1)
         new = LinkDiagram(diagram.crossings, diagram.signs,
                           diagram.free_edges + (loop,))
         info = {"kind": "saddle", "case": "split_loop", "e1": e1, "e2": e2,
                 "ends": ((e1, e1), (e1, loop))}
-        return new, info, Move("saddle", (e1, loop))
+        return new, info
 
     if e1 in free and e2 in free:
         new = LinkDiagram(diagram.crossings, diagram.signs,
                           tuple(x for x in diagram.free_edges if x != e2))
         info = {"kind": "saddle", "case": "free_merge", "e1": e1, "e2": e2,
                 "ends": ((e1, e2), (e1, e1))}
-        return new, info, Move("saddle", (e1, e1), {"ids": (e2,)})
+        return new, info
 
     if (e1 in free) != (e2 in free):
         lone = e1 if e1 in free else e2
@@ -161,10 +176,10 @@ def _apply_saddle(diagram, move):
                           tuple(x for x in diagram.free_edges if x != lone))
         info = {"kind": "saddle", "case": "absorb", "e1": e1, "e2": e2,
                 "ends": ((lone, other), (other, other))}
-        return new, info, Move("saddle", (other, other), {"ids": (lone,)})
+        return new, info
 
     # two honest crossing edges
-    a, b = _fresh_ids(diagram, 2, move.exact and move.exact.get("ids"))
+    a, b = _fresh_ids(diagram, 2)
     crossings = list(diagram.crossings)
     _rewrite_occurrence(crossings, diagram.tail(e1), a)
     _rewrite_occurrence(crossings, diagram.head(e2), a)
@@ -173,25 +188,22 @@ def _apply_saddle(diagram, move):
     new = LinkDiagram(tuple(crossings), diagram.signs, diagram.free_edges)
     info = {"kind": "saddle", "case": "standard", "e1": e1, "e2": e2,
             "ends": ((e1, e2), (a, b))}
-    return new, info, Move("saddle", (a, b), {"ids": (e1, e2)})
+    return new, info
 
 
 def _apply_r1_plus(diagram, move):
     e, sgn = move.args
     if sgn not in ("+", "-"):
         raise MoveError("r1+ needs a sign argument + or -")
-    exact = move.exact or {}
-    if "tuple" in exact:
-        return _rebuild_crossing(diagram, exact, "r1")
     if e in diagram.free_edges:
-        (m,) = _fresh_ids(diagram, 1, exact.get("ids"))
+        (m,) = _fresh_ids(diagram, 1)
         n = e
         crossings = list(diagram.crossings)
         free = tuple(x for x in diagram.free_edges if x != e)
     else:
         if e not in diagram.edges:
             raise MoveError("r1+ on unknown edge %d" % e)
-        n, m = _fresh_ids(diagram, 2, exact.get("ids"))
+        n, m = _fresh_ids(diagram, 2)
         crossings = list(diagram.crossings)
         _rewrite_occurrence(crossings, diagram.head(e), n)
         free = diagram.free_edges
@@ -199,41 +211,10 @@ def _apply_r1_plus(diagram, move):
         cr, s = (e, n, m, m), 1
     else:
         cr, s = (m, e, n, m), -1
-    pos = exact.get("pos", len(crossings))
-    crossings.insert(pos, cr)
-    signs = list(diagram.signs)
-    signs.insert(pos, s)
-    new = LinkDiagram(tuple(crossings), tuple(signs), free)
-    info = {"kind": "r1+", "crossing": pos, "loop": m, "edge": e, "sign": s}
-    return new, info, Move("r1-", (pos,))
-
-
-def _rebuild_crossing(diagram, exact, which):
-    """Exact reverse of a removal: reinsert recorded crossings."""
-    crossings = list(diagram.crossings)
-    signs = list(diagram.signs)
-    free = set(diagram.free_edges)
-    for occ_place, old_edge in exact.get("rewrites", ()):
-        _rewrite_occurrence(crossings, occ_place, old_edge)
-    for e in exact.get("unfree", ()):
-        free.discard(e)
-    inserts = exact["tuple"]
-    for pos, cr, s in inserts:
-        crossings.insert(pos, cr)
-        signs.insert(pos, s)
-    new = LinkDiagram(tuple(crossings), tuple(signs), tuple(sorted(free)))
-    if which == "r1":
-        pos, cr, s = inserts[0]
-        loop = _find_kink_loop(cr)
-        info = {"kind": "r1+", "crossing": pos, "loop": loop,
-                "edge": None, "sign": s}
-        return new, info, Move("r1-", (pos,))
-    pos1 = inserts[0][0]
-    pos2 = inserts[1][0]
-    om, um = exact["mids"]
-    info = {"kind": "r2+", "c1": pos1, "c2": pos2,
-            "over_mid": om, "under_mid": um}
-    return new, info, Move("r2-", (pos1, pos2))
+    new = LinkDiagram(tuple(crossings) + (cr,), diagram.signs + (s,), free)
+    info = {"kind": "r1+", "crossing": diagram.n, "loop": m, "edge": e,
+            "sign": s}
+    return new, info
 
 
 def _find_kink_loop(cr):
@@ -261,37 +242,26 @@ def _apply_r1_minus(diagram, move):
     e_out = next(e for e in set(strand) if diagram.tail(e)[0] == ci)
     crossings = list(diagram.crossings)
     signs = list(diagram.signs)
-    removed = (ci, cr, signs[ci])
     del crossings[ci]
     del signs[ci]
     free = list(diagram.free_edges)
-    rewrites = []
-    unfree = []
     if e_in == e_out:
         # single-crossing unknot component: it becomes a free loop
         free.append(e_in)
-        unfree.append(e_in)
     else:
         place = diagram.head(e_out)
         assert place[0] != ci
         pl = (place[0] - 1, place[1]) if place[0] > ci else place
         _rewrite_occurrence(crossings, pl, e_in)
-        rewrites.append((pl, e_out))
     new = LinkDiagram(tuple(crossings), tuple(signs), tuple(sorted(free)))
     info = {"kind": "r1-", "crossing": ci, "loop": loop,
             "in_edge": e_in, "out_edge": e_out, "tuple": cr,
-            "sign": removed[2]}
-    rev = Move("r1+", (e_in, "+" if removed[2] > 0 else "-"),
-               {"tuple": [(ci, cr, removed[2])], "rewrites": rewrites,
-                "unfree": tuple(unfree)})
-    return new, info, rev
+            "sign": diagram.signs[ci]}
+    return new, info
 
 
 def _apply_r2_plus(diagram, move):
     e1, e2 = move.args
-    exact = move.exact or {}
-    if "tuple" in exact:
-        return _rebuild_crossing(diagram, exact, "r2")
     if e1 == e2:
         raise MoveError("r2+ needs two distinct edges")
     for e in (e1, e2):
@@ -299,7 +269,7 @@ def _apply_r2_plus(diagram, move):
             raise MoveError("r2+ on unknown edge %d" % e)
     free = set(diagram.free_edges)
     ids_needed = 2 + (0 if e1 in free else 1) + (0 if e2 in free else 1)
-    ids = list(_fresh_ids(diagram, ids_needed, exact.get("ids")))
+    ids = list(_fresh_ids(diagram, ids_needed))
     n1 = ids.pop(0)   # over mid
     n3 = ids.pop(0)   # under mid
     crossings = list(diagram.crossings)
@@ -324,7 +294,7 @@ def _apply_r2_plus(diagram, move):
     new = LinkDiagram(tuple(crossings), signs, tuple(sorted(free)))
     info = {"kind": "r2+", "c1": p1, "c2": p1 + 1,
             "over_mid": n1, "under_mid": n3}
-    return new, info, Move("r2-", (p1, p1 + 1))
+    return new, info
 
 
 def _bigon_structure(diagram, ci, cj):
@@ -373,13 +343,10 @@ def _apply_r2_minus(diagram, move):
 
     crossings = []
     signs = []
-    removed = []
     for k, (cr, s) in enumerate(zip(diagram.crossings, diagram.signs)):
-        if k in (ci, cj):
-            removed.append((k, cr, s))
-            continue
-        crossings.append(cr)
-        signs.append(s)
+        if k not in (ci, cj):
+            crossings.append(cr)
+            signs.append(s)
 
     rep = {}
 
@@ -399,22 +366,17 @@ def _apply_r2_minus(diagram, move):
 
     merge(a_in, a_out)
     merge(b_in, b_out)
-    rewrites = []
     for idx, cr in enumerate(crossings):
         for slot, e in enumerate(cr):
             f = find(e)
             if f != e:
-                rewrites.append(((idx, slot), e))
                 _rewrite_occurrence(crossings, (idx, slot), f)
     free = list(diagram.free_edges) + closed
     new = LinkDiagram(tuple(crossings), tuple(signs), tuple(sorted(free)))
     info = {"kind": "r2-", "c1": ci, "c2": cj,
             "over_mid": over_mid, "under_mid": under_mid,
             "a": (a_in, a_out), "b": (b_in, b_out)}
-    rev = Move("r2+", (find(a_in), find(b_in)),
-               {"tuple": removed, "rewrites": rewrites,
-                "unfree": tuple(closed), "mids": (over_mid, under_mid)})
-    return new, info, rev
+    return new, info
 
 
 def _same_strand(cr, e, mid):
@@ -493,7 +455,7 @@ def _apply_r3(diagram, move):
     new = LinkDiagram(tuple(tuple(c) for c in crossings), diagram.signs,
                       diagram.free_edges)
     info = {"kind": "r3", "crossings": (ca, cb, cc), "triangle": (u, v, w)}
-    return new, info, Move("r3", (ca, cb, cc))
+    return new, info
 
 
 def _r3_chain_map(theory, cx_src, cx_tgt, info):
@@ -837,12 +799,13 @@ class MovieError(ValueError):
 
 
 class Movie:
-    """An initial diagram and a move list, with frames precomputed.
+    """A movie's frames and the records of its steps.
 
-    ``frames[k]`` is the diagram before move k; ``reverses`` holds the
-    inverse move of each step, so ``reversed()`` plays the movie
-    backwards reusing the original edge ids (a palindromic movie is
-    literally frame-stable under reversal).
+    Playing the moves of a script from an initial diagram gives
+    ``frames[k]``, the diagram before step k, and ``infos[k]``, the record
+    ``apply_move`` returned for that step; the chain maps read only these.
+    ``moves`` is the script.  ``reversed()`` builds the movie played
+    backwards from the frames and records alone.
     """
 
     def __init__(self, initial, moves, name=""):
@@ -851,35 +814,38 @@ class Movie:
         self.name = name
         self.frames = [initial]
         self.infos = []
-        self.reverses = []
         D = initial
         for k, mv in enumerate(self.moves):
             try:
-                D, info, rev = apply_move(D, mv)
+                D, info, _ = apply_move(D, mv)
             except MoveError as e:
                 raise MovieError("move %d (%s): %s" % (k + 1, mv, e), mv.line)
             self.frames.append(D)
             self.infos.append(info)
-            self.reverses.append(rev)
 
     @property
     def final(self):
         return self.frames[-1]
 
     def saddle_count(self):
-        return sum(1 for mv in self.moves if mv.kind == "saddle")
+        return sum(1 for info in self.infos if info["kind"] == "saddle")
 
     def reversed(self):
-        """The movie played backwards; its frames are the forward frames
-        in reverse order, so it can reuse their complexes.  Each reversed
-        r1/r2 move then names the same crossings of the same bigger
-        complex as the forward one, and both directions read the one
-        elimination kept there (see ``_reidemeister_map``)."""
-        rev = Movie(self.frames[-1], list(reversed(self.reverses)),
-                    name=self.name + "-reversed" if self.name else "")
-        if rev.frames != self.frames[::-1]:
-            raise MovieError("the reversed movie does not retrace the "
-                             "forward frames")
+        """The movie played backwards, built without applying a move.
+
+        Its frames are the forward frames in reverse order, so it can
+        reuse their complexes, and its records are the inverse records
+        (``_inverse_info``) in reverse order.  Each reversed r1/r2 step
+        then names the same crossings of the same bigger complex as the
+        forward one, and both directions read the one elimination kept
+        there (see ``_reidemeister_map``).  It was played from no script,
+        so its ``moves`` is None.
+        """
+        rev = Movie(self.final, ())
+        rev.moves = None
+        rev.name = self.name + "-reversed" if self.name else ""
+        rev.frames = self.frames[::-1]
+        rev.infos = [_inverse_info(info) for info in self.infos[::-1]]
         return rev
 
     def complexes(self, theory):
@@ -1016,13 +982,12 @@ def verify_saddle_split(hdata, move):
         raise MoveError("verify_saddle_split needs a saddle move")
     cx = hdata.original
     theory = hdata.theory
-    new, info, rev = apply_move(cx.diagram, move)
+    new, info, inverse = apply_move(cx.diagram, move)
     if len(new.components) != len(cx.diagram.components) + 1:
         raise MoveError("saddle must increase the component count")
     cx2 = build_complex(new, theory)
     f = saddle_chain_map(theory, cx, cx2, info)
-    _, info_r, _ = apply_move(new, rev)
-    g = saddle_chain_map(theory, cx2, cx, info_r)
+    g = saddle_chain_map(theory, cx2, cx, inverse)
     comp = compose(g, f)
     star = decoration_chain_map(theory, cx, "star", info["e1"])
     return maps_equal_on_homology(comp, star, hdata, hdata,
@@ -1062,29 +1027,29 @@ def ribbon_structure_errors(movie):
     fusion saddles; no deaths; every birth eventually fused."""
     msgs = []
     phase = 0
-    for k, mv in enumerate(movie.moves):
-        if mv.kind == "birth":
+    kinds = [info["kind"] for info in movie.infos]
+    for k, kind in enumerate(kinds):
+        if kind == "birth":
             want = 0
-        elif mv.kind in ("r1+", "r1-", "r2+", "r2-", "r3"):
+        elif kind in ("r1+", "r1-", "r2+", "r2-", "r3"):
             want = 1
-        elif mv.kind == "saddle":
+        elif kind == "saddle":
             want = 2
-        elif mv.kind == "death":
+        elif kind == "death":
             msgs.append("move %d: deaths are not allowed" % (k + 1))
             continue
         else:
             continue    # decorations may sit anywhere
         if want < phase:
-            msgs.append("move %d: %s out of ribbon order" % (k + 1, mv.kind))
+            msgs.append("move %d: %s out of ribbon order" % (k + 1, kind))
         phase = max(phase, want)
-        if mv.kind == "saddle":
+        if kind == "saddle":
             before = len(movie.frames[k].components)
             after = len(movie.frames[k + 1].components)
             if after != before - 1:
                 msgs.append("move %d: saddle does not fuse two components"
                             % (k + 1))
-    births = sum(1 for mv in movie.moves if mv.kind == "birth")
-    saddles = sum(1 for mv in movie.moves if mv.kind == "saddle")
+    births, saddles = kinds.count("birth"), kinds.count("saddle")
     if births != saddles:
         msgs.append("%d births but %d saddles; a concordance fuses "
                     "every birthed circle" % (births, saddles))

@@ -655,7 +655,6 @@ def induced_map(f, ha, hb):
                          "r_shift %d" % f.r_shift)
     out = {}
     for r in ha.degrees():
-        pres = ha.presentation(r)
         cols = []
         for z in ha.gen_cycles_original(r):
             img = f.apply(r, z)

@@ -255,9 +255,6 @@ class PolyRing(BaseRing):
         k = next(iter(a))
         return a[k], k
 
-    def poly_degree(self, a):
-        return max(a) if a else -1
-
     def divmod(self, a, b):
         """Polynomial division: a = q*b + r with deg r < deg b."""
         if not b:

@@ -155,6 +155,15 @@ def test_bound_movie_supplies_distance():
     assert res.exit_code == 0, res.output
 
 
+def test_bound_distance_and_movie_are_exclusive():
+    # the movie's saddle count is the distance, so a -d beside it is an
+    # input error, not ignored
+    res = run("bound", "unknot", "unknot", "-d", "0", "--movie", TRIVIAL)
+    assert res.exit_code == 2, res.output
+    assert "--distance" in res.output and "--movie" in res.output
+    assert "hypothesis" not in res.output
+
+
 def test_bound_movie_endpoints_must_match():
     # trivial-ribbon joins the unknot to the unknot
     res = run("bound", "3_1", "8_19", "--movie", TRIVIAL)

@@ -21,7 +21,8 @@ from knothom.cobordism import (Move, MoveError, MovieError, apply_move,
                                verify_symmetry, verify_star_placement,
                                ribbon_structure_errors,
                                verify_ribbon_composite, _bigon_pairs,
-                               _loop_pairs,                               _relabel_iso, _reidemeister_map,
+                               _inverse_info, _loop_pairs, _relabel_iso,
+                               _reidemeister_map,
                                _reidemeister_reduction, _single_image,
                                _unique_image_with_x)
 from knothom.jones import jones_polynomial
@@ -41,10 +42,10 @@ R_MOVIES = ([os.path.join(MOVIE_DIR, f) for f in sorted(os.listdir(MOVIE_DIR))]
 
 def test_r1_round_trip():
     u = unknot_diagram()
-    d1, info, rev = apply_move(u, Move("r1+", (1, "+")))
+    d1, info, _ = apply_move(u, Move("r1+", (1, "+")))
     assert d1.n == 1 and len(d1.components) == 1
     assert info["kind"] == "r1+"
-    back, _, _ = apply_move(d1, rev)
+    back, _, _ = apply_move(d1, Move("r1-", (info["crossing"],)))
     assert back.canonical_key() == u.canonical_key()
 
 
@@ -58,34 +59,34 @@ def test_r1_signs():
 def test_r2_round_trip_on_trefoil():
     # edges 2 and 5 of the bundled trefoil share a face
     d = load_table()["3_1"]
-    d2, info, rev = apply_move(d, Move("r2+", (2, 5)))
+    d2, info, _ = apply_move(d, Move("r2+", (2, 5)))
     assert d2.n == 5
     assert is_planar(d2)
-    back, _, _ = apply_move(d2, rev)
+    back, _, _ = apply_move(d2, Move("r2-", (info["c1"], info["c2"])))
     assert back.canonical_key() == d.canonical_key()
 
 
 def test_r3_round_trip():
     d = parse_pd(braid_pd([1, 2, 1], 3))
-    d2, info, rev = apply_move(d, Move("r3", (0, 1, 2)))
+    d2, info, _ = apply_move(d, Move("r3", (0, 1, 2)))
     assert d2.n == 3
-    back, _, _ = apply_move(d2, rev)
+    back, _, _ = apply_move(d2, Move("r3", info["crossings"]))
     assert back.canonical_key() == d.canonical_key()
 
 
 def test_split_loop_saddle():
     u = unknot_diagram()
-    d2, info, rev = apply_move(u, Move("saddle", (1, 1)))
+    d2, info, _ = apply_move(u, Move("saddle", (1, 1)))
     assert len(d2.components) == 2
     assert info["case"] == "split_loop"
-    back, _, _ = apply_move(d2, rev)
+    back, _, _ = apply_move(d2, Move("saddle", info["ends"][1]))
     assert len(back.components) == 1
 
 
 def test_standard_saddle_changes_components():
     d = load_table()["3_1"]
     # (1, 3) is a cofacial pair; (1, 2) gives a non-planar frame
-    d2, info, rev = apply_move(d, Move("saddle", (1, 3)))
+    d2, info, _ = apply_move(d, Move("saddle", (1, 3)))
     assert info["case"] == "standard"
     assert abs(len(d2.components) - len(d.components)) == 1
 
@@ -117,6 +118,12 @@ def test_invalid_moves_raise(mv):
     d = load_table()["3_1"]
     with pytest.raises(MoveError):
         apply_move(d, mv)
+
+
+def test_move_line_is_keyword_only():
+    assert Move("dot", (1,), line=3).line == 3
+    with pytest.raises(TypeError):
+        Move("birth", (), {"ids": (1,)})
 
 
 def test_move_error_is_value_error():
@@ -155,13 +162,12 @@ def test_kink_and_bigon_maps_are_chain_maps(sel):
     d = load_table()["3_1"]
     for mv in (Move("r1+", (1, "+")), Move("r1+", (1, "-")),
                Move("r2+", (4, 1))):      # (1, 4) gives a non-planar frame
-        d2, info, rev = apply_move(d, mv)
+        d2, info, inverse = apply_move(d, mv)
         cx, cx2 = build_complex(d, th), build_complex(d2, th)
         f = move_chain_map(th, cx, cx2, info)
         assert f.is_chain_map(), mv
-        _, info_r, _ = apply_move(d2, rev)
-        g = move_chain_map(th, cx2, cx, info_r)
-        assert g.is_chain_map(), rev
+        g = move_chain_map(th, cx2, cx, inverse)
+        assert g.is_chain_map(), inverse
 
 
 def test_dot_squared_is_relation():
@@ -346,6 +352,59 @@ def test_reverse_move_maps_match_fresh_ones(path, sel):
     assert moves
 
 
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
+@pytest.mark.parametrize("path", R_MOVIES, ids=os.path.basename)
+def test_inverse_records_undo_every_step(path, sel):
+    # each step's inverse record inverts back to the step's own record,
+    # is the reversed movie's record at the mirrored step, and gives a
+    # chain map from the step's target complex back to its source
+    th = theory_from_selector(sel)
+    movie = load_movie(path)
+    cxs = movie.complexes(th)
+    rev = movie.reversed()
+    n = len(movie.infos)
+    assert rev.frames == movie.frames[::-1] and len(rev.infos) == n
+    for k, info in enumerate(movie.infos):
+        inverse = _inverse_info(info)
+        assert _inverse_info(inverse) == info, k
+        assert rev.infos[n - 1 - k] == inverse, k
+        assert move_chain_map(th, cxs[k + 1], cxs[k],
+                              inverse).is_chain_map(), (k, inverse["kind"])
+
+
+@pytest.mark.parametrize("name,kind,tamper", [
+    ("one-saddle-unknot", "birth", "kind"),
+    ("trivial-ribbon", "r1+", "kind"),
+    ("square-knot", "r2+", "kind"),
+    ("square-knot", "saddle", "ends"),
+])
+def test_reversed_movie_with_a_tampered_record_fails(name, kind, tamper):
+    # negative control for the inverse records: one reversed step keeps
+    # its forward kind, or its saddle ends unswapped.  The reverse after
+    # the forward movie must then raise (the record names a crossing or
+    # an edge its frame lacks) or differ from the identity on homology
+    th = theory_from_selector("bn")
+    movie = load_movie(os.path.join(MOVIE_DIR, name + ".movie"))
+    cxs = movie.complexes(th)
+    f = evaluate_movie(movie, th, cxs)
+    ha = HomologyData(cxs[0])
+    assert maps_equal_on_homology(
+        compose(evaluate_movie(movie.reversed(), th, cxs[::-1]), f),
+        identity_map(cxs[0]), ha, ha)                    # untampered: fine
+    rev = movie.reversed()
+    k = next(k for k, info in enumerate(movie.infos) if info["kind"] == kind)
+    j = len(movie.infos) - 1 - k
+    rev.infos[j] = dict(rev.infos[j], **{tamper: movie.infos[k][tamper]})
+    assert rev.infos[j] != _inverse_info(movie.infos[k])
+    try:
+        g = evaluate_movie(rev, th, cxs[::-1])
+        same = maps_equal_on_homology(compose(g, f), identity_map(cxs[0]),
+                                      ha, ha)
+    except (MoveError, LookupError):
+        return
+    assert not same
+
+
 @pytest.mark.parametrize("name,kind", [("trivial-ribbon", "r1+"),
                                        ("square-knot", "r2+")])
 def test_prescribed_elimination_streams_the_big_cube(name, kind,
@@ -436,9 +495,9 @@ def test_elementary_map_tables(sel):
     merge = {0: {0: one}, 1: {1: one}, 2: {2: one}, 3: {3: one},
              4: {1: one}, 5: {1: s, 0: mp}, 6: {3: one}, 7: {3: s, 2: mp}}
     cases = [
-        # unit on a new circle 0 in front of (2) and (3)
-        ("birth", free(2, 3), Move("birth", (), {"ids": (1,)}),
-         {L: {L << 1: one} for L in range(4)}),
+        # unit on the new circle (4), circle 2 behind (2) and (3)
+        ("birth", free(2, 3), Move("birth"),
+         {L: {L: one} for L in range(4)}),
         # counit on circle 0 of (1), (2), (3)
         ("death", free(1, 2, 3), Move("death", (1,)),
          {L: {L >> 1: one} for L in range(8) if L & 1}),
@@ -578,13 +637,20 @@ def test_reversed_movie_frames():
     m = parse_movie("start unknot\nr1+ 1 +\nr1- 0\n")
     r = m.reversed()
     assert [f.key() for f in r.frames] == [f.key() for f in m.frames[::-1]]
+    assert [info["kind"] for info in r.infos] == ["r1+", "r1-"]
 
 
-def test_reversed_movie_must_retrace_frames():
-    m = parse_movie("start unknot\nr1+ 1 +\n")
-    m.reverses[0] = Move("r1+", (1, "+"))
-    with pytest.raises(MovieError):
-        m.reversed()
+def test_reversed_movie_counts_saddles_and_ribbon_order():
+    # read off the reversed records: a ribbon movie's reverse has the same
+    # saddles, but births turn into deaths and its saddles split
+    m = load_movie(os.path.join(MOVIE_DIR, "square-knot.movie"))
+    r = m.reversed()
+    assert r.moves is None
+    assert r.saddle_count() == m.saddle_count() == 1
+    msgs = ribbon_structure_errors(r)
+    assert any("deaths are not allowed" in msg for msg in msgs)
+    assert any("out of ribbon order" in msg for msg in msgs)
+    assert any("does not fuse" in msg for msg in msgs)
 
 
 def test_bundled_movies_load_and_have_ribbon_shape():
@@ -663,8 +729,8 @@ def test_move_then_reverse_round_trip(name, seed):
     if e1 == e2:
         return
     try:
-        d2, _, rev = apply_move(d, Move("r2+", (e1, e2)))
+        d2, info, _ = apply_move(d, Move("r2+", (e1, e2)))
     except MoveError:
         return
-    back, _, _ = apply_move(d2, rev)
+    back, _, _ = apply_move(d2, Move("r2-", (info["c1"], info["c2"])))
     assert back.canonical_key() == d.canonical_key()

@@ -191,7 +191,7 @@ def test_poly_divmod(data):
     back = F2H.add(F2H.mul(q, b), r)
     assert F2H.eq(back, a)
     if not F2H.is_zero(r):
-        assert F2H.poly_degree(r) < F2H.poly_degree(b)
+        assert max(r) < max(b)
 
 
 def test_fmt_round_trip_smoke():
