@@ -26,6 +26,7 @@ from .cobordism import (Move, MoveError, Movie, MovieError, apply_move,
                         verify_ribbon_composite, verify_saddle_split,
                         verify_star_placement, verify_symmetry)
 from .tables import load_table
+from .tangles import scan_complex
 
 __version__ = "0.1.0"
 
@@ -47,5 +48,6 @@ __all__ = [
     "verify_ribbon_composite", "verify_saddle_split",
     "verify_star_placement", "verify_symmetry",
     "load_table",
+    "scan_complex",
     "__version__",
 ]

@@ -13,6 +13,10 @@ whose traceback goes to stderr.
 Output is deterministic for a fixed config: table entries are iterated
 in sorted order and every report is assembled before printing.
 
+``homology`` and ``bound`` summarize the small complex that
+``tangles.scan_complex`` leaves, not the cube; ``verify`` and ``movie``
+push maps through the cube.
+
 ``verify`` runs a suite in groups, one per (knot or movie, theory): a
 group builds its theory, the knot's complex and its homology once and
 checks every instance of the group against them.  ``--jobs N`` (N >= 1)
@@ -42,6 +46,7 @@ from .frobenius import (TheoryError, axiom_report, neck_cutting_report,
 from .homology import (HomologyData, homology, induced_map,
                        maps_equal_on_homology, torsion_bound)
 from .jones import poly_str
+from .tangles import scan_complex
 from .tables import TABLE_ENV, load_table
 
 ALL_THEORIES = ("bn", "kh-f2", "alpha", "alpha@0,t/f2", "alpha@1,-1/q")
@@ -124,7 +129,7 @@ def cmd_homology(selector, pd, name, input_, output):
             raise InputError("bad PD code in %s: %s" % (input_, e))
         label = os.path.basename(input_)
 
-    cx = build_complex(diagram, theory)
+    cx = scan_complex(diagram, theory)
     try:
         summary = homology(cx)
     except ValueError as e:
@@ -212,7 +217,7 @@ def _check_movie_ends(movie, theory, names, summaries):
     for name, end, frame, summary in zip(names, ("first", "last"),
                                          (movie.frames[0], movie.final),
                                          summaries):
-        if homology(build_complex(frame, theory)) != summary:
+        if homology(scan_complex(frame, theory)) != summary:
             raise InputError(
                 "the movie's %s frame is not %s: their %s homology "
                 "summaries differ" % (end, name, theory.name))
@@ -238,7 +243,7 @@ def cmd_bound(knots, selector, distance, movie_path, output):
                 "%s has %d components; the torsion bounds are stated for "
                 "knots, refusing" % (names[-1], len(diagram.components)))
         try:
-            summaries.append(homology(build_complex(diagram, theory)))
+            summaries.append(homology(scan_complex(diagram, theory)))
             tb = torsion_bound(summaries[-1], theory)
         except ValueError as e:
             raise InputError(str(e))

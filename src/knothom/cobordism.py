@@ -770,8 +770,56 @@ def _reidemeister_map(theory, cx_src, cx_tgt, info):
     return compose(redn.incl, bwd) if grow else compose(fwd, redn.proj)
 
 
+# kind -> (change in crossing count, possible changes in free-edge count)
+_RECORD_COUNTS = {"birth": (0, (1,)), "death": (0, (-1,)),
+                  "saddle": (0, (-1, 0, 1)), "r1+": (1, (-1, 0)),
+                  "r1-": (-1, (0, 1)), "r2+": (2, (-2, -1, 0)),
+                  "r2-": (-2, (0, 1, 2)), "r3": (0, (0,)),
+                  **{kind: (0, (0,)) for kind in DECORATIONS}}
+
+
+def _check_record(src, tgt, info):
+    """Raise MoveError unless the step record ``info`` fits the frames
+    src -> tgt: its kind changes the crossing and free-edge counts as that
+    kind does, and the edges and crossings it names are there."""
+    kind = info.get("kind")
+    if kind not in _RECORD_COUNTS:
+        raise MoveError("no chain map for move kind %r" % (kind,))
+    dn, dfree = _RECORD_COUNTS[kind]
+    edges = set(src.edges), set(tgt.edges)
+    if kind == "birth":
+        names = (info.get("edge") not in edges[0]
+                 and info.get("edge") in tgt.free_edges)
+    elif kind == "death":
+        names = (info.get("edge") in src.free_edges
+                 and info.get("edge") not in edges[1])
+    elif kind in DECORATIONS:
+        names = src == tgt and info.get("edge") in edges[0]
+    elif kind == "saddle":
+        ends = info.get("ends", ())
+        names = len(ends) == 2 and all(
+            set(end) <= side for end, side in zip(ends, edges))
+    elif kind == "r3":
+        names = True
+    else:
+        big = tgt if kind.endswith("+") else src
+        names = all(isinstance(info.get(key), int)
+                    and 0 <= info[key] < big.n
+                    for key in (("crossing",) if kind.startswith("r1")
+                                else ("c1", "c2")))
+    if (tgt.n - src.n != dn
+            or len(tgt.free_edges) - len(src.free_edges) not in dfree
+            or not names):
+        raise MoveError("the %s record does not fit its frames: %d -> %d "
+                        "crossings, %d -> %d free edges"
+                        % (kind, src.n, tgt.n, len(src.free_edges),
+                           len(tgt.free_edges)))
+
+
 def move_chain_map(theory, cx_src, cx_tgt, info):
-    """The chain map of one applied move, between prebuilt complexes."""
+    """The chain map of one applied move, between prebuilt complexes.
+    The record must fit the two frames (``_check_record``)."""
+    _check_record(cx_src.diagram, cx_tgt.diagram, info)
     kind = info["kind"]
     if kind == "birth":
         return birth_chain_map(theory, cx_src, cx_tgt, info)
@@ -781,11 +829,9 @@ def move_chain_map(theory, cx_src, cx_tgt, info):
         return decoration_chain_map(theory, cx_src, kind, info["edge"])
     if kind == "saddle":
         return saddle_chain_map(theory, cx_src, cx_tgt, info)
-    if kind in ("r1+", "r1-", "r2+", "r2-"):
-        return _reidemeister_map(theory, cx_src, cx_tgt, info)
     if kind == "r3":
         return _r3_chain_map(theory, cx_src, cx_tgt, info)
-    raise MoveError("no chain map for move kind %r" % kind)
+    return _reidemeister_map(theory, cx_src, cx_tgt, info)
 
 
 # -- movies ---------------------------------------------------------------

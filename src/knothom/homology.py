@@ -1,5 +1,5 @@
-"""Homology of the cube complexes, with enough structure to push maps
-through.
+"""Homology of complexes over a theory's ring, with enough structure to
+push maps through the cube's.
 
 One engine, elimination, computes every homology, in two passes that
 share their cancellation step (``_Blocks.cancel``):
@@ -9,10 +9,13 @@ share their cancellation step (``_Blocks.cancel``):
   elimination that keeps its maps records its cancellations, and the
   inclusion, projection and homotopy replay that record on the vectors
   they are applied to, so no matrix of them is built unless a check asks
-  for one.  ``HomologyData`` keeps the maps so that chain maps can be
-  pushed through homology; ``homology()``, the summary route, eliminates
-  without recording anything, because a summary reads only the small
-  complex.
+  for one.  ``HomologyData`` keeps the maps so that chain maps on a cube
+  can be pushed through homology; ``homology()``, the summary of any
+  complex, eliminates without recording anything, because a summary
+  reads only the small complex.  The command line's summaries read the
+  complex of ``tangles.scan_complex``, which is already small, so
+  ``homology()`` is the last step of the scan; on a cube it is the
+  cross-check the tests hold the scan to.
 
 * ``_split`` then splits the small complex, which has no unit entry.
   Over a field it has no entry at all.  Over a graded F[t] each entry
@@ -632,9 +635,11 @@ class HomologySummary:
 
 
 def homology(cx):
-    """The homology summary of a complex.  It eliminates once, without
-    maps, and splits the torsion pairs off the small complex that is
-    left, as ``HomologyData`` does with its maps."""
+    """The homology summary of any complex: the cube of
+    ``build_complex``, or the small complex that ``scan_complex`` leaves
+    for the same diagram, which has the same summary.  It eliminates
+    once, without maps, and splits the torsion pairs off the small
+    complex that is left, as ``HomologyData`` does with its maps."""
     _check_presentable(cx.theory)
     red = reduce_complex(cx, track_maps=False).red
     return _summary(cx.theory, red, *_split(red))

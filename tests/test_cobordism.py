@@ -3,6 +3,7 @@
 import os
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from knothom.diagram import LinkDiagram, parse_pd, unknot_diagram, is_planar
@@ -25,6 +26,7 @@ from knothom.cobordism import (Move, MoveError, MovieError, apply_move,
                                _reidemeister_map,
                                _reidemeister_reduction, _single_image,
                                _unique_image_with_x)
+from knothom.cli import main
 from knothom.jones import jones_polynomial
 from knothom.tables import load_table, braid_pd
 
@@ -372,37 +374,64 @@ def test_inverse_records_undo_every_step(path, sel):
                               inverse).is_chain_map(), (k, inverse["kind"])
 
 
+_REVERSED = Movie.reversed
+
+
+def _tampered_reverse(movie, kind, field):
+    """The reverse of ``movie`` with one record, the inverse of the first
+    forward step of ``kind``, given back that step's ``field``: its
+    forward kind, or its saddle ends unswapped."""
+    rev = _REVERSED(movie)
+    k = next(k for k, info in enumerate(movie.infos) if info["kind"] == kind)
+    j = len(movie.infos) - 1 - k
+    rev.infos[j] = dict(rev.infos[j], **{field: movie.infos[k][field]})
+    assert rev.infos[j] != _inverse_info(movie.infos[k])
+    return rev
+
+
 @pytest.mark.parametrize("name,kind,tamper", [
-    ("one-saddle-unknot", "birth", "kind"),
+    ("one-saddle-unknot", "birth", "kind"),     # a death turned into a birth
     ("trivial-ribbon", "r1+", "kind"),
+    ("trivial-ribbon", "r1-", "kind"),
     ("square-knot", "r2+", "kind"),
+    ("trivial-ribbon", "r2-", "kind"),
     ("square-knot", "saddle", "ends"),
 ])
-def test_reversed_movie_with_a_tampered_record_fails(name, kind, tamper):
+def test_reversed_movie_with_a_tampered_record_fails(name, kind, tamper,
+                                                     monkeypatch):
     # negative control for the inverse records: one reversed step keeps
-    # its forward kind, or its saddle ends unswapped.  The reverse after
-    # the forward movie must then raise (the record names a crossing or
-    # an edge its frame lacks) or differ from the identity on homology
+    # its forward kind, or its saddle ends unswapped.  The record then no
+    # longer fits its frames, so its map raises MoveError, and ``movie``
+    # exits 2 for it
     th = theory_from_selector("bn")
-    movie = load_movie(os.path.join(MOVIE_DIR, name + ".movie"))
+    path = os.path.join(MOVIE_DIR, name + ".movie")
+    movie = load_movie(path)
     cxs = movie.complexes(th)
     f = evaluate_movie(movie, th, cxs)
     ha = HomologyData(cxs[0])
     assert maps_equal_on_homology(
         compose(evaluate_movie(movie.reversed(), th, cxs[::-1]), f),
         identity_map(cxs[0]), ha, ha)                    # untampered: fine
-    rev = movie.reversed()
-    k = next(k for k, info in enumerate(movie.infos) if info["kind"] == kind)
-    j = len(movie.infos) - 1 - k
-    rev.infos[j] = dict(rev.infos[j], **{tamper: movie.infos[k][tamper]})
-    assert rev.infos[j] != _inverse_info(movie.infos[k])
-    try:
-        g = evaluate_movie(rev, th, cxs[::-1])
-        same = maps_equal_on_homology(compose(g, f), identity_map(cxs[0]),
-                                      ha, ha)
-    except (MoveError, LookupError):
-        return
-    assert not same
+    with pytest.raises(MoveError, match="does not fit its frames"):
+        evaluate_movie(_tampered_reverse(movie, kind, tamper), th,
+                       cxs[::-1])
+    monkeypatch.setattr(Movie, "reversed",
+                        lambda self: _tampered_reverse(self, kind, tamper))
+    res = CliRunner().invoke(main, ["movie", "--script", path,
+                                    "--compose-reverse", "--compare", "id"])
+    assert res.exit_code == 2, res.output
+    assert "does not fit its frames" in res.output
+
+
+def test_decoration_record_must_name_an_edge_of_its_frame():
+    th = theory_from_selector("bn")
+    cx = build_complex(load_table()["3_1"], th)
+    assert move_chain_map(th, cx, cx, {"kind": "dot", "edge": 1})
+    with pytest.raises(MoveError, match="does not fit its frames"):
+        move_chain_map(th, cx, cx, {"kind": "dot", "edge": 99})
+    other = build_complex(load_table()["4_1"], th)
+    with pytest.raises(MoveError, match="does not fit its frames"):
+        move_chain_map(th, cx, other, {"kind": "dot", "edge": 1})
 
 
 @pytest.mark.parametrize("name,kind", [("trivial-ribbon", "r1+"),

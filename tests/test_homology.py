@@ -19,6 +19,7 @@ from knothom.homology import (reduce_complex, reduction_identities_hold,
                               maps_equal_on_homology, torsion_bound,
                               quotient_dims)
 from knothom.tables import braid_pd, load_table
+from knothom.tangles import scan_complex
 
 # reference values computed by the dense SNF pipeline and frozen
 BN_3_1 = {
@@ -473,13 +474,15 @@ def braid_words(draw):
 @settings(max_examples=10, deadline=None)
 def test_reduced_route_matches_the_dense_oracle_on_braid_closures(braid):
     # routes that share no elimination must agree on diagrams nobody
-    # picked: the summary against the oracle on the whole cube, and the
-    # bn summary against the kh-f2 summary
+    # picked: the summary against the oracle on the whole cube and against
+    # the scanned complex, and the bn summary against the kh-f2 summary
     diagram = parse_pd(braid_pd(*braid))
     for sel in ("bn", "alpha@0,t/f3"):
-        cx = build_complex(diagram, theory_from_selector(sel))
+        th = theory_from_selector(sel)
+        cx = build_complex(diagram, th)
         s = homology(cx)
         assert matches_quotient_dims(cx, s), sel
+        assert homology(scan_complex(diagram, th)) == s, sel
         if sel == "bn":
             kh = homology(build_complex(diagram,
                                         theory_from_selector("kh-f2")))
