@@ -17,10 +17,11 @@ in sorted order and every report is assembled before printing.
 ``tangles.scan_complex`` leaves, not the cube; ``verify`` and ``movie``
 push maps through the cube.
 
-``verify`` runs a suite in groups, one per (knot or movie, theory): a
-group builds its theory, the knot's complex and its homology once and
-checks every instance of the group against them.  ``--jobs N`` (N >= 1)
-spreads the groups over N worker processes.
+``verify`` runs a suite in groups, one per (knot or movie, theory): the
+command builds each theory once and hands it to its groups, and a group
+builds the knot's complex and its homology once and checks every
+instance of the group against them.  ``--jobs N`` (N >= 1) spreads the
+groups over N worker processes, which receive the theories pickled.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -44,7 +45,7 @@ from .diagram import parse_pd, unknot_diagram
 from .frobenius import (TheoryError, axiom_report, neck_cutting_report,
                         theory_from_selector)
 from .homology import (HomologyData, homology, induced_map,
-                       maps_equal_on_homology, torsion_bound)
+                       induced_maps_equal, scale_induced, torsion_bound)
 from .jones import poly_str
 from .tangles import scan_complex
 from .tables import TABLE_ENV, load_table
@@ -412,29 +413,35 @@ VERIFY_SUITES = {
 }
 
 
-def _run_group(group):
-    """Worker for one group; when its shared theory, complex or homology
-    cannot be built, every instance of the group is an ERROR."""
-    suite, sel, subject, cases = group
+def _run_group(group, theory):
+    """Worker for one group under its selector's theory; when the shared
+    complex or homology cannot be built, every instance of the group is
+    an ERROR."""
+    suite, _, subject, cases = group
     try:
-        return VERIFY_SUITES[suite](theory_from_selector(sel), subject,
+        return VERIFY_SUITES[suite](theory, subject,
                                     [arg for _, arg in cases])
     except Exception as e:
         return [_error(e)] * len(cases)
 
 
 def cmd_verify(suite, selector, max_crossings, jobs, verbose):
-    if selector:
-        _resolve_theory(selector)
+    # each selector's theory is built once, with its axiom checks, and
+    # shared by its groups; worker processes receive it pickled
+    built = {selector: _resolve_theory(selector)} if selector else {}
     groups = _verify_groups(suite, selector, max_crossings)
     if not any(cases for _, _, _, cases in groups):
         raise InputError("verify %s selects no instance with at most %d "
                          "crossings" % (suite, max_crossings))
+    for _, sel, _, _ in groups:
+        if sel not in built:
+            built[sel] = _resolve_theory(sel)
+    theories = [built[sel] for _, sel, _, _ in groups]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_group, groups))
+            results = list(pool.map(_run_group, groups, theories))
     else:
-        results = [_run_group(group) for group in groups]
+        results = list(map(_run_group, groups, theories))
     counts = {"PASS": 0, "FAIL": 0, "ERROR": 0}
     for (_, _, _, cases), outcomes in zip(groups, results):
         for (label, _), (status, detail) in zip(cases, outcomes):
@@ -476,6 +483,17 @@ def cmd_movie(script, selector, compose_reverse, compare, output):
         raise InputError(str(e))
     except MovieError as e:
         raise InputError(str(e))
+    if compare is not None:
+        mode, power = _parse_compare(compare)
+        if mode == "scalar" and power and not hasattr(theory.ring, "gen"):
+            raise InputError("theory %s has no coefficient variable to "
+                             "raise to a power" % selector)
+        if mode == "star" and not movie.frames[0].edges:
+            raise InputError("compare x^d needs an edge on the first "
+                             "frame for the star; this one has none")
+        if not compose_reverse and movie.frames[-1] != movie.frames[0]:
+            raise InputError("--compare needs an endomorphism; use "
+                             "--compose-reverse or a closed movie")
 
     lines = ["movie %s: %d moves" % (movie.name, len(movie.moves))]
     frames_json = []
@@ -515,32 +533,24 @@ def cmd_movie(script, selector, compose_reverse, compare, output):
 
     verdict = None
     if compare is not None:
-        mode, k = _parse_compare(compare)
+        # the printed matrix is the left side: for h^d / t^d it is scaled
+        # by c here instead of pushing c f through homology again
         ident = identity_map(ha.original)
         if mode == "scalar":
             c = theory.ring.one
-            if k and not hasattr(theory.ring, "gen"):
-                raise InputError("theory %s has no coefficient variable "
-                                 "to raise to a power" % selector)
-            for _ in range(k):
+            for _ in range(power):
                 c = theory.ring.mul(c, theory.ring.gen())
-            lhs = scale_map(c, f)
-            rhs = scale_map(c, ident)
+            lhs = scale_induced(ind, c, ha)
+            rhs = induced_map(scale_map(c, ident), ha, ha)
         else:
-            if not movie.frames[0].edges:
-                raise InputError("compare x^d needs an edge on the first "
-                                 "frame for the star; this one has none")
             e0 = movie.frames[0].edges[0]
-            rhs = ident
-            for _ in range(k):
-                rhs = compose(decoration_chain_map(theory, ha.original,
-                                                   "star", e0), rhs)
-            lhs = f
-        if not compose_reverse and movie.frames[-1] != movie.frames[0]:
-            raise InputError("--compare needs an endomorphism; use "
-                             "--compose-reverse or a closed movie")
-        ok = maps_equal_on_homology(lhs, rhs, ha, ha,
-                                    up_to_sign=theory.ring.char != 2)
+            g = ident
+            for _ in range(power):
+                g = compose(decoration_chain_map(theory, ha.original,
+                                                 "star", e0), g)
+            lhs, rhs = ind, induced_map(g, ha, ha)
+        ok = induced_maps_equal(lhs, rhs, ha,
+                                up_to_sign=theory.ring.char != 2)
         verdict = ok
         lines.append("compare %s: %s" % (compare,
                                          "equal" if ok else "DIFFERENT"))

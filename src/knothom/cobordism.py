@@ -30,8 +30,12 @@ r2 map composes the relabeling with the elimination's inclusion or
 projection, which replays the recorded cancellations on that vector; no
 matrix of it is built unless a check asks for one.  Circle matching,
 label transport and merge/split images come from ``complexes``
-(``circle_match``, ``transport``, ``plan_images``), and generators are
-looked up by ``CubeComplex.gen_index``.
+(``circle_match``, ``transport``, ``plan_images``).  The birth, death,
+saddle and decoration maps work out what depends only on a state (its
+circle match, its merge or split plan, the block of its generators in
+``CubeComplex.state_block``) once per state, the first time one of its
+labels is mapped, and what depends on neither state nor label (a
+decoration's products) once per map.
 
 Applying a move gives the next frame and a step record, the ``info``
 dict that is all a chain map reads.  The record of the step back is read
@@ -43,6 +47,7 @@ checks that one instance at a time.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .diagram import LinkDiagram, is_planar, parse_pd, unknot_diagram
 from .complexes import (build_complex, circle_match, compose, add_maps,
@@ -466,50 +471,83 @@ def _r3_chain_map(theory, cx_src, cx_tgt, info):
 # -- elementary chain maps -----------------------------------------------
 
 def birth_chain_map(theory, cx_src, cx_tgt, info):
-    def image(r, i):
-        s, L = cx_src.gens[r][i]
-        # the new circle has no edge in the source, so it keeps label 1
+    """The unit: every circle keeps its label, and the new circle, which
+    has no edge in the source, gets the label 1.  The circle match and the
+    target block of each state are worked out once per state."""
+    one = theory.ring.one
+
+    @cache
+    def plan(s):
         match = circle_match(cx_src.diagram.resolve(s),
                              cx_tgt.diagram.resolve(s))
-        return {cx_tgt.gen_index(s, transport(L, match))[1]: theory.ring.one}
+        return cx_tgt.state_block[s][1], match
+
+    def image(r, i):
+        s, L = cx_src.gens[r][i]
+        toff, match = plan(s)
+        return {toff + transport(L, match): one}
     return generator_map(cx_src, cx_tgt, image, 0, 1, "birth")
 
 
 def death_chain_map(theory, cx_src, cx_tgt, info):
+    """The counit on the circle of ``info["edge"]``: zero on its label 1,
+    and the other circles keep their labels.  The circle position, circle
+    match and target block of each state are worked out once per state."""
     e = info["edge"]
+    one = theory.ring.one
+
+    @cache
+    def plan(s):
+        rs = cx_src.diagram.resolve(s)
+        match = circle_match(rs, cx_tgt.diagram.resolve(s))
+        return rs.index[e], cx_tgt.state_block[s][1], match
 
     def image(r, i):
         s, L = cx_src.gens[r][i]
-        rs = cx_src.diagram.resolve(s)
-        if not (L >> rs.index[e] & 1):
+        j, toff, match = plan(s)
+        if not (L >> j & 1):
             return None             # counit sends the 1-label to zero
-        match = circle_match(rs, cx_tgt.diagram.resolve(s))
-        return {cx_tgt.gen_index(s, transport(L, match))[1]: theory.ring.one}
+        return {toff + transport(L, match): one}
     return generator_map(cx_src, cx_tgt, image, 0, 1, "death")
 
 
 def decoration_chain_map(theory, cx, kind, edge):
+    """Multiplication by the decoration's element on the circle through
+    ``edge``, label by label.  The two products elem * 1 and elem * X
+    (``Theory.act_basis``) are worked out once per map, and the position
+    of the circle and the state's block in ``cx.state_block`` once per
+    state; a generator's image is read off them."""
     R = theory.ring
     elem = theory.decoration_element(kind)
+    # acts[b]: the nonzero components (comp, coeff) of elem * basis[b]
+    acts = tuple(tuple((comp, c)
+                       for comp, c in enumerate(theory.act_basis(elem, b))
+                       if not R.is_zero(c))
+                 for b in (0, 1))
+
+    @cache
+    def plan(s):
+        return cx.state_block[s][1], cx.diagram.locate(s, edge)
 
     def image(r, i):
         s, L = cx.gens[r][i]
-        j = cx.diagram.locate(s, edge)
-        prod = theory.act_basis(elem, L >> j & 1)
-        return {cx.gen_index(s, (L & ~(1 << j)) | (comp << j))[1]: prod[comp]
-                for comp in (0, 1) if not R.is_zero(prod[comp])}
+        off, j = plan(s)
+        base = off + (L & ~(1 << j))
+        return {base + (comp << j): c for comp, c in acts[L >> j & 1]}
     return generator_map(cx, cx, image, 0, -2, kind)
 
 
 def saddle_chain_map(theory, cx_src, cx_tgt, info):
     """Per-state merge or split along the band of a saddle move, whose
     ends are the source edges ``info["ends"][0]`` and the target edges
-    ``info["ends"][1]``."""
+    ``info["ends"][1]``.  Each state's resolutions, circle match and
+    merge or split plan are worked out once, the first time one of its
+    labels is mapped; ``plan_images`` then gives each label's images."""
     Ds, Dt = cx_src.diagram, cx_tgt.diagram
     (a, b), (ta, tb) = info["ends"]
 
-    def image(r, i):
-        s, L = cx_src.gens[r][i]
+    @cache
+    def plan(s):
         rs = Ds.resolve(s)
         rt = Dt.resolve(s)
         ia, ib = rs.index[a], rs.index[b]
@@ -518,13 +556,18 @@ def saddle_chain_map(theory, cx_src, cx_tgt, info):
         if ia != ib:
             if ja != jb:
                 raise MoveError("band joining two circles must merge them")
-            plan = ("merge", ia, ib, ja, match)
+            band = ("merge", ia, ib, ja, match)
         else:
             if ja == jb:
                 raise MoveError("band on one circle must split it")
-            plan = ("split", ia, ja, jb, match)
-        return {cx_tgt.gen_index(s, tl)[1]: coeff
-                for tl, coeff in plan_images(theory, plan, L)}
+            band = ("split", ia, ja, jb, match)
+        return cx_tgt.state_block[s][1], band
+
+    def image(r, i):
+        s, L = cx_src.gens[r][i]
+        toff, band = plan(s)
+        return {toff + tl: coeff
+                for tl, coeff in plan_images(theory, band, L)}
     return generator_map(cx_src, cx_tgt, image, 0, -1, "saddle")
 
 

@@ -36,10 +36,13 @@ states, so every entry is assigned once and nothing is accumulated.
 the sign, for ``check_faces`` and for the pair finders of the r1/r2 maps
 in ``cobordism``; a test keeps the two routes equal.
 
-``CubeComplex.gen_index`` is the one lookup of a generator (state,
-labels).  ``circle_match``, ``transport`` and ``plan_images`` carry circle
-labels through a local surgery; the cube edges here and the saddle, birth
-and death maps of ``cobordism`` all use them.
+``CubeComplex.gen_index`` is the lookup of a generator (state, labels):
+the state's block offset in ``state_block`` plus the labels.  The
+elementary maps of ``cobordism`` read that offset once per state, with
+the rest of the state's plan.  ``circle_match``, ``transport`` and
+``plan_images`` carry circle labels through a local surgery; the cube
+edges here and the saddle, birth and death maps of ``cobordism`` all use
+them.
 
 Chain maps are evaluated on the sparse vectors they are applied to: an
 elementary map gives the image of one generator, and sums, multiples and

@@ -57,6 +57,7 @@ class LinkDiagram:
     free_edges: tuple = ()
     _res_cache: dict = field(default_factory=dict, repr=False)
     _components: tuple = field(default=None, init=False, repr=False)
+    _edges: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.crossings = tuple(tuple(c) for c in self.crossings)
@@ -123,7 +124,10 @@ class LinkDiagram:
 
     @property
     def edges(self):
-        return tuple(sorted(set(self._occ) | set(self.free_edges)))
+        """Every edge id, sorted; worked out once, like ``components``."""
+        if self._edges is None:
+            self._edges = tuple(sorted(set(self._occ) | set(self.free_edges)))
+        return self._edges
 
     def head(self, e):
         return self._heads.get(e)

@@ -670,22 +670,38 @@ def induced_map(f, ha, hb):
     return out
 
 
-def _coords_neg(ring, coords, ann):
+def _coords_times(ring, coords, ann, c):
+    """c times each coordinate, with the coordinates at torsion
+    generators truncated below their annihilators as ``canonical_coords``
+    leaves them."""
     out = []
     for v, a in zip(coords, ann):
-        nv = ring.neg(v)
-        if a is not None and isinstance(ring, PolyRing):
-            nv = {k: c for k, c in nv.items() if k < a}
+        nv = ring.mul(c, v)
+        if a is not None:
+            nv = {k: x for k, x in nv.items() if k < a}
         out.append(nv)
     return out
 
 
-def maps_equal_on_homology(f, g, ha, hb, up_to_sign=False):
-    """Compare two maps on homology, optionally up to one global sign."""
-    mf = induced_map(f, ha, hb)
-    mg = induced_map(g, ha, hb)
+def scale_induced(m, c, hb):
+    """The matrix of c f on homology from the matrix m of f
+    (``induced_map`` into ``hb``), for c = u t^k with u a unit: the
+    canonical coordinates of c f(z) are those of f(z) times c, truncated
+    at the torsion generators, because multiplying by c only raises
+    exponents."""
     ring = hb.work.ring
-    def _eq(ma, mb, negate):
+    return {r: [_coords_times(ring, col, hb.presentation(r).ann, c)
+                for col in cols]
+            for r, cols in m.items()}
+
+
+def induced_maps_equal(ma, mb, hb, up_to_sign=False):
+    """Compare two matrices on homology (``induced_map`` into ``hb``),
+    optionally up to one global sign."""
+    ring = hb.work.ring
+    minus_one = ring.from_int(-1)
+
+    def _eq(negate):
         for r in set(ma) | set(mb):
             ca = ma.get(r, [])
             cb = mb.get(r, [])
@@ -693,18 +709,20 @@ def maps_equal_on_homology(f, g, ha, hb, up_to_sign=False):
                 return False
             ann = hb.presentation(r).ann
             for va, vb in zip(ca, cb):
-                vb2 = _coords_neg(ring, vb, ann) if negate else vb
+                vb2 = _coords_times(ring, vb, ann, minus_one) if negate else vb
                 if len(va) != len(vb2):
                     return False
                 for x, y in zip(va, vb2):
                     if not ring.eq(x, y):
                         return False
         return True
-    if _eq(mf, mg, False):
-        return True
-    if up_to_sign and _eq(mf, mg, True):
-        return True
-    return False
+    return _eq(False) or (up_to_sign and _eq(True))
+
+
+def maps_equal_on_homology(f, g, ha, hb, up_to_sign=False):
+    """Compare two maps on homology, optionally up to one global sign."""
+    return induced_maps_equal(induced_map(f, ha, hb), induced_map(g, ha, hb),
+                              hb, up_to_sign)
 
 
 # -- torsion-order invariants --------------------------------------------

@@ -20,6 +20,17 @@ their payloads compare equal with ``==`` and ``eq`` is that comparison:
 zero coefficient (zero is ``{}``), and ``Fraction`` normalises itself.
 Code that builds a payload by hand must keep these conventions.
 
+Payloads are values: once built, a payload is never changed in place,
+and the same payload may sit in many containers at once (vectors,
+matrix columns, a theory's cached structure maps, ``one`` and ``zero``
+themselves).  ``PolyRing`` relies on this to skip work whose result is
+known: ``mul`` hands back the other factor when one factor is one,
+``add`` the other summand when one summand is zero, and ``neg`` its
+argument in characteristic 2.  Code that wants to build a payload by
+changing it must first copy it (``dict(a)``), as ``add`` and ``divmod``
+do; vectors and columns, the dicts that hold payloads, are containers
+and may be changed by whoever owns them.
+
 Polynomial generators carry weight 1 per exponent; ``exponent()`` reports
 the total generator exponent of a homogeneous element, which callers turn
 into whatever grading sign they need (coefficients act with degree -2 on
@@ -189,6 +200,10 @@ class PolyRing(BaseRing):
         return {1: self.base.one}
 
     def add(self, a, b):
+        if not b:
+            return a
+        if not a:
+            return b
         out = dict(a)
         F = self.base
         for k, x in b.items():
@@ -203,12 +218,19 @@ class PolyRing(BaseRing):
         return out
 
     def neg(self, a):
+        if self.char == 2:
+            return a
         F = self.base
         return {k: F.neg(x) for k, x in a.items()}
 
     def mul(self, a, b):
         if not a or not b:
             return {}
+        one = self.one
+        if a == one:
+            return b
+        if b == one:
+            return a
         F = self.base
         out = {}
         for ka, xa in a.items():

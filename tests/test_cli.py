@@ -257,6 +257,26 @@ def test_verify_builds_homology_once_per_knot_and_theory(monkeypatch):
     assert len(built) == 2 * 2      # 3_1 and 4_1 under two theories
 
 
+@pytest.mark.parametrize("args,built", [
+    ((), {"bn": 1, "alpha@0,t/f3": 1}),
+    (("--theory", "alpha@t,-t/q"), {"alpha@t,-t/q": 1}),
+    (("--jobs", "2"), {"bn": 1, "alpha@0,t/f3": 1}),
+])
+def test_verify_builds_each_theory_once(args, built, monkeypatch):
+    from knothom import cli
+    calls = []
+    build = cli.theory_from_selector
+
+    def counting_build(sel):
+        calls.append(sel)
+        return build(sel)
+
+    monkeypatch.setattr(cli, "theory_from_selector", counting_build)
+    res = run("verify", "saddle-split", "--max-crossings", "4", *args)
+    assert res.exit_code == 0, res.output
+    assert {sel: calls.count(sel) for sel in calls} == built
+
+
 def test_verify_parallel_jobs():
     res = run("verify", "frobenius", "--jobs", "2")
     assert res.exit_code == 0, res.output
@@ -422,6 +442,37 @@ def test_movie_compare_exponent_is_ascii_digits(spec):
               "--compare", spec)
     assert res.exit_code == 2, res.output
     assert "ASCII digits" in res.output
+
+
+def test_movie_checks_compare_before_building_anything(tmp_path,
+                                                      monkeypatch):
+    # a --compare the movie or theory cannot take is refused before any
+    # complex is built
+    from knothom import cli
+
+    def no_build(*args):
+        raise AssertionError("complex built before --compare was checked")
+
+    monkeypatch.setattr(cli, "build_complex", no_build)
+    monkeypatch.setattr(cobordism, "build_complex", no_build)
+    open_movie = tmp_path / "open.movie"
+    open_movie.write_text("start unknot\nbirth\n")
+    empty = tmp_path / "empty.movie"
+    empty.write_text("start empty\nbirth\ndeath 1\n")
+    for args, message in (
+            (("--script", SQUARE_KNOT, "--compose-reverse", "--compare",
+              "foo"), "compare spec must be id, h^d, t^d or x^d"),
+            (("--script", str(open_movie), "--compare", "id"),
+             "--compare needs an endomorphism"),
+            (("--script", str(empty), "--compose-reverse", "--compare",
+              "x^1"), "needs an edge on the first frame"),
+            (("--script", SQUARE_KNOT, "--theory", "kh-f2",
+              "--compose-reverse", "--compare", "h^1"),
+             "theory kh-f2 has no coefficient variable")):
+        res = run("movie", *args)
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+        assert "frame 0" not in res.output
 
 
 def test_movie_script_errors_are_input_errors(tmp_path):

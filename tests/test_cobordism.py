@@ -9,15 +9,17 @@ from hypothesis import given, settings, strategies as st
 from knothom.diagram import LinkDiagram, parse_pd, unknot_diagram, is_planar
 from knothom.frobenius import theory_from_selector
 from knothom.complexes import (CubeComplex, build_complex, identity_map,
-                               zero_map,
+                               zero_map, circle_match, plan_images,
                                compose, add_maps, scale_map, maps_equal,
                                mat_eq, mat_mul)
-from knothom.homology import (HomologyData, maps_equal_on_homology,
-                              reduce_complex, reduction_identities_hold)
+from knothom.homology import (HomologyData, induced_map,
+                              maps_equal_on_homology, reduce_complex,
+                              reduction_identities_hold, scale_induced)
 from knothom.cobordism import (Move, MoveError, MovieError, apply_move,
                                decoration_chain_map, move_chain_map,
                                Movie, parse_movie,
                                load_movie, evaluate_movie,
+                               saddle_chain_map,
                                verify_dot_crossing, verify_saddle_split,
                                verify_symmetry, verify_star_placement,
                                ribbon_structure_errors,
@@ -763,3 +765,110 @@ def test_move_then_reverse_round_trip(name, seed):
         return
     back, _, _ = apply_move(d2, Move("r2-", (info["c1"], info["c2"])))
     assert back.canonical_key() == d.canonical_key()
+
+
+# -- elementary maps against their per-generator references ----------------
+
+def _decoration_reference(theory, cx, kind, edge, r, i):
+    """elem * label at the decorated circle, for one generator."""
+    R = theory.ring
+    s, L = cx.gens[r][i]
+    j = cx.diagram.locate(s, edge)
+    prod = theory.act_basis(theory.decoration_element(kind), L >> j & 1)
+    return {cx.gen_index(s, (L & ~(1 << j)) | (comp << j))[1]: prod[comp]
+            for comp in (0, 1) if not R.is_zero(prod[comp])}
+
+
+def _saddle_reference(theory, cx_src, cx_tgt, info, r, i):
+    """The band's merge or split for one generator, its plan worked out
+    from scratch."""
+    (a, b), (ta, tb) = info["ends"]
+    s, L = cx_src.gens[r][i]
+    rs, rt = cx_src.diagram.resolve(s), cx_tgt.diagram.resolve(s)
+    ia, ib = rs.index[a], rs.index[b]
+    match = circle_match(rs, rt, (ia, ib))
+    plan = (("merge", ia, ib, rt.index[ta], match) if ia != ib
+            else ("split", ia, rt.index[ta], rt.index[tb], match))
+    return {cx_tgt.gen_index(s, tl)[1]: c
+            for tl, c in plan_images(theory, plan, L)}
+
+
+def _every_image_matches(f, reference):
+    R = f.ring
+    for r in f.source.degrees:
+        for i in range(f.source.rank(r)):
+            want = reference(r, i)
+            got = f.apply(r, {i: R.one})
+            assert set(got) == set(want), (f.name, r, i)
+            assert all(R.eq(got[t], v) for t, v in want.items()), (r, i)
+
+
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3", "alpha@t,-t/q"])
+@pytest.mark.parametrize("name", ["5_2", "6_2"])
+def test_elementary_images_match_per_generator_references(name, sel):
+    th = theory_from_selector(sel)
+    d = load_table()[name]
+    cx = build_complex(d, th)
+    kinds = ["dot", "star"] + (["dot1", "dot2"] if th.alphas else [])
+    edges = sorted(d.edges)
+    for kind in kinds:
+        for e in (edges[0], edges[-1]):
+            _every_image_matches(
+                decoration_chain_map(th, cx, kind, e),
+                lambda r, i: _decoration_reference(th, cx, kind, e, r, i))
+    saddles = [Move("saddle", (edges[0], edges[0])),
+               Move("saddle", (edges[0], edges[2]))]
+    for mv in saddles:
+        new, info, inverse = apply_move(d, mv)
+        cx2 = build_complex(new, th)
+        for src, tgt, rec in ((cx, cx2, info), (cx2, cx, inverse)):
+            _every_image_matches(
+                saddle_chain_map(th, src, tgt, rec),
+                lambda r, i: _saddle_reference(th, src, tgt, rec, r, i))
+
+
+def test_verification_leaves_shared_payloads_unchanged():
+    # ring arithmetic hands back its arguments where the result is known,
+    # so one payload sits in many vectors and caches; nothing may change
+    # it in place
+    d = load_table()["4_1"]
+    for sel in ("bn", "alpha@0,t/f3"):
+        th = theory_from_selector(sel)
+        R = th.ring
+        hdata = HomologyData(build_complex(d, th))
+        for ci in range(d.n):
+            assert verify_dot_crossing(hdata, ci)
+        for e in sorted(d.edges)[:2]:
+            assert verify_saddle_split(hdata, Move("saddle", (e, e)))
+        assert verify_ribbon_composite(
+            load_movie(os.path.join(MOVIE_DIR, "square-knot.movie")), th)
+        fresh = theory_from_selector(sel)
+        assert (R.one, R.zero) == (fresh.ring.one, fresh.ring.zero)
+        assert (th.s, th.p) == (fresh.s, fresh.p)
+        for i in (0, 1):
+            assert th.comul_basis(i) == fresh.comul_basis(i)
+            for j in (0, 1):
+                assert th.mul_basis(i, j) == fresh.mul_basis(i, j)
+
+
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3", "alpha@t,-t/q"])
+@pytest.mark.parametrize("movie", [
+    os.path.join(MOVIE_DIR, "square-knot.movie"),
+    os.path.join(FROZEN_DIR, "rmove-4_1.movie")], ids=os.path.basename)
+def test_scaled_induced_matrix_matches_the_scaled_map(movie, sel):
+    # the movie command compares c f on homology by scaling the printed
+    # matrix of f; it must be the matrix of c f, truncated at the torsion
+    # generators (4_1 has torsion of order one under bn)
+    th = theory_from_selector(sel)
+    R = th.ring
+    m = load_movie(movie)
+    cxs = m.complexes(th)
+    f = compose(evaluate_movie(m.reversed(), th, cxs[::-1]),
+                evaluate_movie(m, th, cxs))
+    ha = HomologyData(cxs[0])
+    ind = induced_map(f, ha, ha)
+    c = R.one
+    for _ in range(3):
+        assert scale_induced(ind, c, ha) == induced_map(scale_map(c, f),
+                                                        ha, ha)
+        c = R.mul(c, R.gen())

@@ -168,3 +168,11 @@ def test_mirror_involution(name):
 def test_mirror_preserves_faces():
     d = load_table()["6_2"]
     assert len(faces(d.mirror())) == len(faces(d))
+
+
+def test_edges_are_worked_out_once():
+    d = load_table()["5_2"]
+    assert d.edges is d.edges
+    assert d.edges == tuple(range(1, 11))
+    loops = LinkDiagram((), (), (4, 2))
+    assert loops.edges is loops.edges and loops.edges == (2, 4)

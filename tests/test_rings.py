@@ -200,3 +200,24 @@ def test_fmt_round_trip_smoke():
     s = ZA.fmt(ZA.add(ZA.gen1(), ZA.from_int(-2)))
     assert "a1" in s and "2" in s
     assert F2.fmt(1) == "1"
+
+
+@pytest.mark.parametrize("base", [F2, F3, Q], ids=lambda F: F.name)
+def test_poly_kernel_identities(base):
+    # mul, add and neg return an argument where the result is known; it
+    # must still be the right element, also for one, zero and -1 itself
+    R = poly_over(base, "t")
+    t = R.gen()
+    elems = [R.zero, R.one, t, R.from_int(-1), R.mul(t, t),
+             R.add(R.mul(t, t), R.from_int(2)), R.add(t, R.one)]
+    for x in elems:
+        assert R.mul(x, R.one) == x and R.mul(R.one, x) == x
+        assert R.add(x, R.zero) == x and R.add(R.zero, x) == x
+        assert R.neg(R.neg(x)) == x
+        assert R.add(x, R.neg(x)) == R.zero
+        assert R.mul(R.from_int(-1), x) == R.neg(x)
+        if R.char == 2:
+            assert R.neg(x) == x
+        elif x:
+            assert R.neg(x) != x
+    assert R.one == {0: base.one} and R.zero == {}
