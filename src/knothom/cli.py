@@ -116,7 +116,7 @@ def cmd_homology(selector, pd, name, input_, output):
         except Exception as e:
             raise InputError("bad PD code: %s" % e)
         label = None
-    elif name:
+    elif name is not None:
         diagram, label = _load_diagram_arg(name)
     else:
         try:

@@ -52,8 +52,7 @@ from functools import cache
 from .diagram import LinkDiagram, is_planar, parse_pd, unknot_diagram
 from .complexes import (build_complex, circle_match, compose, add_maps,
                         generator_map, identity_map, matrix_map,
-                        plan_images, popcount, scale_map, transport,
-                        zero_map)
+                        plan_images, scale_map, transport, zero_map)
 from .homology import HomologyData, maps_equal_on_homology, reduce_complex
 
 
@@ -698,7 +697,7 @@ def _relabel_iso(redn, cx_small, fixed_bits, forced_labels):
         s_small = S
         for ci in removed:
             if fixed_bits[ci]:
-                sgn += popcount(s_small >> (ci + 1))
+                sgn += (s_small >> (ci + 1)).bit_count()
             s_small = _drop_bit(s_small, ci)
         res_small = Ds.resolve(s_small)
         if len(res_small) != len(res_big) - len(forced_labels):

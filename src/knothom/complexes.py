@@ -33,8 +33,8 @@ doubling, plus the table row picked by the label's bits on the merging or
 splitting circles.  Distinct edges out of one generator reach distinct
 states, so every entry is assigned once and nothing is accumulated.
 ``edge_images`` yields the same images one generator at a time, without
-the sign, for ``check_faces`` and for the pair finders of the r1/r2 maps
-in ``cobordism``; a test keeps the two routes equal.
+the sign, for the pair finders of the r1/r2 maps in ``cobordism`` and for
+the tests, one of which keeps the two routes equal.
 
 ``CubeComplex.gen_index`` is the lookup of a generator (state, labels):
 the state's block offset in ``state_block`` plus the labels.  The
@@ -53,16 +53,14 @@ from the generator images, only where a check asks for it.
 from dataclasses import dataclass, field
 
 
-def popcount(x):
-    return bin(x).count("1")
-
-
 # -- sparse column-major matrix helpers ----------------------------------
 
 def axpy(R, out, c, vec):
-    """out += c * vec in place, dropping zeros; returns out."""
+    """out += c * vec in place, dropping zeros; returns out.  When c is
+    one, as it mostly is, no entry pays for a multiplication."""
+    one = c == R.one
     for j, v in vec.items():
-        w = R.add(out.get(j, R.zero), R.mul(c, v))
+        w = R.add(out.get(j, R.zero), v if one else R.mul(c, v))
         if R.is_zero(w):
             out.pop(j, None)
         else:
@@ -260,7 +258,7 @@ class CubeComplex(ChainComplex):
         shift = diagram.n_plus - 2 * diagram.n_minus
         self.states_by_weight = {}
         for s in range(1 << n):
-            self.states_by_weight.setdefault(popcount(s), []).append(s)
+            self.states_by_weight.setdefault(s.bit_count(), []).append(s)
         gens = {}
         qdeg = {}
         self.state_block = {}
@@ -275,7 +273,7 @@ class CubeComplex(ChainComplex):
                 for labels in range(1 << c):
                     keys.append((s, labels))
                     if theory.graded:
-                        qs.append(shift + w + c - 2 * popcount(labels))
+                        qs.append(shift + w + c - 2 * labels.bit_count())
                     else:
                         qs.append(None)
             gens[r] = keys
@@ -401,46 +399,6 @@ class CubeComplex(ChainComplex):
                 if col:
                     cols[off + L] = col
         return cols
-
-    def check_faces(self):
-        """Anticommutation of every 2-face of the cube, generator by
-        generator.  Equivalent to d^2 = 0 but local, so it stays cheap on
-        theories whose full differential is expensive to materialize.
-        Raises ValueError on a face that does not anticommute."""
-        R = self.ring
-        n = self.diagram.n
-        for s in range(1 << n):
-            _, _, c = self.state_block[s]
-            free_bits = [i for i in range(n) if not s >> i & 1]
-            for x, i in enumerate(free_bits):
-                for j in free_bits[x + 1:]:
-                    si, sj = s | (1 << i), s | (1 << j)
-                    for labels in range(1 << c):
-                        acc = {}
-                        for mid, c1 in self.edge_images(s, i, labels):
-                            for tgt, c2 in self.edge_images(si, j, mid):
-                                v = R.mul(c1, c2)
-                                w = R.add(acc.get(tgt, R.zero), v)
-                                if R.is_zero(w):
-                                    acc.pop(tgt, None)
-                                else:
-                                    acc[tgt] = w
-                        # second path enters with the opposite sign: the
-                        # below-the-bit rule always gives the two orders
-                        # of a face opposite signs
-                        for mid, c1 in self.edge_images(s, j, labels):
-                            for tgt, c2 in self.edge_images(sj, i, mid):
-                                v = R.mul(c1, c2)
-                                w = R.sub(acc.get(tgt, R.zero), v)
-                                if R.is_zero(w):
-                                    acc.pop(tgt, None)
-                                else:
-                                    acc[tgt] = w
-                        if acc:
-                            raise ValueError(
-                                "face (%d; %d,%d) does not anticommute"
-                                % (s, i, j))
-        return True
 
 
 def build_complex(diagram, theory):

@@ -47,7 +47,6 @@ class Theory:
         self.s = s
         self.p = p
         self.alphas = alphas
-        self.generic = alphas is not None and isinstance(ring, TwoVarPolys)
         self.graded = self._compute_graded()
         self._mul_cache = {}
         self._comul_cache = {}
@@ -370,17 +369,17 @@ def alpha_generic():
                   alphas=(R.gen1(), R.gen2()))
 
 
-def specialize(theory, images, ring):
-    """Send the generic roots a1, a2 to elements of a new ring.
+def specialize(images, ring):
+    """The generic theory with its roots a1, a2 sent to elements of a new
+    ring: s = u1 + u2 and p = u1*u2, built directly, so the generic
+    theory itself is never built.
 
-    ``images`` is a pair of payloads in ``ring``.  Each image must be
-    homogeneous; degree-2 images keep the theory graded, constant images
-    into a field give an ungraded (filtered) theory.  The generic
+    ``images`` is a pair of payloads (u1, u2) in ``ring``.  Each image
+    must be homogeneous; degree-2 images keep the theory graded, constant
+    images into a field give an ungraded (filtered) theory.  The generic
     identity assignment is not expressible here on purpose: the target
     must be univariate or constant.
     """
-    if not theory.generic:
-        raise TheoryError("only the generic two-variable theory specializes")
     if isinstance(ring, TwoVarPolys):
         raise TheoryError("specialization target must be univariate or constant")
     u1, u2 = images
@@ -472,5 +471,5 @@ def theory_from_selector(text):
             def mk(kind, k, c):
                 return ring.from_int(c)
         images = tuple(mk(*p) for p in parsed)
-        return specialize(alpha_generic(), images, ring)
+        return specialize(images, ring)
     raise TheoryError("unknown theory selector %r" % text)

@@ -5,15 +5,14 @@ One engine, elimination, computes every homology, in two passes that
 share their cancellation step (``_Blocks.cancel``):
 
 * ``reduce_complex`` cancels unit differential entries, a discrete
-  homotopy equivalence with inclusion, projection and homotopy maps.  An
-  elimination that keeps its maps records its cancellations, and the
-  inclusion, projection and homotopy replay that record on the vectors
-  they are applied to, so no matrix of them is built unless a check asks
-  for one.  ``HomologyData`` keeps the maps so that chain maps on a cube
-  can be pushed through homology; ``homology()``, the summary of any
-  complex, eliminates without recording anything, because a summary
-  reads only the small complex.  The command line's summaries read the
-  complex of ``tangles.scan_complex``, which is already small, so
+  homotopy equivalence with inclusion, projection and homotopy maps.  It
+  records its cancellations, and the inclusion, projection and homotopy
+  replay that record on the vectors they are applied to, so no matrix of
+  them is built unless a check asks for one.  ``HomologyData`` keeps the
+  maps so that chain maps on a cube can be pushed through homology, and
+  ``homology()``, the summary of any complex, is its summary.  The
+  command line's summaries read the complex of ``tangles.scan_complex``,
+  which has no unit entry left, so there the record is empty and
   ``homology()`` is the last step of the scan; on a cube it is the
   cross-check the tests hold the scan to.
 
@@ -268,7 +267,7 @@ class _Blocks:
         return dx, into_y, grown
 
 
-def reduce_complex(cx, pairs=None, track_maps=True):
+def reduce_complex(cx, pairs=None):
     """Cancel unit entries of the differential.
 
     ``pairs`` prescribes an elimination order as (r, src_key, tgt_key)
@@ -313,10 +312,8 @@ def reduce_complex(cx, pairs=None, track_maps=True):
     Whether a pair is already gone or not a unit is checked at its turn.
 
     Returns a Reduction whose maps satisfy proj∘incl = id and
-    id - incl∘proj = dH + Hd.  With track_maps=True the loop records each
-    cancellation, and the maps replay that record on the vectors they are
-    applied to; with track_maps=False nothing is recorded, the maps are
-    None and only the small complex comes back.
+    id - incl∘proj = dH + Hd.  The loop records each cancellation, and
+    the maps replay that record on the vectors they are applied to.
     """
     R = cx.ring
     is_unit = R.is_unit
@@ -370,8 +367,7 @@ def reduce_complex(cx, pairs=None, track_maps=True):
 
         uinv = R.inv(cols[r][x][y])
         dx, into_y, grown = blocks.cancel(r, x, y, partial(R.mul, uinv))
-        if track_maps:
-            steps.append((r, x, y, uinv, dx, into_y))
+        steps.append((r, x, y, uinv, dx, into_y))
         if pairs is None:
             for w in grown:
                 heapq.heappush(heap, w)
@@ -399,8 +395,6 @@ def reduce_complex(cx, pairs=None, track_maps=True):
         red_diffs[r] = blk
     red = ChainComplex(cx.theory, red_gens, red_qdeg, diffs=red_diffs)
 
-    if not track_maps:
-        return Reduction(cx, red, None, None, None)
     record = _Cancellations(R, steps, keep)
     return Reduction(cx, red,
                      ChainMap(red, cx, record.incl, 0, 0, "incl"),
@@ -478,28 +472,6 @@ def _split(red):
     return _Cancellations(R, steps, blocks.survivors()), orders
 
 
-def _summary(theory, red, split, orders):
-    """The summary of ``red`` from its split: a free summand per
-    survivor, a torsion summand per step, at its target y."""
-    free = {}
-    torsion = {}
-    for r, keep in split.keep.items():
-        for i in keep:
-            key = (r, red.qdeg[r][i] if theory.graded else None)
-            free[key] = free.get(key, 0) + 1
-    for (r, _, y, _, _, _), k in zip(split.steps, orders):
-        key = (r + 1, red.qdeg[r + 1][y], k)
-        torsion[key] = torsion.get(key, 0) + 1
-
-    def _k(t):
-        return tuple((x if x is not None else -10**9) for x in t)
-    return HomologySummary(
-        theory.name,
-        tuple(sorted(((r, q, m) for (r, q), m in free.items()), key=_k)),
-        tuple(sorted(((r, q, a, m) for (r, q, a), m in torsion.items()),
-                     key=_k)))
-
-
 class DegreePresentation:
     """H_r as a direct sum of cyclic summands, one per generator.
 
@@ -539,7 +511,7 @@ class HomologyData:
         _check_presentable(cx.theory)
         self.theory = cx.theory
         self.original = cx
-        self.redn = reduce_complex(cx, track_maps=True)
+        self.redn = reduce_complex(cx)
         self.work = self.redn.red
         self._record, self._orders = _split(self.work)
         self._pres = {}
@@ -600,7 +572,26 @@ class HomologyData:
         return self._cycles[r]
 
     def summary(self):
-        return _summary(self.theory, self.work, self._record, self._orders)
+        """A free summand per survivor of the split, a torsion summand per
+        split step, at its target y."""
+        red, split = self.work, self._record
+        free = {}
+        torsion = {}
+        for r, keep in split.keep.items():
+            for i in keep:
+                key = (r, red.qdeg[r][i] if self.theory.graded else None)
+                free[key] = free.get(key, 0) + 1
+        for (r, _, y, _, _, _), k in zip(split.steps, self._orders):
+            key = (r + 1, red.qdeg[r + 1][y], k)
+            torsion[key] = torsion.get(key, 0) + 1
+
+        def _k(t):
+            return tuple((x if x is not None else -10**9) for x in t)
+        return HomologySummary(
+            self.theory.name,
+            tuple(sorted(((r, q, m) for (r, q), m in free.items()), key=_k)),
+            tuple(sorted(((r, q, a, m) for (r, q, a), m in torsion.items()),
+                         key=_k)))
 
 
 @dataclass(frozen=True)
@@ -635,14 +626,10 @@ class HomologySummary:
 
 
 def homology(cx):
-    """The homology summary of any complex: the cube of
-    ``build_complex``, or the small complex that ``scan_complex`` leaves
-    for the same diagram, which has the same summary.  It eliminates
-    once, without maps, and splits the torsion pairs off the small
-    complex that is left, as ``HomologyData`` does with its maps."""
-    _check_presentable(cx.theory)
-    red = reduce_complex(cx, track_maps=False).red
-    return _summary(cx.theory, red, *_split(red))
+    """The homology summary of any complex, through ``HomologyData``: the
+    cube of ``build_complex``, or the small complex that ``scan_complex``
+    leaves for the same diagram, which has the same summary."""
+    return HomologyData(cx).summary()
 
 
 # -- induced maps --------------------------------------------------------

@@ -55,7 +55,7 @@ Its boundary is the set of edges that occur once among them.
 
 from heapq import heapify, heappop, heappush
 
-from .complexes import ChainComplex, popcount
+from .complexes import ChainComplex, axpy
 
 # the arcs of each smoothing, as pairs of slots
 _ARCS = (((0, 1), (2, 3)), ((0, 3), (1, 2)))
@@ -168,7 +168,7 @@ class _Scan:
             comps[find(p)][2].append(j)
         plan = []
         for pieces, nseams, cycles in comps.values():
-            twice_genus = 2 - len(cycles) - (popcount(pieces) - nseams)
+            twice_genus = 2 - len(cycles) - (pieces.bit_count() - nseams)
             if twice_genus < 0 or twice_genus % 2:
                 raise ValueError("glued surface has no genus")
             plan.append((pieces, tuple(cycles), twice_genus // 2))
@@ -210,37 +210,21 @@ class _Scan:
         mask ``dots``, as {mask of dotted boundary cycles: coeff}."""
         hit = self._values.get((pid, dots))
         if hit is None:
-            mul, one = self.ring.mul, self.ring.one
-            hit = {0: one}
+            mul = self.ring.mul
+            hit = {0: self.ring.one}
             for pieces, cycles, g in self.plans[pid]:
                 terms = []
                 for bits, c in self.surface(len(cycles),
-                                            popcount(dots & pieces), g):
+                                            (dots & pieces).bit_count(), g):
                     mask = 0
                     for i, j in enumerate(cycles):
                         if bits >> i & 1:
                             mask |= 1 << j
                     terms.append((mask, c))
-                # most coefficients are one: skip those multiplications
-                hit = {m | mask: v if c == one else c if v == one
-                       else mul(v, c)
+                hit = {m | mask: mul(v, c)
                        for m, v in hit.items() for mask, c in terms}
             self._values[(pid, dots)] = hit
         return hit
-
-    def add_to(self, acc, c, f):
-        """acc += c * f in place for morphisms acc and f, dropping zeros;
-        returns acc.  Most coefficients are one, and then the ring's
-        multiplication is skipped."""
-        R = self.ring
-        one = c == R.one
-        for mask, v in f.items():
-            w = R.add(acc.get(mask, R.zero), v if one else R.mul(c, v))
-            if R.is_zero(w):
-                acc.pop(mask, None)
-            else:
-                acc[mask] = w
-        return acc
 
     def compose(self, g, f, m1, m2, m3):
         """g o f for morphisms f: m1 -> m2 and g: m2 -> m3."""
@@ -255,11 +239,11 @@ class _Scan:
             plan = self._compositions[(m1, m2, m3)] = (
                 self.glue(n + len(fb), seams, [], outs), n)
         pid, n = plan
+        R = self.ring
         acc = {}
         for fm, fc in f.items():
             for gm, gc in g.items():
-                self.add_to(acc, self.ring.mul(fc, gc),
-                            self.value(pid, fm | gm << n))
+                axpy(R, acc, R.mul(fc, gc), self.value(pid, fm | gm << n))
         return acc
 
     # -- placing a crossing ---------------------------------------------
@@ -357,13 +341,14 @@ class _Scan:
         hit = self._unit_extensions.get(key)
         if hit is None:
             pid, cups, caps, la, lb = plan
+            R = self.ring
             hit = {}
             for lt in range(1 << lb):
                 caps_lt = self._cap_terms(lb, lt)
                 for ls in range(1 << la):
                     acc = {}
                     for capd, cc in caps_lt:
-                        self.add_to(acc, cc, self.value(
+                        axpy(R, acc, cc, self.value(
                             pid, fm | ls << cups | capd << caps))
                     if acc:
                         hit[(ls, lt)] = acc
@@ -373,11 +358,12 @@ class _Scan:
     def extend(self, phi, plan, sign):
         """{(source labels, target labels): morphism} of sign * phi
         extended by ``plan``, between delooped objects."""
+        R = self.ring
         out = {}
         for fm, fc in phi.items():
-            c = self.ring.mul(sign, fc)
+            c = R.mul(sign, fc)
             for labels, unit in self._unit_extension(plan, fm).items():
-                self.add_to(out.setdefault(labels, {}), c, unit)
+                axpy(R, out.setdefault(labels, {}), c, unit)
         return {labels: f for labels, f in out.items() if f}
 
     def add_crossing(self, cr, boundary):
@@ -406,7 +392,7 @@ class _Scan:
                 for labels in range(1 << len(loops)):
                     y = len(objs) + self.next_id
                     objs[y] = (m2, q + sigma + len(loops)
-                               - 2 * popcount(labels), r + sigma)
+                               - 2 * labels.bit_count(), r + sigma)
                     out[y], inn[y] = {}, set()
         self.next_id += len(objs)
 
@@ -461,8 +447,8 @@ class _Scan:
             f = row.pop(y)
             mw = objs[w][0]
             for z, g in dx.items():
-                acc = self.add_to(row.get(z, {}), coef,
-                                  self.compose(g, f, mw, mx, objs[z][0]))
+                acc = axpy(R, row.get(z, {}), coef,
+                           self.compose(g, f, mw, mx, objs[z][0]))
                 if acc:
                     row[z] = acc
                     inn[z].add(w)
@@ -495,7 +481,7 @@ class _Scan:
     def run(self, diagram):
         empty = self.matching(())
         nfree = len(diagram.free_edges)
-        self.objs = {x: (empty, nfree - 2 * popcount(x), 0)
+        self.objs = {x: (empty, nfree - 2 * x.bit_count(), 0)
                      for x in range(1 << nfree)}
         self.out = {x: {} for x in self.objs}
         self.inn = {x: set() for x in self.objs}

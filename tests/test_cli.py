@@ -79,6 +79,14 @@ def test_homology_unknown_name():
     assert res.exit_code == 2
 
 
+def test_homology_empty_name_is_an_unknown_knot():
+    # an empty --name is a name, not a missing one: no fall-through to
+    # --input
+    res = run("homology", "--name", "")
+    assert res.exit_code == 2, res.output
+    assert "unknown knot ''" in res.output
+
+
 def test_homology_generic_theory_rejected():
     res = run("homology", "--name", "3_1", "--theory", "alpha")
     assert res.exit_code == 2

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knothom import frobenius
 from knothom.frobenius import (Theory, TheoryError, axiom_report,
                                neck_cutting_report, bar_natan, khovanov_f2,
                                alpha_generic, specialize, theory_from_selector)
@@ -137,14 +138,27 @@ def test_elt_degree():
 
 
 def test_specialize_images():
-    th = alpha_generic()
     F2h = poly_over(PrimeField(2), "t")
-    sp = specialize(th, (F2h.zero, F2h.gen()), F2h)
+    sp = specialize((F2h.zero, F2h.gen()), F2h)
     assert sp.ring is F2h
     assert sp.alphas[0] == F2h.zero
     assert sp.alphas[1] == F2h.gen()
     assert sp.s == F2h.gen()
     assert sp.graded
+
+
+def test_selectors_specialize_without_building_the_generic_theory(
+        monkeypatch):
+    want = {sel: theory_from_selector(sel)
+            for sel in ("alpha@0,t/f3", "alpha@t,-t/q")}
+
+    def refuse():
+        raise AssertionError("the generic theory was built")
+    monkeypatch.setattr(frobenius, "alpha_generic", refuse)
+    for sel, th in want.items():
+        sp = theory_from_selector(sel)
+        assert (sp.name, sp.s, sp.p, sp.alphas, sp.graded) == (
+            th.name, th.s, th.p, th.alphas, th.graded), sel
 
 
 def test_selector_parsing():

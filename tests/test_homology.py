@@ -203,14 +203,14 @@ def test_default_elimination_is_maximal(sel):
     # the default elimination cancels every unit entry, fill-in included
     th = theory_from_selector(sel)
     for name, d in load_table().items():
-        redn = reduce_complex(build_complex(d, th), track_maps=False)
+        redn = reduce_complex(build_complex(d, th))
         assert not _unit_entries(redn.red), (sel, name)
 
 
 def test_default_elimination_is_maximal_on_t_2_9():
     cx = build_complex(parse_pd(braid_pd([1] * 9, 2)),
                        theory_from_selector("bn"))
-    redn = reduce_complex(cx, track_maps=False)
+    redn = reduce_complex(cx)
     assert redn.red.total_rank() == 18
     assert not _unit_entries(redn.red)
 
@@ -231,10 +231,10 @@ def test_default_elimination_pushes_a_column_again_on_fill_in():
     cx = _two_degree_complex("alpha@-1,2/z",
                              {0: ["a0", "a1"], 1: ["b0", "b1"]},
                              {0: {0: 3, 1: 2}, 1: {0: 1, 1: 1}})
-    assert reduce_complex(cx, track_maps=False).red.total_rank() == 0
+    assert reduce_complex(cx).red.total_rank() == 0
     cx = build_complex(load_table()["6_3"],
                        theory_from_selector("alpha@-1,2/z"))
-    assert not _unit_entries(reduce_complex(cx, track_maps=False).red)
+    assert not _unit_entries(reduce_complex(cx).red)
 
 
 def test_unit_entry_check_flags_an_unreduced_complex():
@@ -286,8 +286,8 @@ def test_summary_streams_the_cube(name, monkeypatch):
 
 
 def _record(redn):
-    """The cancellation steps the reduction's maps replay, or None."""
-    return None if redn.proj is None else redn.proj.act.__self__.steps
+    """The cancellation steps the reduction's maps replay."""
+    return redn.proj.act.__self__.steps
 
 
 def _same_reduction(a, b):
@@ -297,9 +297,8 @@ def _same_reduction(a, b):
     assert _record(a) == _record(b)
 
 
-@pytest.mark.parametrize("track_maps", [False, True])
 @pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
-def test_stored_blocks_reduce_like_fresh_ones(sel, track_maps):
+def test_stored_blocks_reduce_like_fresh_ones(sel):
     # a materialized cube hands elimination copies of its blocks: the
     # reduction equals that of a fresh cube, which builds its blocks at
     # their turn, and the stored blocks are left as they were built
@@ -308,36 +307,23 @@ def test_stored_blocks_reduce_like_fresh_ones(sel, track_maps):
     names = [n for n in sorted(table) if len(table[n].crossings) <= 7]
     assert len(names) == 14
     for name in names:
-        fresh = reduce_complex(build_complex(table[name], th),
-                               track_maps=track_maps)
+        fresh = reduce_complex(build_complex(table[name], th))
         cx = build_complex(table[name], th).materialize()
-        _same_reduction(reduce_complex(cx, track_maps=track_maps), fresh)
+        _same_reduction(reduce_complex(cx), fresh)
         rebuilt = build_complex(table[name], th)
         assert all(cx.d(r) == rebuilt._build_degree(r) for r in cx.degrees)
         assert cx.check_d_squared()
 
 
 @pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
-def test_summary_route_equals_homology_data(sel):
-    # homology() eliminates without maps; HomologyData keeps them
-    th = theory_from_selector(sel)
-    table = load_table()
-    names = [n for n in sorted(table) if len(table[n].crossings) <= 6]
-    assert len(names) == 7
-    for name in names:
-        cx = build_complex(table[name], th)
-        assert homology(cx) == HomologyData(cx).summary(), name
-
-
-@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
 def test_summary_eliminates_once(sel, monkeypatch):
-    # homology() eliminates without maps and splits what is left as it
-    # is: a second elimination would find no unit entry to cancel
+    # homology() eliminates once and splits what is left as it is: a
+    # second elimination would find no unit entry to cancel
     calls = []
     reduce = reduce_complex
 
     def counting_reduce(cx, *args, **kwargs):
-        calls.append(kwargs.get("track_maps", True))
+        calls.append(cx)
         return reduce(cx, *args, **kwargs)
 
     monkeypatch.setattr(import_module("knothom.homology"), "reduce_complex",
@@ -346,9 +332,9 @@ def test_summary_eliminates_once(sel, monkeypatch):
     th = theory_from_selector(sel)
     cx = build_complex(diagram, th)
     s = homology(cx)
-    assert calls == [False]
+    assert calls == [cx]
     assert matches_quotient_dims(cx, s)
-    assert calls == [False]
+    assert calls == [cx]
 
 
 # -- pivot rule -----------------------------------------------------------
@@ -626,7 +612,7 @@ def test_presentation_rejects_a_generator_that_is_not_q_homogeneous():
     # shift the target of one entry, so that its torsion generator and
     # the pivot that splits it off disagree with the grading
     cx = build_complex(load_table()["3_1"], theory_from_selector("bn"))
-    red = reduce_complex(cx, track_maps=False).red
+    red = reduce_complex(cx).red
     homology(red)
     r, col = next((r, col) for r in red.degrees for col in red.d(r).values())
     red.qdeg[r + 1][min(col)] += 2

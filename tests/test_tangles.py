@@ -6,7 +6,7 @@ import os
 import pytest
 
 from knothom.cobordism import load_movie
-from knothom.complexes import build_complex
+from knothom.complexes import axpy, build_complex
 from knothom.diagram import LinkDiagram, parse_pd
 from knothom.frobenius import theory_from_selector
 from knothom.homology import homology, torsion_bound
@@ -116,9 +116,9 @@ def tangle_d_squared_is_zero(scan):
         acc = {}
         for y, f in row.items():
             for z, g in scan.out[y].items():
-                scan.add_to(acc.setdefault(z, {}), scan.ring.one,
-                            scan.compose(g, f, *(scan.objs[v][0]
-                                                 for v in (x, y, z))))
+                axpy(scan.ring, acc.setdefault(z, {}), scan.ring.one,
+                     scan.compose(g, f, *(scan.objs[v][0]
+                                          for v in (x, y, z))))
         if any(acc.values()):
             return False
     return True
