@@ -86,6 +86,41 @@ def _d_from_edge_images(cx, r):
     return out
 
 
+def _faces_that_do_not_commute(cx):
+    """Every 2-face (s; i, j) of the cube on which the two unsigned edge
+    paths through edge_images differ on some generator.  With the cube
+    signs the two paths of a face have opposite signs, so an empty list
+    means every face anticommutes: d^2 = 0 checked face by face."""
+    R = cx.ring
+    n = cx.diagram.n
+    bad = []
+    for s in range(1 << n):
+        _, _, c = cx.state_block[s]
+        free_bits = [i for i in range(n) if not s >> i & 1]
+        for x, i in enumerate(free_bits):
+            for j in free_bits[x + 1:]:
+                for labels in range(1 << c):
+                    acc = {}
+                    for first, second, c0 in ((i, j, R.one),
+                                              (j, i, R.from_int(-1))):
+                        mid_state = s | (1 << first)
+                        for mid, c1 in cx.edge_images(s, first, labels):
+                            for tgt, c2 in cx.edge_images(mid_state,
+                                                          second, mid):
+                                axpy(R, acc, R.mul(c0, c1), {tgt: c2})
+                    if acc:
+                        bad.append((s, i, j))
+                        break
+    return bad
+
+
+def test_cube_faces_anticommute():
+    d = load_table()["5_2"]
+    for sel in ("kh-f2", "alpha"):
+        cx = build_complex(d, theory_from_selector(sel))
+        assert _faces_that_do_not_commute(cx) == [], sel
+
+
 @pytest.mark.parametrize("sel", ["bn", "kh-f2", "alpha", "alpha@0,t/f3"])
 @pytest.mark.parametrize("name", ["3_1", "4_1", "5_2"])
 def test_differential_matches_edge_images(name, sel):
