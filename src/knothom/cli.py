@@ -89,7 +89,7 @@ def _table():
     if path not in _TABLE_CACHE:
         try:
             _TABLE_CACHE[path] = load_table(path or None)
-        except OSError as e:
+        except (OSError, ValueError) as e:
             raise InputError("cannot read knot table: %s" % e)
     return _TABLE_CACHE[path]
 

@@ -33,7 +33,7 @@ are sparse dicts {(i, j): coeff} over the basis {1, X}.
 
 import re
 
-from .rings import PrimeField, PolyRing, Rationals, Integers, TwoVarPolys, F2, poly_over
+from .rings import PrimeField, PolyRing, Rationals, Integers, TwoVarPolys, F2
 
 
 class TheoryError(ValueError):
@@ -356,7 +356,7 @@ def neck_cutting_report(theory):
 # -- bundled theories ----------------------------------------------------
 
 def bar_natan():
-    R = poly_over(F2, "h")
+    R = PolyRing(F2, "h")
     return Theory("bn", R, s=R.gen(), p=R.zero)
 
 def khovanov_f2():
@@ -459,7 +459,7 @@ def theory_from_selector(text):
         parsed = [_parse_image(p) for p in parts]
         if any(kind == "t" for kind, _, _ in parsed):
             if base.is_field:
-                ring = poly_over(base, "t")
+                ring = PolyRing(base, "t")
             else:
                 raise TheoryError("polynomial images need a field base")
             def mk(kind, k, c):

@@ -401,7 +401,3 @@ class TwoVarPolys(BaseRing):
 
 
 F2 = PrimeField(2)
-
-
-def poly_over(base, var="t"):
-    return PolyRing(base, var)

@@ -58,17 +58,22 @@ def default_table_path():
 
 
 def load_table(path=None):
-    """name -> LinkDiagram from a TSV knot table."""
+    """name -> LinkDiagram from a TSV knot table; a malformed record
+    raises ``ValueError`` naming it and its line."""
     if path is None:
         path = default_table_path()
     out = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             name, _, pdtext = line.partition("\t")
-            if not pdtext:
-                raise ValueError("bad table record %r" % line)
-            out[name] = parse_pd(pdtext)
+            try:
+                if not pdtext:
+                    raise ValueError("no tab-separated PD code")
+                out[name] = parse_pd(pdtext)
+            except ValueError as e:
+                raise ValueError("bad table record %r at line %d: %s"
+                                 % (name, lineno, e)) from None
     return out

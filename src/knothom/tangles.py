@@ -95,7 +95,6 @@ class _Scan:
         self.minus_s = R.neg(theory.s)
         self.partners = []      # matching id -> {point: partner point}
         self.matching_ids = {}  # sorted tuple of pairs -> matching id
-        self.plans = []         # plan id -> its components
         self._cycles = {}
         self._compositions = {}
         self._values = {}
@@ -148,8 +147,9 @@ class _Scan:
         """Plan of a surface glued from ``npieces`` discs: each of
         ``seams`` joins two pieces along an interval, each of ``discs``
         along a circle, and boundary cycle j lies on piece outs[j].
-        Returns a plan id; the plan lists (piece mask, boundary cycles,
-        genus) per component."""
+        The plan is a tuple of (piece mask, boundary cycles, genus), one
+        per component by least piece, cycles ascending; equal surfaces
+        get equal plans, so a plan is its own cache key."""
         parent = list(range(npieces))
 
         def find(a):
@@ -172,8 +172,7 @@ class _Scan:
             if twice_genus < 0 or twice_genus % 2:
                 raise ValueError("glued surface has no genus")
             plan.append((pieces, tuple(cycles), twice_genus // 2))
-        self.plans.append(tuple(plan))
-        return len(self.plans) - 1
+        return tuple(plan)
 
     def surface(self, k, d, g):
         """Delta^(k)(X^d (2X - s)^g) as [(mask of dotted cycles, coeff)],
@@ -205,14 +204,14 @@ class _Scan:
                                          if not R.is_zero(c)]
         return hit
 
-    def value(self, pid, dots):
-        """The surface of plan ``pid`` with one dot on each piece in the
+    def value(self, plan, dots):
+        """The surface of ``plan`` with one dot on each piece in the
         mask ``dots``, as {mask of dotted boundary cycles: coeff}."""
-        hit = self._values.get((pid, dots))
+        hit = self._values.get((plan, dots))
         if hit is None:
             mul = self.ring.mul
             hit = {0: self.ring.one}
-            for pieces, cycles, g in self.plans[pid]:
+            for pieces, cycles, g in plan:
                 terms = []
                 for bits, c in self.surface(len(cycles),
                                             (dots & pieces).bit_count(), g):
@@ -223,7 +222,7 @@ class _Scan:
                     terms.append((mask, c))
                 hit = {m | mask: mul(v, c)
                        for m, v in hit.items() for mask, c in terms}
-            self._values[(pid, dots)] = hit
+            self._values[(plan, dots)] = hit
         return hit
 
     def compose(self, g, f, m1, m2, m3):
@@ -238,12 +237,12 @@ class _Scan:
             outs = [ia[p] for p in self.cycles(m1, m3)[1]]
             plan = self._compositions[(m1, m2, m3)] = (
                 self.glue(n + len(fb), seams, [], outs), n)
-        pid, n = plan
+        glued, n = plan
         R = self.ring
         acc = {}
         for fm, fc in f.items():
             for gm, gc in g.items():
-                axpy(R, acc, R.mul(fc, gc), self.value(pid, fm | gm << n))
+                axpy(R, acc, R.mul(fc, gc), self.value(glued, fm | gm << n))
         return acc
 
     # -- placing a crossing ---------------------------------------------
@@ -291,7 +290,7 @@ class _Scan:
     def extension(self, ma, mb, sigma, tau):
         """Plan of phi u (strips of sigma, or the saddle from sigma to
         tau) for phi: ma -> mb, with the loops of both ends delooped:
-        (plan id, first cup piece, first cap piece, loops at the source,
+        (glued plan, first cup piece, first cap piece, loops at the source,
         loops at the target)."""
         key = (ma, mb, sigma, tau)
         hit = self._extensions.get(key)
@@ -315,9 +314,9 @@ class _Scan:
                      + [(caps + i, piece[k]) for i, k in enumerate(loops_b)])
             outs = [index[p] if p in index else piece[fresh[p]]
                     for p in self.cycles(na, nb)[1]]
-            pid = self.glue(caps + len(loops_b), seams, discs, outs)
-            hit = self._extensions[key] = (pid, cups, caps, len(loops_a),
-                                           len(loops_b))
+            hit = self._extensions[key] = (
+                self.glue(caps + len(loops_b), seams, discs, outs), cups,
+                caps, len(loops_a), len(loops_b))
         return hit
 
     def _cap_terms(self, nloops, labels):
@@ -337,10 +336,10 @@ class _Scan:
         """{(source labels, target labels): morphism} of the basis
         morphism with dot mask fm, extended by ``plan``; kept, so callers
         must not change it."""
-        key = (plan[0], fm)
+        key = (plan, fm)
         hit = self._unit_extensions.get(key)
         if hit is None:
-            pid, cups, caps, la, lb = plan
+            glued, cups, caps, la, lb = plan
             R = self.ring
             hit = {}
             for lt in range(1 << lb):
@@ -349,7 +348,7 @@ class _Scan:
                     acc = {}
                     for capd, cc in caps_lt:
                         axpy(R, acc, cc, self.value(
-                            pid, fm | ls << cups | capd << caps))
+                            glued, fm | ls << cups | capd << caps))
                     if acc:
                         hit[(ls, lt)] = acc
             self._unit_extensions[key] = hit

@@ -339,6 +339,27 @@ def test_verify_reports_exceptions_as_error(tmp_path, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("record,why", [
+    ("bad\tPD[X[1,2]]", "'bad' at line 3: expected an edge id"),
+    ("3_1 PD[X[1,5,2,4],X[3,1,4,6],X[5,3,6,2]]",
+     "at line 3: no tab-separated PD code")])
+def test_a_malformed_table_is_input_error(record, why, tmp_path,
+                                          monkeypatch):
+    # bad PD text and a record without a tab are bad input (exit 2) that
+    # names the record, not an internal error with a traceback (exit 3)
+    table = tmp_path / "bad.tsv"
+    table.write_text("# one good record, one bad\n4_1\t"
+                     "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]\n"
+                     + record + "\n")
+    monkeypatch.setenv(TABLE_ENV, str(table))
+    for args in (("homology", "--name", "3_1"), ("verify", "dot-crossing")):
+        res = run(*args)
+        assert res.exit_code == 2, res.output
+        assert "cannot read knot table: bad table record" in res.output
+        assert why in res.output
+        assert "Traceback" not in res.output
+
+
 def test_an_uncaught_exception_is_an_internal_error(monkeypatch):
     # exit 3 with the traceback on stderr, not exit 1, which means a
     # failed verification

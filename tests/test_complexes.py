@@ -195,9 +195,9 @@ def test_check_q_homogeneity_raises_on_a_tampered_entry():
 def _axpy_cases():
     """(ring, c, a): c one and c not one over each ring, and a another
     nonzero element of it."""
-    from knothom.rings import PrimeField, Rationals, poly_over
+    from knothom.rings import PolyRing, PrimeField, Rationals
     F2, Q = PrimeField(2), Rationals()
-    F2h, F3t = poly_over(F2, "h"), poly_over(PrimeField(3), "t")
+    F2h, F3t = PolyRing(F2, "h"), PolyRing(PrimeField(3), "t")
     h, t = F2h.gen(), F3t.gen()
     three = Q.from_int(3)
     cases = [(F2h, F2h.one, h), (F2h, F2h.add(F2h.one, h), h),

@@ -7,7 +7,7 @@ from knothom import frobenius
 from knothom.frobenius import (Theory, TheoryError, axiom_report,
                                neck_cutting_report, bar_natan, khovanov_f2,
                                alpha_generic, specialize, theory_from_selector)
-from knothom.rings import PrimeField, poly_over
+from knothom.rings import PolyRing, PrimeField
 
 SELECTORS = ["bn", "kh-f2", "alpha", "alpha@0,t/f2", "alpha@1,-1/q"]
 
@@ -138,7 +138,7 @@ def test_elt_degree():
 
 
 def test_specialize_images():
-    F2h = poly_over(PrimeField(2), "t")
+    F2h = PolyRing(PrimeField(2), "t")
     sp = specialize((F2h.zero, F2h.gen()), F2h)
     assert sp.ring is F2h
     assert sp.alphas[0] == F2h.zero
@@ -180,7 +180,7 @@ def test_theory_with_failing_axioms_raises():
             R = self.ring
             return {(1, 1): R.one} if i == 0 else {(0, 1): R.one}
 
-    F2H = poly_over(PrimeField(2), "h")
+    F2H = PolyRing(PrimeField(2), "h")
     with pytest.raises(TheoryError, match="axioms failed for bad: .*counit"):
         BadComul("bad", F2H, s=F2H.gen(), p=F2H.zero)
     Theory("bn", F2H, s=F2H.gen(), p=F2H.zero)

@@ -9,7 +9,7 @@ from knothom.cobordism import load_movie
 from knothom.complexes import axpy, build_complex
 from knothom.diagram import LinkDiagram, parse_pd
 from knothom.frobenius import theory_from_selector
-from knothom.homology import homology, torsion_bound
+from knothom.homology import HomologySummary, homology, torsion_bound
 from knothom.jones import quantum_jones
 from knothom.tables import braid_pd, load_table
 from knothom import tangles
@@ -22,7 +22,7 @@ MOVIE_DIRS = [os.path.join(os.path.dirname(__file__), os.pardir, *parts)
                             ("perfbench", "inputs"))]
 TORUS = {"T(2,9)": ([1] * 9, 2), "T(3,5)": ([1, 2] * 5, 3),
          "T(3,6)": ([1, 2] * 6, 3), "T(3,7)": ([1, 2] * 7, 3),
-         "T(4,5)": ([1, 2, 3] * 5, 4)}
+         "T(4,5)": ([1, 2, 3] * 5, 4), "T(5,6)": ([1, 2, 3, 4] * 6, 5)}
 
 
 def torus(name):
@@ -108,6 +108,42 @@ def test_torus_knots_beyond_the_cube(name):
     assert kh.graded_euler_characteristic() == quantum_jones(d)
     bn = theory_from_selector("bn")
     assert torsion_bound(homology(scan_complex(d, bn)), bn).value == 2
+
+
+# T(5,6) has 24 crossings, far beyond the cube, so its summaries are
+# pinned as literals: mu = 3 under bn, and torsion of order 4 under
+# alpha@0,t/f3
+T_5_6 = {
+    "bn": HomologySummary(
+        "bn", ((0, 19, 1), (0, 21, 1)),
+        ((3, 25, 1, 1), (3, 27, 1, 1), (5, 29, 2, 1), (5, 31, 2, 1),
+         (7, 29, 1, 1), (7, 31, 1, 2), (7, 33, 1, 1), (9, 33, 1, 1),
+         (9, 35, 1, 1), (9, 35, 3, 1), (9, 37, 3, 1), (10, 35, 1, 1),
+         (10, 37, 1, 1), (11, 35, 1, 1), (11, 37, 1, 1), (12, 39, 1, 1),
+         (12, 41, 1, 1), (13, 39, 2, 1), (13, 41, 2, 1))),
+    "alpha@0,t/f3": HomologySummary(
+        "alpha@0,t/F3[t]", ((0, 19, 1), (0, 21, 1)),
+        ((3, 27, 2, 1), (5, 29, 2, 1), (5, 31, 2, 1), (7, 31, 2, 1),
+         (7, 33, 2, 1), (9, 33, 2, 1), (9, 35, 2, 2), (11, 37, 2, 1),
+         (12, 41, 2, 1), (13, 41, 2, 1), (13, 43, 4, 1), (14, 43, 2, 1))),
+}
+
+
+@pytest.mark.parametrize("sel", T_5_6)
+def test_t_5_6_summary_is_pinned(sel):
+    th = theory_from_selector(sel)
+    assert homology(scan_complex(torus("T(5,6)"), th)) == T_5_6[sel]
+
+
+def test_equal_gluings_share_one_plan_and_one_value():
+    # a plan is its own cache key: gluing the same surface twice gives
+    # equal plans, so their value is computed and kept once
+    scan = tangles._Scan(theory_from_selector("bn"))
+    args = (3, [(0, 1)], [], [0, 2])
+    p, q = scan.glue(*args), scan.glue(*args)
+    assert p == q == ((0b011, (0,), 0), (0b100, (1,), 0))
+    assert scan.value(p, 0b101) is scan.value(q, 0b101)
+    assert len(scan._values) == 1
 
 
 def tangle_d_squared_is_zero(scan):
