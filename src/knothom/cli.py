@@ -46,7 +46,6 @@ from .frobenius import (TheoryError, axiom_report, neck_cutting_report,
                         theory_from_selector)
 from .homology import (HomologyData, homology, induced_map,
                        induced_maps_equal, scale_induced, torsion_bound)
-from .jones import poly_str
 from .tangles import scan_complex
 from .tables import TABLE_ENV, load_table
 
@@ -479,9 +478,7 @@ def cmd_movie(script, selector, compose_reverse, compare, output):
     theory = _resolve_theory(selector)
     try:
         movie = load_movie(script)
-    except OSError as e:
-        raise InputError(str(e))
-    except MovieError as e:
+    except (OSError, MovieError) as e:
         raise InputError(str(e))
     if compare is not None:
         mode, power = _parse_compare(compare)

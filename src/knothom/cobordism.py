@@ -35,15 +35,20 @@ saddle and decoration maps work out what depends only on a state (its
 circle match, its merge or split plan, the block of its generators in
 ``CubeComplex.state_block``) once per state, the first time one of its
 labels is mapped, and what depends on neither state nor label (a
-decoration's products) once per map.
+decoration's products) once per map.  An r1 or r2 move's cancelling
+pairs are read per state off the cancelling edge's plan: a label with 1
+on the kink or bigon circle against its lone product (``_merge_pairs``),
+or any label against the X-at-circle term of its coproduct
+(``_split_pairs``).  A kink uses one half, a bigon both.
 
 Applying a move gives the next frame and a step record, the ``info``
-dict that is all a chain map reads.  The record of the step back is read
-off that record (``_inverse_info``), so a movie is reversed from its
-frames and records without any surgery.  The reverse of a ribbon movie
-after the movie itself induces the identity on homology (Levine-Zemke,
-*Khovanov homology and ribbon concordances*); ``verify_ribbon_composite``
-checks that one instance at a time.
+dict that is all a chain map reads.  An r1 or r2 record names only the
+``crossings`` the move adds or removes, in the bigger frame.  The record
+of the step back is read off that record (``_inverse_info``), so a movie
+is reversed from its frames and records without any surgery.  The
+reverse of a ribbon movie after the movie itself induces the identity on
+homology (Levine-Zemke, *Khovanov homology and ribbon concordances*);
+``verify_ribbon_composite`` checks that one instance at a time.
 """
 
 from dataclasses import dataclass, field
@@ -216,8 +221,7 @@ def _apply_r1_plus(diagram, move):
     else:
         cr, s = (m, e, n, m), -1
     new = LinkDiagram(tuple(crossings) + (cr,), diagram.signs + (s,), free)
-    info = {"kind": "r1+", "crossing": diagram.n, "loop": m, "edge": e,
-            "sign": s}
+    info = {"kind": "r1+", "crossings": (diagram.n,)}
     return new, info
 
 
@@ -258,9 +262,7 @@ def _apply_r1_minus(diagram, move):
         pl = (place[0] - 1, place[1]) if place[0] > ci else place
         _rewrite_occurrence(crossings, pl, e_in)
     new = LinkDiagram(tuple(crossings), tuple(signs), tuple(sorted(free)))
-    info = {"kind": "r1-", "crossing": ci, "loop": loop,
-            "in_edge": e_in, "out_edge": e_out, "tuple": cr,
-            "sign": diagram.signs[ci]}
+    info = {"kind": "r1-", "crossings": (ci,)}
     return new, info
 
 
@@ -296,8 +298,7 @@ def _apply_r2_plus(diagram, move):
     crossings.append(c2)
     signs = tuple(diagram.signs) + (1, -1)
     new = LinkDiagram(tuple(crossings), signs, tuple(sorted(free)))
-    info = {"kind": "r2+", "c1": p1, "c2": p1 + 1,
-            "over_mid": n1, "under_mid": n3}
+    info = {"kind": "r2+", "crossings": (p1, p1 + 1)}
     return new, info
 
 
@@ -377,9 +378,7 @@ def _apply_r2_minus(diagram, move):
                 _rewrite_occurrence(crossings, (idx, slot), f)
     free = list(diagram.free_edges) + closed
     new = LinkDiagram(tuple(crossings), tuple(signs), tuple(sorted(free)))
-    info = {"kind": "r2-", "c1": ci, "c2": cj,
-            "over_mid": over_mid, "under_mid": under_mid,
-            "a": (a_in, a_out), "b": (b_in, b_out)}
+    info = {"kind": "r2-", "crossings": (ci, cj)}
     return new, info
 
 
@@ -572,54 +571,62 @@ def saddle_chain_map(theory, cx_src, cx_tgt, info):
 
 # -- r1/r2 maps through the elimination engine ---------------------------
 
-def _single_image(cx, s, ci, L):
-    cands = list(cx.edge_images(s, ci, L))
-    if len(cands) != 1:
-        raise MoveError("expected a lone image along the cancelling edge")
-    return cands[0]
+def _merge_pairs(cx, s, ci, edge):
+    """Each label of state s with 1 on ``edge``'s circle against its lone
+    image along the merge at crossing ci, as (r, x, y) indices.  That
+    image is 1 * a = a with coefficient one, as ``Theory.mul`` has it for
+    every ring and (s, p): the other merging circle's label moves to the
+    merged circle."""
+    kind, ia, ib, it, match = cx.edge_plan(s, ci)
+    j = cx.diagram.locate(s, edge)
+    if kind != "merge" or j not in (ia, ib):
+        raise MoveError("expected a merge through edge %d at crossing %d"
+                        % (edge, ci))
+    other = ib if j == ia else ia
+    (r, off, c), toff = cx.state_block[s], cx.state_block[s | 1 << ci][1]
+    return [(r, off + L, toff + (transport(L, match) | (L >> other & 1) << it))
+            for L in range(1 << c) if not L >> j & 1]
 
 
-def _unique_image_with_x(cx, s, ci, L, jx):
-    cands = [(tl, c) for tl, c in cx.edge_images(s, ci, L) if tl >> jx & 1]
-    if len(cands) != 1:
-        raise MoveError("expected a unique X-component along the split edge")
-    return cands[0]
+def _split_pairs(cx, s, ci, edge):
+    """Every label of state s against its image with X on ``edge``'s
+    circle along the split at crossing ci, as (r, x, y) indices.  That
+    term of the coproduct is 1 -> X (x) 1 and X -> X (x) X with
+    coefficient one, as ``Theory.comul_basis`` has it for every ring and
+    (s, p): the label's split bit moves to the other new circle."""
+    kind, ia, it1, it2, match = cx.edge_plan(s, ci)
+    j = cx.diagram.locate(s | 1 << ci, edge)
+    if kind != "split" or j not in (it1, it2):
+        raise MoveError("expected a split through edge %d at crossing %d"
+                        % (edge, ci))
+    other = it2 if j == it1 else it1
+    (r, off, c), toff = cx.state_block[s], cx.state_block[s | 1 << ci][1]
+    return [(r, off + L, toff + (transport(L, match) | 1 << j
+                                 | (L >> ia & 1) << other))
+            for L in range(1 << c)]
 
 
 def _loop_pairs(cx, ci):
-    """Cancelling pairs that collapse the kink at crossing ci."""
+    """Cancelling pairs that collapse the kink at crossing ci: its loop's
+    1-labels through the merge if the loop is a circle at state 0,
+    else the whole 0 side against its X-labels through the split.  A
+    wrong pair from either half would be caught, by ``reduce_complex``
+    (not a unit) or by ``_relabel_iso``."""
     D = cx.diagram
     loop = _find_kink_loop(D.crossings[ci])
     res0 = D.resolve(0)
     eps = 0 if res0.circles[res0.index[loop]] == (loop,) else 1
-    pairs = []
-    for s in range(1 << D.n):
-        if s >> ci & 1:
-            continue
-        s1 = s | 1 << ci
-        r = cx.state_block[s][0]
-        res_s = D.resolve(s)
-        if eps == 0:
-            # the loop circle sits on the 0 side; cancel its 1-labels
-            # against the whole 1 side through the merge edge
-            jm = res_s.index[loop]
-            for L in range(1 << len(res_s)):
-                if L >> jm & 1:
-                    continue
-                tl, _ = _single_image(cx, s, ci, L)
-                pairs.append((r, (s, L), (s1, tl)))
-        else:
-            # the loop appears on the 1 side; cancel everything on the 0
-            # side against the X-at-loop components of the split edge
-            jm1 = D.resolve(s1).index[loop]
-            for L in range(1 << len(res_s)):
-                tl, _ = _unique_image_with_x(cx, s, ci, L, jm1)
-                pairs.append((r, (s, L), (s1, tl)))
+    half = _split_pairs if eps else _merge_pairs
+    pairs = [p for s in range(1 << D.n) if not s >> ci & 1
+             for p in half(cx, s, ci, loop)]
     return pairs, eps, loop
 
 
 def _bigon_pairs(cx, ci, cj):
-    """Cancelling pairs that collapse the r2 bigon at crossings ci, cj."""
+    """Cancelling pairs that collapse the r2 bigon at crossings ci, cj:
+    below the bigon circle each state cancels against its X-labels
+    through the split, and above it the circle's 1-labels cancel through
+    the merge."""
     D = cx.diagram
     om, um = _bigon_structure(D, ci, cj)
     circ = None
@@ -637,26 +644,12 @@ def _bigon_pairs(cx, ci, cj):
                         "r2- needs an over-over bigon" % (circ,))
     delta_bit = ci if circ[0] else cj
     merge_bit = cj if circ[0] else ci
-    circ_mask = (circ[0] << ci) | (circ[1] << cj)
     both = (1 << ci) | (1 << cj)
     pairs = []
     for s in range(1 << D.n):
-        if s & both:
-            continue
-        scirc = s | circ_mask
-        s11 = s | both
-        r = cx.state_block[s][0]
-        res00 = D.resolve(s)
-        rescirc = D.resolve(scirc)
-        juv = rescirc.index[om]
-        for L in range(1 << len(res00)):
-            tl, _ = _unique_image_with_x(cx, s, delta_bit, L, juv)
-            pairs.append((r, (s, L), (scirc, tl)))
-        for L in range(1 << len(rescirc)):
-            if L >> juv & 1:
-                continue
-            tl, _ = _single_image(cx, scirc, merge_bit, L)
-            pairs.append((r + 1, (scirc, L), (s11, tl)))
+        if not s & both:
+            pairs += _split_pairs(cx, s, delta_bit, om)
+            pairs += _merge_pairs(cx, s | 1 << delta_bit, merge_bit, om)
     return pairs, circ
 
 
@@ -772,11 +765,11 @@ def _reidemeister_reduction(cx_small, cx_big, info):
     complex and the relabelings between its reduced complex and the
     smaller one: (reduction, reduced -> small, small -> reduced)."""
     if info["kind"].startswith("r1"):
-        ci = info["crossing"]
+        (ci,) = info["crossings"]
         pairs, eps, loop = _loop_pairs(cx_big, ci)
         fixed, forced = {ci: eps}, {loop: 1 if eps == 0 else 0}
     else:
-        ci, cj = info["c1"], info["c2"]
+        ci, cj = info["crossings"]
         pairs, circ = _bigon_pairs(cx_big, ci, cj)
         fixed, forced = {ci: 1 - circ[0], cj: 1 - circ[1]}, {}
     redn = reduce_complex(cx_big, pairs=pairs)
@@ -802,9 +795,7 @@ def _reidemeister_map(theory, cx_src, cx_tgt, info):
     """
     grow = info["kind"].endswith("+")
     cx_small, cx_big = (cx_src, cx_tgt) if grow else (cx_tgt, cx_src)
-    removed = (frozenset((info["crossing"],)) if info["kind"].startswith("r1")
-               else frozenset((info["c1"], info["c2"])))
-    key = (cx_small, removed)
+    key = (cx_small, frozenset(info["crossings"]))
     if key not in cx_big.move_reductions:
         cx_big.move_reductions[key] = _reidemeister_reduction(
             cx_small, cx_big, info)
@@ -845,10 +836,9 @@ def _check_record(src, tgt, info):
         names = True
     else:
         big = tgt if kind.endswith("+") else src
-        names = all(isinstance(info.get(key), int)
-                    and 0 <= info[key] < big.n
-                    for key in (("crossing",) if kind.startswith("r1")
-                                else ("c1", "c2")))
+        crossings = info.get("crossings", ())
+        names = len(set(crossings)) == abs(dn) and all(
+            isinstance(c, int) and 0 <= c < big.n for c in crossings)
     if (tgt.n - src.n != dn
             or len(tgt.free_edges) - len(src.free_edges) not in dfree
             or not names):

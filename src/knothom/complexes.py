@@ -32,14 +32,14 @@ image of its persisting circles, built for all labels at once by
 doubling, plus the table row picked by the label's bits on the merging or
 splitting circles.  Distinct edges out of one generator reach distinct
 states, so every entry is assigned once and nothing is accumulated.
-``edge_images`` yields the same images one generator at a time, without
-the sign, for the pair finders of the r1/r2 maps in ``cobordism`` and for
-the tests, one of which keeps the two routes equal.
+``plan_images`` of ``edge_plan`` gives the same images one generator at
+a time, without the sign; the tests keep the two routes equal.
 
 ``CubeComplex.gen_index`` is the lookup of a generator (state, labels):
 the state's block offset in ``state_block`` plus the labels.  The
 elementary maps of ``cobordism`` read that offset once per state, with
-the rest of the state's plan.  ``circle_match``, ``transport`` and
+the rest of the state's plan; its r1/r2 pair halves read the cancelling
+edge's ``edge_plan`` the same way.  ``circle_match``, ``transport`` and
 ``plan_images`` carry circle labels through a local surgery; the cube
 edges here and the saddle, birth and death maps of ``cobordism`` all use
 them.
@@ -320,11 +320,6 @@ class CubeComplex(ChainComplex):
             plan = ("split", ia, it1, it2, match)
         self._plans[key] = plan
         return plan
-
-    def edge_images(self, s, i, labels):
-        """Images (target labels, payload) of generator (s, labels) under
-        the cube edge at i, without the cube sign."""
-        return plan_images(self.theory, self.edge_plan(s, i), labels)
 
     def _signed_images(self, negate):
         """The theory's basis images with the cube sign applied: merge row

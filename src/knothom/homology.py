@@ -270,9 +270,9 @@ class _Blocks:
 def reduce_complex(cx, pairs=None):
     """Cancel unit entries of the differential.
 
-    ``pairs`` prescribes an elimination order as (r, src_key, tgt_key)
-    tuples of cube generators (state, labels), looked up by ``gen_index``;
-    by default every unit entry is eliminated, degree by degree.  The
+    ``pairs`` prescribes an elimination order as (r, x, y) tuples: x
+    indexes a generator of degree r and y one of degree r + 1.  By
+    default every unit entry is eliminated, degree by degree.  The
     columns of a degree are popped least source index first from a heap:
     every column is pushed when its degree is loaded, and again whenever
     fill-in creates a unit in it.  The
@@ -296,11 +296,10 @@ def reduce_complex(cx, pairs=None):
     ``cx`` whatever the order; only its basis, and so the coordinates
     that ``induced_map`` prints, depend on the order.
 
-    Prescribed pairs are checked up front (each key must exist and sit
-    in degrees r, r + 1), then cancelled in degree order by a stable
-    sort, which keeps their given order within a degree, and each degree
-    is loaded through the same loader when its first pair comes up, so
-    the column of a prescribed target is never built.  Reordering across
+    Prescribed pairs are cancelled in degree order by a stable sort,
+    which keeps their given order within a degree, and each degree is
+    loaded through the same loader when its first pair comes up, so the
+    column of a prescribed target is never built.  Reordering across
     degrees changes no result: a cancellation in degree r + 1 deletes
     only row x' of d_r, and one in degree r deletes only column y of
     d_{r+1}, so cancellations of adjacent degrees commute.  The reduced
@@ -325,14 +324,7 @@ def reduce_complex(cx, pairs=None):
     if pairs is None:
         heap = []   # source indices of degree r
     else:
-        queue = []
-        for r, sk, tk in pairs:
-            rs, si = cx.gen_index(*sk)
-            rt, ti = cx.gen_index(*tk)
-            if rs != r or rt != r + 1:
-                raise ValueError("prescribed pair has wrong degrees")
-            queue.append((r, si, ti))
-        queue.sort(key=itemgetter(0))
+        queue = sorted(pairs, key=itemgetter(0))
         queue.reverse()  # pop() order below: by degree, as given within one
 
     while True:

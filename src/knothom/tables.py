@@ -58,17 +58,23 @@ def default_table_path():
 
 
 def load_table(path=None):
-    """name -> LinkDiagram from a TSV knot table; a malformed record
-    raises ``ValueError`` naming it and its line."""
+    """name -> LinkDiagram from a TSV knot table; a malformed record, or
+    one that repeats an earlier record's name, raises ``ValueError``
+    naming it and its line."""
     if path is None:
         path = default_table_path()
-    out = {}
+    out, lines = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             name, _, pdtext = line.partition("\t")
+            if name in lines:
+                raise ValueError("table record %r at line %d repeats the "
+                                 "name at line %d"
+                                 % (name, lineno, lines[name]))
+            lines[name] = lineno
             try:
                 if not pdtext:
                     raise ValueError("no tab-separated PD code")

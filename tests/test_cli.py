@@ -360,6 +360,20 @@ def test_a_malformed_table_is_input_error(record, why, tmp_path,
         assert "Traceback" not in res.output
 
 
+def test_a_repeated_table_name_is_input_error(tmp_path, monkeypatch):
+    # a second record named 3_1 (4_1's PD) must not silently replace the
+    # trefoil: bad input (exit 2) naming the record and both lines
+    table = tmp_path / "dup.tsv"
+    table.write_text("3_1\tPD[X[1,5,2,4],X[3,1,4,6],X[5,3,6,2]]\n"
+                     "3_1\tPD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]\n")
+    monkeypatch.setenv(TABLE_ENV, str(table))
+    for args in (("homology", "--name", "3_1"), ("verify", "dot-crossing")):
+        res = run(*args)
+        assert res.exit_code == 2, res.output
+        assert ("cannot read knot table: table record '3_1' at line 2 "
+                "repeats the name at line 1") in res.output
+
+
 def test_an_uncaught_exception_is_an_internal_error(monkeypatch):
     # exit 3 with the traceback on stderr, not exit 1, which means a
     # failed verification
@@ -556,9 +570,7 @@ def test_movie_compose_reverse_eliminates_each_move_once(movie, theory,
         small, big = m.frames[k], m.frames[k + 1]
         if info["kind"].endswith("-"):
             small, big = big, small
-        removed = (frozenset((info["crossing"],)) if "crossing" in info
-                   else frozenset((info["c1"], info["c2"])))
-        expected.add((big, small, removed))
+        expected.add((big, small, frozenset(info["crossings"])))
     calls = []
     reduce = cobordism.reduce_complex
 

@@ -24,10 +24,10 @@ from knothom.cobordism import (Move, MoveError, MovieError, apply_move,
                                verify_symmetry, verify_star_placement,
                                ribbon_structure_errors,
                                verify_ribbon_composite, _bigon_pairs,
-                               _inverse_info, _loop_pairs, _relabel_iso,
-                               _reidemeister_map,
-                               _reidemeister_reduction, _single_image,
-                               _unique_image_with_x)
+                               _bigon_structure, _find_kink_loop,
+                               _inverse_info, _loop_pairs, _merge_pairs,
+                               _relabel_iso, _reidemeister_map,
+                               _reidemeister_reduction, _split_pairs)
 from knothom.cli import main
 from knothom.jones import jones_polynomial
 from knothom.tables import load_table, braid_pd
@@ -49,7 +49,7 @@ def test_r1_round_trip():
     d1, info, _ = apply_move(u, Move("r1+", (1, "+")))
     assert d1.n == 1 and len(d1.components) == 1
     assert info["kind"] == "r1+"
-    back, _, _ = apply_move(d1, Move("r1-", (info["crossing"],)))
+    back, _, _ = apply_move(d1, Move("r1-", info["crossings"]))
     assert back.canonical_key() == u.canonical_key()
 
 
@@ -66,7 +66,7 @@ def test_r2_round_trip_on_trefoil():
     d2, info, _ = apply_move(d, Move("r2+", (2, 5)))
     assert d2.n == 5
     assert is_planar(d2)
-    back, _, _ = apply_move(d2, Move("r2-", (info["c1"], info["c2"])))
+    back, _, _ = apply_move(d2, Move("r2-", info["crossings"]))
     assert back.canonical_key() == d.canonical_key()
 
 
@@ -263,7 +263,7 @@ def test_relabeling_is_checked():
     small = unknot_diagram()
     big, info, _ = apply_move(small, Move("r1+", (1, "+")))
     cx_small, cx_big = build_complex(small, th), build_complex(big, th)
-    ci = info["crossing"]
+    (ci,) = info["crossings"]
     pairs, eps, loop = _loop_pairs(cx_big, ci)
     redn = reduce_complex(cx_big, pairs=pairs)
     forced = {loop: 1 if eps == 0 else 0}
@@ -278,13 +278,15 @@ def test_relabeling_is_checked():
         _relabel_iso(redn, renamed, {ci: eps}, forced)
 
 
-@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3", "alpha@1,-1/f5"])
 @pytest.mark.parametrize("path", R_MOVIES, ids=os.path.basename)
 def test_reidemeister_reductions_and_maps(path, sel):
     # every r1/r2 move: its prescribed-pair elimination satisfies the
     # reduction identities, and the move map, which replays that
     # elimination on vectors, has the matrix of the relabeling times the
-    # inclusion or projection
+    # inclusion or projection.  Under alpha@1,-1/f5, X * X = 1 is a unit,
+    # so being a unit does not pin which pairs cancel; only the
+    # relabeling check tells a right pair set from a wrong one
     th = theory_from_selector(sel)
     R = th.ring
     movie = load_movie(path)
@@ -436,6 +438,20 @@ def test_decoration_record_must_name_an_edge_of_its_frame():
         move_chain_map(th, cx, other, {"kind": "dot", "edge": 1})
 
 
+def test_reidemeister_record_must_name_crossings_of_the_bigger_frame():
+    # an r1/r2 record names as many crossings as the move removes, each
+    # one of the bigger frame
+    th = theory_from_selector("bn")
+    d = load_table()["3_1"]
+    d2, info, inverse = apply_move(d, Move("r2+", (2, 5)))
+    cx, cx2 = build_complex(d, th), build_complex(d2, th)
+    assert info == {"kind": "r2+", "crossings": (3, 4)}
+    assert move_chain_map(th, cx2, cx, inverse).is_chain_map()
+    for crossings in ((3,), (3, 3), (3, 5), (3, 4, 0)):
+        with pytest.raises(MoveError, match="does not fit its frames"):
+            move_chain_map(th, cx2, cx, dict(inverse, crossings=crossings))
+
+
 @pytest.mark.parametrize("name,kind", [("trivial-ribbon", "r1+"),
                                        ("square-knot", "r2+")])
 def test_prescribed_elimination_streams_the_big_cube(name, kind,
@@ -457,9 +473,9 @@ def test_prescribed_elimination_streams_the_big_cube(name, kind,
     info = movie.infos[k]
     small = build_complex(movie.frames[k], th)
     big = build_complex(movie.frames[k + 1], th)
-    pairs = (_loop_pairs(big, info["crossing"])[0] if kind == "r1+"
-             else _bigon_pairs(big, info["c1"], info["c2"])[0])
-    targets = {big.gen_index(*tk) for _, _, tk in pairs}
+    pairs = (_loop_pairs(big, *info["crossings"])[0] if kind == "r1+"
+             else _bigon_pairs(big, *info["crossings"])[0])
+    targets = {(r + 1, y) for r, _, y in pairs}
     assert {r for r, _ in targets} & set(big.degrees[1:])
     _reidemeister_reduction(small, big, info)
     calls = [(r, alive) for cx, r, alive in built if cx is big]
@@ -494,16 +510,96 @@ def test_two_kinks_out_of_one_complex_get_their_own_reductions():
     assert len(cx_big.move_reductions) == 2
 
 
-def test_cancelling_edge_image_checks_raise():
+def _pairs_by_label(cx, info):
+    """The cancelling pairs of an r1/r2 move worked out label by label,
+    each through ``plan_images`` of its cube edge's plan: a merge image
+    must be the lone one, a split image the lone one with X on the kink
+    or bigon circle.  The kink's loop and side, and the bigon's circle,
+    are read off the pair finders."""
+    D = cx.diagram
+
+    def pair(s, ci, L, jx=None):
+        images = [tl for tl, _ in plan_images(cx.theory, cx.edge_plan(s, ci),
+                                              L) if jx is None or tl >> jx & 1]
+        assert len(images) == 1, (s, ci, L)
+        r, x = cx.gen_index(s, L)
+        return r, x, cx.gen_index(s | 1 << ci, images[0])[1]
+
+    def labels(s):
+        return range(1 << len(D.resolve(s)))
+
+    pairs = []
+    if info["kind"].startswith("r1"):
+        (ci,) = info["crossings"]
+        _, eps, loop = _loop_pairs(cx, ci)
+        for s in range(1 << D.n):
+            if s >> ci & 1:
+                continue
+            if eps:
+                jx = D.locate(s | 1 << ci, loop)
+                pairs += [pair(s, ci, L, jx) for L in labels(s)]
+            else:
+                j = D.locate(s, loop)
+                pairs += [pair(s, ci, L) for L in labels(s) if not L >> j & 1]
+        return pairs
+    ci, cj = info["crossings"]
+    _, circ = _bigon_pairs(cx, ci, cj)
+    om = _bigon_structure(D, ci, cj)[0]
+    split, merge = (ci, cj) if circ[0] else (cj, ci)
+    for s in range(1 << D.n):
+        if s >> ci & 1 or s >> cj & 1:
+            continue
+        sc = s | 1 << split
+        jx = D.locate(sc, om)
+        pairs += [pair(s, split, L, jx) for L in labels(s)]
+        pairs += [pair(sc, merge, L) for L in labels(sc) if not L >> jx & 1]
+    return pairs
+
+
+@pytest.mark.parametrize("path", R_MOVIES, ids=os.path.basename)
+def test_pair_halves_match_the_label_by_label_route(path):
+    # the per-state halves compute each target by label arithmetic; on
+    # every r1/r2 move they must give the pairs, in order, that walking
+    # each label's images gives, under theories with s and p zero and not
+    movie = load_movie(path)
+    for sel in ("bn", "alpha@1,2/f5", "alpha@t,-t/q"):
+        th = theory_from_selector(sel)
+        cxs = movie.complexes(th)
+        moves = 0
+        for k, info in enumerate(movie.infos):
+            if info["kind"] not in ("r1+", "r1-", "r2+", "r2-"):
+                continue
+            moves += 1
+            big = cxs[k + 1] if info["kind"].endswith("+") else cxs[k]
+            pairs = (_loop_pairs(big, *info["crossings"])[0]
+                     if info["kind"].startswith("r1")
+                     else _bigon_pairs(big, *info["crossings"])[0])
+            assert pairs == _pairs_by_label(big, info), (sel, k)
+        assert moves
+
+
+def test_pair_halves_check_the_edge_plan():
+    # negative control for the halves' one check per state: a merge
+    # asked of a split edge, a split asked of a merge edge, and a merge
+    # through an edge whose circle does not take part in it
     th = theory_from_selector("bn")
     kink = apply_move(unknot_diagram(), Move("r1+", (1, "-")))[0]
     cx = build_complex(kink, th)       # one circle at 0, two at 1: a split
-    with pytest.raises(MoveError, match="lone image"):
-        _single_image(cx, 0, 0, 0)
+    loop = _find_kink_loop(kink.crossings[0])
+    assert _split_pairs(cx, 0, 0, loop)
+    with pytest.raises(MoveError, match="expected a merge"):
+        _merge_pairs(cx, 0, 0, loop)
     kink = apply_move(unknot_diagram(), Move("r1+", (1, "+")))[0]
     cx = build_complex(kink, th)       # two circles at 0, one at 1: a merge
-    with pytest.raises(MoveError, match="unique X-component"):
-        _unique_image_with_x(cx, 0, 0, 0, 0)     # 1 * 1 = 1 has no X
+    loop = _find_kink_loop(kink.crossings[0])
+    assert _merge_pairs(cx, 0, 0, loop)
+    with pytest.raises(MoveError, match="expected a split"):
+        _split_pairs(cx, 0, 0, loop)
+    two = apply_move(kink, Move("r1+", (1, "+")))[0]
+    cx = build_complex(two, th)        # crossing 0 merges, loop 1 stays out
+    assert _merge_pairs(cx, 0, 0, _find_kink_loop(two.crossings[0]))
+    with pytest.raises(MoveError, match="expected a merge"):
+        _merge_pairs(cx, 0, 0, _find_kink_loop(two.crossings[1]))
 
 
 @pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3", "alpha@1,2/f5"])
@@ -763,7 +859,7 @@ def test_move_then_reverse_round_trip(name, seed):
         d2, info, _ = apply_move(d, Move("r2+", (e1, e2)))
     except MoveError:
         return
-    back, _, _ = apply_move(d2, Move("r2-", (info["c1"], info["c2"])))
+    back, _, _ = apply_move(d2, Move("r2-", info["crossings"]))
     assert back.canonical_key() == d.canonical_key()
 
 

@@ -9,7 +9,8 @@ from knothom.diagram import from_pd, parse_pd, unknot_diagram
 from knothom.frobenius import theory_from_selector
 from knothom.complexes import (build_complex, CubeComplex, identity_map,
                                zero_map, compose, add_maps, scale_map,
-                               maps_equal, mat_mul, mat_add, mat_eq, axpy)
+                               maps_equal, mat_mul, mat_add, mat_eq, axpy,
+                               plan_images)
 from knothom.jones import quantum_jones
 from knothom.tables import load_table
 
@@ -64,9 +65,9 @@ def test_q_homogeneity(sel):
     assert cx.check_q_homogeneity()
 
 
-def _d_from_edge_images(cx, r):
-    """d out of degree r as the signed sum of edge_images over each
-    generator's free bits: the route the r1/r2 pair finders read."""
+def _d_from_plan_images(cx, r):
+    """d out of degree r as the signed sum of ``plan_images`` of each
+    cube edge's ``edge_plan`` over each generator's free bits."""
     R = cx.ring
     out = {}
     for src, (s, labels) in enumerate(cx.gens[r]):
@@ -77,7 +78,8 @@ def _d_from_edge_images(cx, r):
             below = (s & ((1 << i) - 1)).bit_count()
             sign = R.from_int(-1 if below % 2 else 1)
             _, toff = cx.gen_index(s | (1 << i), 0)
-            for tl, coeff in cx.edge_images(s, i, labels):
+            for tl, coeff in plan_images(cx.theory, cx.edge_plan(s, i),
+                                         labels):
                 col[toff + tl] = R.add(col.get(toff + tl, R.zero),
                                        R.mul(sign, coeff))
         col = {t: v for t, v in col.items() if not R.is_zero(v)}
@@ -88,7 +90,7 @@ def _d_from_edge_images(cx, r):
 
 def _faces_that_do_not_commute(cx):
     """Every 2-face (s; i, j) of the cube on which the two unsigned edge
-    paths through edge_images differ on some generator.  With the cube
+    paths through plan_images differ on some generator.  With the cube
     signs the two paths of a face have opposite signs, so an empty list
     means every face anticommutes: d^2 = 0 checked face by face."""
     R = cx.ring
@@ -104,9 +106,11 @@ def _faces_that_do_not_commute(cx):
                     for first, second, c0 in ((i, j, R.one),
                                               (j, i, R.from_int(-1))):
                         mid_state = s | (1 << first)
-                        for mid, c1 in cx.edge_images(s, first, labels):
-                            for tgt, c2 in cx.edge_images(mid_state,
-                                                          second, mid):
+                        for mid, c1 in plan_images(
+                                cx.theory, cx.edge_plan(s, first), labels):
+                            for tgt, c2 in plan_images(
+                                    cx.theory, cx.edge_plan(mid_state, second),
+                                    mid):
                                 axpy(R, acc, R.mul(c0, c1), {tgt: c2})
                     if acc:
                         bad.append((s, i, j))
@@ -124,11 +128,11 @@ def test_cube_faces_anticommute():
 @pytest.mark.parametrize("sel", ["bn", "kh-f2", "alpha", "alpha@0,t/f3"])
 @pytest.mark.parametrize("name", ["3_1", "4_1", "5_2"])
 def test_differential_matches_edge_images(name, sel):
-    # d is built from per-edge label tables; it must not drift from
-    # edge_images, which the r1/r2 pair finders read
+    # d is built from per-edge label tables; it must not drift from the
+    # label-by-label images of each edge's plan
     cx = build_complex(load_table()[name], theory_from_selector(sel))
     for r in cx.degrees:
-        assert cx.d(r) == _d_from_edge_images(cx, r), (name, sel, r)
+        assert cx.d(r) == _d_from_plan_images(cx, r), (name, sel, r)
 
 
 @pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
@@ -164,7 +168,7 @@ def test_take_d_copies_a_stored_block_and_stores_no_fresh_one():
 
 def test_edge_image_comparison_flags_a_tampered_differential():
     cx = _trefoil_with_entry(lambda R: R.monomial(1, 5))
-    assert any(cx.d(r) != _d_from_edge_images(cx, r) for r in cx.degrees)
+    assert any(cx.d(r) != _d_from_plan_images(cx, r) for r in cx.degrees)
 
 
 def _trefoil_with_entry(value):
