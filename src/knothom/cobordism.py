@@ -167,15 +167,13 @@ def _apply_saddle(diagram, move):
         (loop,) = _fresh_ids(diagram, 1)
         new = LinkDiagram(diagram.crossings, diagram.signs,
                           diagram.free_edges + (loop,))
-        info = {"kind": "saddle", "case": "split_loop", "e1": e1, "e2": e2,
-                "ends": ((e1, e1), (e1, loop))}
+        info = {"kind": "saddle", "ends": ((e1, e1), (e1, loop))}
         return new, info
 
     if e1 in free and e2 in free:
         new = LinkDiagram(diagram.crossings, diagram.signs,
                           tuple(x for x in diagram.free_edges if x != e2))
-        info = {"kind": "saddle", "case": "free_merge", "e1": e1, "e2": e2,
-                "ends": ((e1, e2), (e1, e1))}
+        info = {"kind": "saddle", "ends": ((e1, e2), (e1, e1))}
         return new, info
 
     if (e1 in free) != (e2 in free):
@@ -183,8 +181,7 @@ def _apply_saddle(diagram, move):
         other = e2 if e1 in free else e1
         new = LinkDiagram(diagram.crossings, diagram.signs,
                           tuple(x for x in diagram.free_edges if x != lone))
-        info = {"kind": "saddle", "case": "absorb", "e1": e1, "e2": e2,
-                "ends": ((lone, other), (other, other))}
+        info = {"kind": "saddle", "ends": ((lone, other), (other, other))}
         return new, info
 
     # two honest crossing edges
@@ -195,8 +192,7 @@ def _apply_saddle(diagram, move):
     _rewrite_occurrence(crossings, diagram.tail(e2), b)
     _rewrite_occurrence(crossings, diagram.head(e1), b)
     new = LinkDiagram(tuple(crossings), diagram.signs, diagram.free_edges)
-    info = {"kind": "saddle", "case": "standard", "e1": e1, "e2": e2,
-            "ends": ((e1, e2), (a, b))}
+    info = {"kind": "saddle", "ends": ((e1, e2), (a, b))}
     return new, info
 
 
@@ -258,7 +254,8 @@ def _apply_r1_minus(diagram, move):
         free.append(e_in)
     else:
         place = diagram.head(e_out)
-        assert place[0] != ci
+        if place[0] == ci:
+            raise MoveError("crossing %d is not a kink" % ci)
         pl = (place[0] - 1, place[1]) if place[0] > ci else place
         _rewrite_occurrence(crossings, pl, e_in)
     new = LinkDiagram(tuple(crossings), tuple(signs), tuple(sorted(free)))
@@ -436,19 +433,25 @@ def _apply_r3(diagram, move):
     for t, x, y in strands:
         tf, th = diagram.tail(t), diagram.head(t)
         F, G = tf[0], th[0]
-        assert {F, G} == {x, y}
+        if {F, G} != {x, y}:
+            raise MoveError("triangle edge %d does not join crossings %d "
+                            "and %d" % (t, x, y))
         # the strand's in/out slots at each crossing stay fixed; the move
         # swaps which of its three edges sits where
         if tf[1] == 2:
             f_in, f_out = 0, 2
         else:
             f_in, f_out = (3, 1) if diagram.signs[F] > 0 else (1, 3)
-        assert tf[1] == f_out
+        if tf[1] != f_out:
+            raise MoveError("edge %d leaves crossing %d through an in slot"
+                            % (t, F))
         if th[1] == 0:
             g_in, g_out = 0, 2
         else:
             g_in, g_out = (3, 1) if diagram.signs[G] > 0 else (1, 3)
-        assert th[1] == g_in
+        if th[1] != g_in:
+            raise MoveError("edge %d enters crossing %d through an out slot"
+                            % (t, G))
         e_in = diagram.crossings[F][f_in]
         e_out = diagram.crossings[G][g_out]
         crossings[F][f_in] = t
@@ -457,7 +460,7 @@ def _apply_r3(diagram, move):
         crossings[G][g_out] = t
     new = LinkDiagram(tuple(tuple(c) for c in crossings), diagram.signs,
                       diagram.free_edges)
-    info = {"kind": "r3", "crossings": (ca, cb, cc), "triangle": (u, v, w)}
+    info = {"kind": "r3", "crossings": (ca, cb, cc)}
     return new, info
 
 
@@ -832,12 +835,13 @@ def _check_record(src, tgt, info):
         ends = info.get("ends", ())
         names = len(ends) == 2 and all(
             set(end) <= side for end, side in zip(ends, edges))
-    elif kind == "r3":
-        names = True
     else:
+        # r3 names the three crossings of its triangle, r1/r2 those the
+        # move removes from the bigger frame
         big = tgt if kind.endswith("+") else src
         crossings = info.get("crossings", ())
-        names = len(set(crossings)) == abs(dn) and all(
+        count = 3 if kind == "r3" else abs(dn)
+        names = len(crossings) == len(set(crossings)) == count and all(
             isinstance(c, int) and 0 <= c < big.n for c in crossings)
     if (tgt.n - src.n != dn
             or len(tgt.free_edges) - len(src.free_edges) not in dfree
@@ -1067,7 +1071,7 @@ def verify_saddle_split(hdata, move):
     f = saddle_chain_map(theory, cx, cx2, info)
     g = saddle_chain_map(theory, cx2, cx, inverse)
     comp = compose(g, f)
-    star = decoration_chain_map(theory, cx, "star", info["e1"])
+    star = decoration_chain_map(theory, cx, "star", move.args[0])
     return maps_equal_on_homology(comp, star, hdata, hdata,
                                   up_to_sign=theory.ring.char != 2)
 

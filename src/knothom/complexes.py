@@ -15,13 +15,12 @@ A complex holds its differential as one block per degree.  ``d(r)``
 stores the block it returns, so every reader that comes back to it (the
 d^2 and chain-map checks, the ``quotient_dims`` oracle, relabelling in
 ``cobordism``) pays for one build.  Elimination consumes its blocks
-instead: ``take_d`` hands it the live columns of one degree, a copy of
-the stored block where there is one and otherwise a fresh build of only
-those columns, which nobody stores.  Both routes of elimination, the
-default order and the prescribed pairs of an r1/r2 move, load a degree
-this way at its turn.  A cube that only goes through elimination thus
-never holds its whole differential; a reduced complex, which has no
-builder, always keeps its blocks.
+instead: at each degree's turn ``take_d`` hands it the columns of the
+sources it has not cancelled, a copy of the stored block where there
+is one and otherwise a fresh build of only those columns, which nobody
+stores.  A cube that only goes through elimination thus never holds its
+whole differential; a reduced complex, which has no builder, always
+keeps its blocks.
 
 The differential is built edge by edge, not label by label.  For each
 state and free bit, the edge's plan (which circles merge or split, and
@@ -117,7 +116,7 @@ class ChainComplex:
         self.gens = gens            # {r: [key, ...]}
         self.qdeg = qdeg            # {r: [int or None, ...]}
         self._diffs = dict(diffs) if diffs else {}
-        self._diff_builder = diff_builder   # (r, alive=None) -> block
+        self._diff_builder = diff_builder   # (r, skip=()) -> block
 
     @property
     def degrees(self):
@@ -139,15 +138,16 @@ class ChainComplex:
                 self._diffs[r] = {}
         return self._diffs[r]
 
-    def take_d(self, r, alive):
-        """The columns of d out of degree r whose source is in ``alive``,
-        for a caller that consumes them in place: a copy of the stored
-        block when there is one (a complex built from its blocks, or a
-        cube whose block was read through ``d``), else a fresh build from
-        the builder that is not stored, so the complex never holds it."""
+    def take_d(self, r, skip):
+        """The columns of d out of degree r whose source is not in
+        ``skip``, for a caller that consumes them in place: a copy of the
+        stored block when there is one (a complex built from its blocks,
+        or a cube whose block was read through ``d``), else a fresh build
+        from the builder that is not stored, so the complex never holds
+        it."""
         if r in self._diffs or self._diff_builder is None:
-            return {s: dict(c) for s, c in self.d(r).items() if s in alive}
-        return self._diff_builder(r, alive)
+            return {s: dict(c) for s, c in self.d(r).items() if s not in skip}
+        return self._diff_builder(r, skip)
 
     def materialize(self):
         for r in self.degrees:
@@ -341,19 +341,19 @@ class CubeComplex(ChainComplex):
             self._signed[key] = merge, split
         return self._signed[key]
 
-    def _build_degree(self, r, alive=None):
+    def _build_degree(self, r, skip=()):
         """Columns of d out of degree r, edge by edge from per-edge label
-        tables (see the module docstring).  With ``alive``, a set of
-        indices of degree r, only the columns of those sources are built,
-        and a state none of whose generators is alive is skipped."""
+        tables (see the module docstring).  The columns of the sources in
+        ``skip``, indices of degree r, are not built, and neither is a
+        state all of whose generators are skipped."""
         D = self.diagram
         flip_signs = self.ring.char != 2
         cols = {}
         for s in self.states_by_weight.get(r + D.n_minus, ()):
             _, off, c = self.state_block[s]
             live = range(1 << c)
-            if alive is not None:
-                live = [L for L in live if off + L in alive]
+            if skip:
+                live = [L for L in live if off + L not in skip]
                 if not live:
                     continue
             images = {L: {} for L in live}

@@ -2,12 +2,13 @@
 push maps through the cube's.
 
 One engine, elimination, computes every homology, in two passes that
-share their cancellation step (``_Blocks.cancel``):
+share their cancellation step and its record (``_Blocks``): the steps,
+and the step that cancelled each generator.
 
 * ``reduce_complex`` cancels unit differential entries, a discrete
-  homotopy equivalence with inclusion, projection and homotopy maps.  It
-  records its cancellations, and the inclusion, projection and homotopy
-  replay that record on the vectors they are applied to, so no matrix of
+  homotopy equivalence with inclusion, projection and homotopy maps, in
+  one loop, degree by degree.  The inclusion, projection and homotopy
+  replay the record on the vectors they are applied to, so no matrix of
   them is built unless a check asks for one.  ``HomologyData`` keeps the
   maps so that chain maps on a cube can be pushed through homology, and
   ``homology()``, the summary of any complex, is its summary.  The
@@ -34,7 +35,6 @@ a summary predicts those dimensions by universal coefficients.
 from dataclasses import dataclass
 from functools import partial
 import heapq
-from operator import itemgetter
 
 from .rings import PolyRing
 from .complexes import (ChainComplex, ChainMap, axpy, matrix_map, mat_eq,
@@ -71,9 +71,12 @@ class _Cancellations:
     and the homotopy sends v to the sum over the steps of
     u^-1 <P_k v, y> I_k(x), where P_k projects through the steps before
     k and I_k includes through them.  Indices are those of the original
-    complex; ``keep[r]`` lists the survivors of degree r in the order of
-    the reduced complex.  Each index below is built the first time a map
-    that reads it is applied, so a caller of one map pays for no other.
+    complex; ``killed[r]`` maps each cancelled index of degree r to the
+    step that cancels it, as ``_Blocks`` wrote it while eliminating, and
+    ``keep[r]`` lists the survivors of degree r in the order of the
+    reduced complex.  The two indices below are built the first time a
+    map that reads them is applied, so a caller of one map pays for no
+    other.
 
     A torsion split of x against y through a = <dx, y> (see ``_split``)
     is the step (r, x, y, 1, a^-1 dx, a^-1 into_y).  In the basis where
@@ -82,21 +85,13 @@ class _Cancellations:
     the coordinate of v at the torsion generator y'.
     """
 
-    def __init__(self, ring, steps, keep):
+    def __init__(self, ring, steps, killed, keep):
         self.ring = ring
         self.steps = steps
+        self.killed = killed
         self.keep = keep
-        self._killed = None     # {r: {index: step that cancels it}}
         self._touching = None   # {r: {w: steps whose into_y holds w}}
         self._reduced = None    # {r: {survivor: its reduced index}}
-
-    def _kill_index(self):
-        if self._killed is None:
-            self._killed = {}
-            for k, (r, x, y, _, _, _) in enumerate(self.steps):
-                self._killed.setdefault(r, {})[x] = k
-                self._killed.setdefault(r + 1, {})[y] = k
-        return self._killed
 
     def _touch_index(self):
         if self._touching is None:
@@ -112,11 +107,11 @@ class _Cancellations:
         r), by a heap keyed by the step that cancels each entry.  With
         ``seeds`` a dict, record u^-1 <P_k v, y> there per step k."""
         R = self.ring
-        killed = self._kill_index().get(r, {})
+        killed = self.killed.get(r, {})
         out = dict(vec)
         heap = [(killed[i], i) for i in out if i in killed]
         heapq.heapify(heap)
-        queued = {i for _, i in heap}
+        pushed = {i for _, i in heap}
         while heap:
             k, i = heapq.heappop(heap)
             c = out.pop(i, None)
@@ -128,8 +123,8 @@ class _Cancellations:
                 seeds[k] = a
             axpy(R, out, R.neg(a), dx)
             for t in dx:
-                if t in killed and t not in queued:
-                    queued.add(t)
+                if t in killed and t not in pushed:
+                    pushed.add(t)
                     heapq.heappush(heap, (killed[t], t))
         return out
 
@@ -185,42 +180,48 @@ def _diff_as_map(cx):
 
 class _Blocks:
     """The differential of ``cx``, loaded one degree at a time through
-    ``take_d`` and consumed in place by cancellations: unit elimination
-    and the torsion split both run on it.  ``cols[r]`` holds the columns
-    {source: {target: payload}} of a loaded degree, ``rows[r]`` the
-    sources with an entry at each target, and ``alive[r]`` the indices
-    of degree r that no cancellation has taken."""
+    ``take_d`` and consumed in place by cancellations, and the one record
+    of what they cancelled: unit elimination and the torsion split both
+    run on it.  ``cols[r]`` holds the columns {source: {target: payload}}
+    of a loaded degree and ``rows[r]`` the sources with an entry at each
+    target.  ``steps`` lists a record per cancellation, which the caller
+    appends, and ``killed[r]`` maps each cancelled index of degree r to
+    its step."""
 
     def __init__(self, cx):
         R = cx.ring
         self.cx = cx
         self.ops = R.is_zero, R.is_unit, R.add, R.mul, R.neg
-        self.alive = {r: set(range(cx.rank(r))) for r in cx.degrees}
+        self.killed = {r: {} for r in cx.degrees}
+        self.steps = []
         self.cols = {}
         self.rows = {}
 
     def load(self, r):
         rows = self.rows
         rows.pop(r - 2, None)   # read only by cancellations of degree r - 1
-        self.cols[r] = cols_r = self.cx.take_d(r, self.alive[r])
+        self.cols[r] = cols_r = self.cx.take_d(r, self.killed[r])
         rows[r] = rows_r = {}
         for s, col in cols_r.items():
             for t in col:
                 rows_r.setdefault(t, set()).add(s)
         return cols_r
 
-    def survivors(self):
-        return {r: sorted(alive) for r, alive in self.alive.items()}
+    def record(self):
+        """The cancellations so far, to replay on vectors."""
+        keep = {r: [i for i in range(self.cx.rank(r)) if i not in killed]
+                for r, killed in self.killed.items()}
+        return _Cancellations(self.cx.ring, self.steps, self.killed, keep)
 
     def cancel(self, r, x, y, over):
         """Cancel x in degree r against y in degree r + 1 through the
         pivot p = <dx, y>, where ``over(c)`` is c / p for an entry c of
         row y: d(w) += -(<dw, y> / p) dx for every other w with an entry
         at y.  Column x, row y and the arrows into x then leave the
-        loaded blocks, and x and y leave ``alive``.  Degree r + 1 is not
-        loaded yet, and its loader skips y once y is not alive.  Returns
-        dx without y, into_y = {w: <dw, y>} and the sources whose column
-        gained a unit entry."""
+        loaded blocks, and ``killed`` maps x and y to step len(steps),
+        whose record the caller appends.  Degree r + 1 is not loaded yet,
+        and its loader skips y.  Returns dx without y, into_y =
+        {w: <dw, y>} and the sources whose column gained a unit entry."""
         is_zero, is_unit, add, mul, neg = self.ops
         cols, rows = self.cols, self.rows
         cols_r, rows_r = cols[r], rows[r]
@@ -262,116 +263,91 @@ class _Blocks:
                 del col[x]
                 if not col:
                     del cols_below[w]
-        self.alive[r].discard(x)
-        self.alive[r + 1].discard(y)
+        self.killed[r][x] = self.killed[r + 1][y] = len(self.steps)
         return dx, into_y, grown
 
 
 def reduce_complex(cx, pairs=None):
     """Cancel unit entries of the differential.
 
-    ``pairs`` prescribes an elimination order as (r, x, y) tuples: x
-    indexes a generator of degree r and y one of degree r + 1.  By
-    default every unit entry is eliminated, degree by degree.  The
-    columns of a degree are popped least source index first from a heap:
-    every column is pushed when its degree is loaded, and again whenever
-    fill-in creates a unit in it.  The
-    pivot of a popped column x is its unit target y with the fewest live
-    entries in its row, ties to the least y.  Cancelling x against y adds
-    a multiple of dx to every other column with an entry at y, so it
-    fills in at most (|dx| - 1)(|row y| - 1) entries; with the column
-    fixed, this is the Markowitz choice.  A popped column without a unit
-    is left in place.
+    One loop runs degree by degree: it loads degree r through
+    ``cx.take_d``, which skips the generators already cancelled, heaps
+    the sources of degree r and pops the least first.  By default every
+    loaded column is pushed, and again whenever fill-in creates a unit
+    in it.  The pivot of a popped column x is its unit target y with the
+    fewest live entries in its row, ties to the least y.  Cancelling x
+    against y adds a multiple of dx to every other column with an entry
+    at y, so it fills in at most (|dx| - 1)(|row y| - 1) entries; with
+    the column fixed, this is the Markowitz choice.  A popped column
+    without a unit is left in place.
 
-    Degrees are loaded one at a time, through ``cx.take_d``, when the
-    heap runs out, and the loaded columns are consumed in place.  This
-    keeps every result.  Fill-in from a degree-r pivot lands only in
-    d_r, so the heap runs out only when d_r holds no unit.  The
-    cancellations of degree r + 1 then delete rows of d_r and add nothing
-    to it, so no unit comes back there; and those of degree r change
-    nothing in d_{r+1} but delete the columns of their targets, which
-    the loader of degree r + 1 then never builds.  So the reduced
-    complex holds no unit entry.  Over a field or a graded F[t] such a
-    complex is unique up to isomorphism, and its homology is that of
-    ``cx`` whatever the order; only its basis, and so the coordinates
-    that ``induced_map`` prints, depend on the order.
+    This order leaves no unit entry.  Fill-in from a degree-r pivot
+    lands only in d_r, so the heap runs out only when d_r holds no unit.
+    The cancellations of degree r + 1 then delete rows of d_r and add
+    nothing to it, so no unit comes back there; and those of degree r
+    change nothing in d_{r+1} but delete the columns of their targets,
+    which the loader of degree r + 1 then never builds.  Over a field or
+    a graded F[t] a complex without unit entries is unique up to
+    isomorphism, and its homology is that of ``cx`` whatever the order;
+    only its basis, and so the coordinates that ``induced_map`` prints,
+    depend on the order.
 
-    Prescribed pairs are cancelled in degree order by a stable sort,
-    which keeps their given order within a degree, and each degree is
-    loaded through the same loader when its first pair comes up, so the
-    column of a prescribed target is never built.  Reordering across
-    degrees changes no result: a cancellation in degree r + 1 deletes
-    only row x' of d_r, and one in degree r deletes only column y of
-    d_{r+1}, so cancellations of adjacent degrees commute.  The reduced
-    complex, and what incl, proj and the homotopy do to every vector, are
-    those of the given order.  The only record entries that depend on
-    the order are the entries of ``dx`` at an x' and of ``into_y`` at a
-    y, and no replay reads them: the projection sends x' to 0 and never
-    seeds from it, and the inclusion never holds a cancelled target.
-    Whether a pair is already gone or not a unit is checked at its turn.
+    ``pairs`` prescribes the pivots instead, as (r, x, y) tuples: x
+    indexes a generator of degree r and y one of degree r + 1.  Only the
+    prescribed sources are heaped, and a popped x cancels against its y.
+    A source given twice, or a pair whose x or y an earlier pivot has
+    cancelled, is already gone, and an entry <dx, y> that is not a unit
+    cannot be cancelled; either raises ValueError.  The pairs of an r1
+    or r2 move (``cobordism``) never change one another's pivot entry,
+    so the order within a degree changes neither the reduced complex
+    nor what incl and proj do to a vector.
 
     Returns a Reduction whose maps satisfy proj∘incl = id and
-    id - incl∘proj = dH + Hd.  The loop records each cancellation, and
-    the maps replay that record on the vectors they are applied to.
+    id - incl∘proj = dH + Hd; they replay the record of the
+    cancellations (``_Blocks.record``) on the vectors they are applied
+    to.
     """
     R = cx.ring
     is_unit = R.is_unit
     blocks = _Blocks(cx)
-    cols, rows, alive = blocks.cols, blocks.rows, blocks.alive
-    steps = []
+    killed = blocks.killed
+    table = {}      # the prescribed pivots, {r: {x: y}}
+    for r, x, y in pairs or ():
+        if x in table.setdefault(r, {}):
+            raise ValueError("prescribed pair already gone")
+        table[r][x] = y
 
-    unloaded = iter(cx.degrees)
-    if pairs is None:
-        heap = []   # source indices of degree r
-    else:
-        queue = sorted(pairs, key=itemgetter(0))
-        queue.reverse()  # pop() order below: by degree, as given within one
-
-    while True:
-        if pairs is None:
-            y = None
-            while y is None:
-                if not heap:
-                    r = next(unloaded, None)
-                    if r is None:
-                        break
-                    heap = list(blocks.load(r))
-                    heapq.heapify(heap)
+    for r in cx.degrees:
+        cols_r, rows_r = blocks.load(r), blocks.rows[r]
+        heap = list(cols_r if pairs is None else table.get(r, ()))
+        heapq.heapify(heap)
+        while heap:
+            x = heapq.heappop(heap)
+            col = cols_r.get(x, {})
+            if pairs is None:
+                y = min(((len(rows_r[t]), t) for t, v in col.items()
+                         if is_unit(v)), default=(0, None))[1]
+                if y is None:
                     continue
-                x = heapq.heappop(heap)
-                col = cols[r].get(x)
-                if col:
-                    rows_r = rows[r]
-                    y = min(((len(rows_r[t]), t) for t, v in col.items()
-                             if is_unit(v)), default=(0, None))[1]
-            if y is None:
-                break
-        else:
-            if not queue:
-                break
-            r, x, y = queue.pop()
-            while r not in cols:
-                blocks.load(next(unloaded))
-            if x not in alive[r] or y not in alive[r + 1]:
-                raise ValueError("prescribed pair already gone")
-            if not is_unit(cols[r].get(x, {}).get(y, R.zero)):
-                raise ValueError("prescribed pair is not a unit")
-
-        uinv = R.inv(cols[r][x][y])
-        dx, into_y, grown = blocks.cancel(r, x, y, partial(R.mul, uinv))
-        steps.append((r, x, y, uinv, dx, into_y))
-        if pairs is None:
-            for w in grown:
-                heapq.heappush(heap, w)
-
-    for r in unloaded:
-        blocks.load(r)
+            else:
+                y = table[r][x]
+                if x in killed[r] or y in killed.get(r + 1, ()):
+                    raise ValueError("prescribed pair already gone")
+                if not is_unit(col.get(y, R.zero)):
+                    raise ValueError("prescribed pair is not a unit")
+            uinv = R.inv(col[y])
+            dx, into_y, grown = blocks.cancel(r, x, y, partial(R.mul, uinv))
+            blocks.steps.append((r, x, y, uinv, dx, into_y))
+            if pairs is None:
+                for w in grown:
+                    heapq.heappush(heap, w)
 
     # assemble the reduced complex, keeping original key order
+    record = blocks.record()
+    keep = record.keep
     degrees = cx.degrees
     red_gens = {}
     red_qdeg = {}
-    keep = blocks.survivors()
     reindex = {}
     for r in degrees:
         red_gens[r] = [cx.gens[r][i] for i in keep[r]]
@@ -380,14 +356,13 @@ def reduce_complex(cx, pairs=None):
     red_diffs = {}
     for r in degrees:
         blk = {}
-        for s, col in cols[r].items():
+        for s, col in blocks.cols[r].items():
             newcol = {reindex[(r + 1, t)]: v for t, v in col.items()}
             if newcol:
                 blk[reindex[(r, s)]] = newcol
         red_diffs[r] = blk
     red = ChainComplex(cx.theory, red_gens, red_qdeg, diffs=red_diffs)
 
-    record = _Cancellations(R, steps, keep)
     return Reduction(cx, red,
                      ChainMap(red, cx, record.incl, 0, 0, "incl"),
                      ChainMap(cx, red, record.proj, 0, 0, "proj"),
@@ -442,7 +417,7 @@ def _split(red):
     generators, and the torsion order of each step."""
     R = red.ring
     blocks = _Blocks(red)
-    steps, orders = [], []
+    orders = []
     for r in red.degrees:
         cols_r = blocks.load(r)
         qs, qt = red.qdeg[r], red.qdeg.get(r + 1)
@@ -457,11 +432,11 @@ def _split(red):
                                  "its ends" % (r, R.fmt(a), qs[x], qt[y]))
             over = partial(_exact_quotient, R, a, r)
             dx, into_y, _ = blocks.cancel(r, x, y, over)
-            steps.append((r, x, y, R.one,
-                          {t: over(v) for t, v in dx.items()},
-                          {w: over(c) for w, c in into_y.items()}))
+            blocks.steps.append((r, x, y, R.one,
+                                 {t: over(v) for t, v in dx.items()},
+                                 {w: over(c) for w, c in into_y.items()}))
             orders.append(k)
-    return _Cancellations(R, steps, blocks.survivors()), orders
+    return blocks.record(), orders
 
 
 class DegreePresentation:
@@ -540,7 +515,7 @@ class HomologyData:
                              "in degree %d" % r)
         seeds = {}
         free = self._record._project(r, zvec, seeds)
-        step_of = self._record._kill_index().get(r, {})
+        step_of = self._record.killed.get(r, {})
         pres = self.presentation(r)
         out = []
         for i, a in zip(pres.gens, pres.ann):

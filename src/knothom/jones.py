@@ -51,7 +51,9 @@ def circle_count(diagram, state):
             p = smooth_mate[edge_mate[p]]
             if p == start:
                 break
-    assert orbits % 2 == 0
+    if orbits % 2:
+        raise ValueError("the smoothing walks %d orbits, an odd number; "
+                         "the diagram is malformed" % orbits)
     return orbits // 2 + len(diagram.free_edges)
 
 

@@ -259,6 +259,22 @@ def test_prescribed_pairs_are_checked():
         reduce_complex(cx, pairs=[(r, s1, t1)])
 
 
+def test_a_prescribed_source_cancelled_as_a_target_is_already_gone():
+    # t0 is cancelled against s0 in degree r, so the pair (t0, t1) of
+    # degree r + 1 is gone, whatever order the pairs come in
+    cx = build_complex(load_table()["3_1"], theory_from_selector("bn"))
+    R = cx.ring
+    r = cx.degrees[0]
+    s0, t0, t1 = next((s, t, u) for s, col in cx.d(r).items()
+                      for t, v in col.items() if R.is_unit(v)
+                      for u, w in cx.d(r + 1).get(t, {}).items()
+                      if R.is_unit(w))
+    assert reduce_complex(cx, pairs=[(r + 1, t0, t1)]).red.total_rank() \
+        == cx.total_rank() - 2
+    with pytest.raises(ValueError, match="already gone"):
+        reduce_complex(cx, pairs=[(r + 1, t0, t1), (r, s0, t0)])
+
+
 # -- streamed elimination -------------------------------------------------
 
 @pytest.mark.parametrize("name", ["3_1", "8_19", "T(2,9)"])
