@@ -44,8 +44,9 @@ from .complexes import build_complex, compose, identity_map, scale_map
 from .diagram import parse_pd, unknot_diagram
 from .frobenius import (TheoryError, axiom_report, neck_cutting_report,
                         theory_from_selector)
-from .homology import (HomologyData, homology, induced_map,
-                       induced_maps_equal, scale_induced, torsion_bound)
+from .homology import (HomologyData, check_presentable, homology,
+                       induced_map, induced_maps_equal, scale_induced,
+                       torsion_bound)
 from .tangles import scan_complex
 from .tables import TABLE_ENV, load_table
 
@@ -428,6 +429,13 @@ def cmd_verify(suite, selector, max_crossings, jobs, verbose):
     # each selector's theory is built once, with its axiom checks, and
     # shared by its groups; worker processes receive it pickled
     built = {selector: _resolve_theory(selector)} if selector else {}
+    if selector and suite not in ("frobenius", "neckcut"):
+        # every other suite presents homology; a theory whose homology
+        # cannot be presented is bad input, not an error per instance
+        try:
+            check_presentable(built[selector])
+        except ValueError as e:
+            raise InputError(str(e))
     groups = _verify_groups(suite, selector, max_crossings)
     if not any(cases for _, _, _, cases in groups):
         raise InputError("verify %s selects no instance with at most %d "

@@ -58,6 +58,7 @@ class LinkDiagram:
     _res_cache: dict = field(default_factory=dict, repr=False)
     _components: tuple = field(default=None, init=False, repr=False)
     _edges: tuple = field(default=None, init=False, repr=False)
+    _slots: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.crossings = tuple(tuple(c) for c in self.crossings)
@@ -184,42 +185,53 @@ class LinkDiagram:
 
     # -- smoothings ------------------------------------------------------
 
+    def _slot_tables(self):
+        """Tables for walking smoothings, over slot positions p = 4 ci +
+        slot: the edge at p; the crossing at the far end of that edge;
+        the position that edge's far end is joined to there under the
+        0-smoothing (a-b, c-d) and the 1-smoothing (a-d, b-c); and each
+        edge's first position.  Built once."""
+        if self._slots is None:
+            at = [e for cr in self.crossings for e in cr]
+            first, far = {}, [0] * len(at)
+            for p, e in enumerate(at):
+                if e in first:
+                    far[p], far[first[e]] = first[e], p
+                else:
+                    first[e] = p
+            self._slots = (at, [p >> 2 for p in far],
+                           [p ^ 1 for p in far], [p ^ 3 for p in far], first)
+        return self._slots
+
     def resolve(self, state):
         """Circles of the complete smoothing given by the state bitmask.
 
-        Bit i of ``state`` picks the 1-smoothing at crossing i.
+        Bit i of ``state`` picks the 1-smoothing at crossing i.  Each
+        circle is walked from its least edge along the smoothing's arcs:
+        from the slot where the walk leaves an edge's near end, go to its
+        far end and on to the slot the smoothing joins there, until the
+        walk is back where it started.  Edges are visited in increasing
+        order, so the circles come out ordered by least edge.
         """
         if state in self._res_cache:
             return self._res_cache[state]
-        parent = {e: e for e in self.edges}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-
-        for ci, (a, b, c, d) in enumerate(self.crossings):
-            if state >> ci & 1:
-                union(a, d)
-                union(b, c)
-            else:
-                union(a, b)
-                union(c, d)
-        groups = {}
-        for e in self.edges:
-            groups.setdefault(find(e), []).append(e)
-        circles = sorted((tuple(sorted(g)) for g in groups.values()),
-                         key=lambda g: g[0])
+        at, cross, step0, step1, first = self._slot_tables()
         index = {}
-        for i, circ in enumerate(circles):
-            for e in circ:
-                index[e] = i
+        circles = []
+        for e in self.edges:
+            if e in index:
+                continue
+            i = len(circles)
+            index[e] = i
+            circ = [e]
+            start = q = first.get(e)
+            while q is not None:
+                q = step1[q] if state >> cross[q] & 1 else step0[q]
+                if q == start:
+                    break
+                index[at[q]] = i
+                circ.append(at[q])
+            circles.append(tuple(sorted(circ)))
         res = Resolution(tuple(circles), index)
         self._res_cache[state] = res
         return res

@@ -197,10 +197,12 @@ class _Blocks:
         self.cols = {}
         self.rows = {}
 
-    def load(self, r):
+    def load(self, r, drop=()):
+        """Load degree r without the cancelled sources, and without the
+        entries at the targets in ``drop`` (see ``ChainComplex.take_d``)."""
         rows = self.rows
         rows.pop(r - 2, None)   # read only by cancellations of degree r - 1
-        self.cols[r] = cols_r = self.cx.take_d(r, self.killed[r])
+        self.cols[r] = cols_r = self.cx.take_d(r, self.killed[r], drop)
         rows[r] = rows_r = {}
         for s, col in cols_r.items():
             for t in col:
@@ -295,12 +297,23 @@ def reduce_complex(cx, pairs=None):
     ``pairs`` prescribes the pivots instead, as (r, x, y) tuples: x
     indexes a generator of degree r and y one of degree r + 1.  Only the
     prescribed sources are heaped, and a popped x cancels against its y.
-    A source given twice, or a pair whose x or y an earlier pivot has
-    cancelled, is already gone, and an entry <dx, y> that is not a unit
-    cannot be cancelled; either raises ValueError.  The pairs of an r1
-    or r2 move (``cobordism``) never change one another's pivot entry,
-    so the order within a degree changes neither the reduced complex
-    nor what incl and proj do to a vector.
+    A source given twice, a target that is also a prescribed source, or
+    a pair whose x or y an earlier pivot has cancelled, is already gone,
+    and an entry <dx, y> that is not a unit cannot be cancelled; either
+    raises ValueError.  The pairs of an r1 or r2 move (``cobordism``)
+    never change one another's pivot entry, so the order within a degree
+    changes neither the reduced complex nor what incl and proj do to a
+    vector.
+
+    With ``pairs``, degree r is loaded without its entries at the
+    prescribed sources x' of degree r + 1, and that changes nothing that
+    survives.  Fill-in adds entries one by one, so the entries at every
+    other target come out the same.  No pivot and no row y that a
+    cancellation reads sits at an x', since no x' is a prescribed
+    target, and the cancellation of x' would delete those entries
+    anyway.  A step's dx without its entries at the x' projects alike,
+    since the projection sends each x' to 0 at the step that cancels
+    it; and a homotopy seed is read at a target y, never at an x'.
 
     Returns a Reduction whose maps satisfy proj∘incl = id and
     id - incl∘proj = dH + Hd; they replay the record of the
@@ -316,9 +329,14 @@ def reduce_complex(cx, pairs=None):
         if x in table.setdefault(r, {}):
             raise ValueError("prescribed pair already gone")
         table[r][x] = y
+    for r, pivots in table.items():
+        sources = table.get(r + 1, ())
+        if any(y in sources for y in pivots.values()):
+            raise ValueError("prescribed pair already gone")
 
     for r in cx.degrees:
-        cols_r, rows_r = blocks.load(r), blocks.rows[r]
+        cols_r = blocks.load(r, table.get(r + 1, ()))
+        rows_r = blocks.rows[r]
         heap = list(cols_r if pairs is None else table.get(r, ()))
         heapq.heapify(heap)
         while heap:
@@ -453,7 +471,9 @@ class DegreePresentation:
         self.gen_vecs = gen_vecs
 
 
-def _check_presentable(theory):
+def check_presentable(theory):
+    """Raise ValueError unless ``HomologyData`` can present the homology
+    of a complex over ``theory``."""
     ring = theory.ring
     if not (ring.is_field or isinstance(ring, PolyRing)):
         raise ValueError(
@@ -475,7 +495,7 @@ class HomologyData:
     pushed through ``redn``'s maps."""
 
     def __init__(self, cx):
-        _check_presentable(cx.theory)
+        check_presentable(cx.theory)
         self.theory = cx.theory
         self.original = cx
         self.redn = reduce_complex(cx)

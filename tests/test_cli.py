@@ -15,6 +15,9 @@ from knothom.tables import TABLE_ENV
 
 MOVIE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                          "knothom", "data", "movies")
+FROZEN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                          "inputs")
+COORDINATES = os.path.join(os.path.dirname(__file__), "movie_coordinates.txt")
 TRIVIAL = os.path.join(MOVIE_DIR, "trivial-ribbon.movie")
 ONE_SADDLE = os.path.join(MOVIE_DIR, "one-saddle-unknot.movie")
 SQUARE_KNOT = os.path.join(MOVIE_DIR, "square-knot.movie")
@@ -390,16 +393,42 @@ def test_an_uncaught_exception_is_an_internal_error(monkeypatch):
     assert "free summands" not in res.stdout
 
 
-def test_verify_group_without_homology_is_all_error():
-    # the generic theory has no homology, so the shared build fails
-    res = run("verify", "dot-crossing", "--theory", "alpha",
+def test_verify_group_without_homology_is_all_error(monkeypatch):
+    # when the shared homology of a group fails, every instance of the
+    # group is an ERROR
+    from knothom import cli
+
+    def boom(cx):
+        raise ValueError("no homology here")
+
+    monkeypatch.setattr(cli, "HomologyData", boom)
+    res = run("verify", "dot-crossing", "--theory", "bn",
               "--max-crossings", "3")
     assert res.exit_code == 3, res.output
-    lines = res.output.splitlines()
-    assert [ln.split("  [")[0] for ln in lines[:-1]] == [
-        "ERROR dot-crossing 3_1 c%d alpha" % ci for ci in range(3)]
-    assert all("[ValueError: homology needs" in ln for ln in lines[:-1])
-    assert lines[-1] == "0/3 instances passed"
+    assert res.output.splitlines() == [
+        "ERROR dot-crossing 3_1 c%d bn  [ValueError: no homology here]" % ci
+        for ci in range(3)] + ["0/3 instances passed"]
+
+
+@pytest.mark.parametrize("selector", ["alpha", "alpha@1,-1/z"])
+@pytest.mark.parametrize("suite", ["dot-crossing", "saddle-split",
+                                   "movie-star", "symmetry", "ribbon"])
+def test_verify_theory_without_homology_is_input_error(suite, selector):
+    # every suite but frobenius and neckcut presents homology, which the
+    # generic theory over Z[a1, a2] and the /z rings do not have
+    res = run("verify", suite, "--theory", selector, "--max-crossings", "4")
+    assert res.exit_code == 2, res.output
+    assert ("homology needs field or univariate polynomial coefficients"
+            in res.output)
+    assert "instances passed" not in res.output
+
+
+@pytest.mark.parametrize("selector", ["alpha", "alpha@1,-1/z"])
+@pytest.mark.parametrize("suite", ["frobenius", "neckcut"])
+def test_verify_algebra_suites_take_any_theory(suite, selector):
+    res = run("verify", suite, "--theory", selector)
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines()[-1] == "1/1 instances passed"
 
 
 def test_verify_bad_theory_is_input_error():
@@ -586,6 +615,42 @@ def test_movie_compose_reverse_eliminates_each_move_once(movie, theory,
     assert "compare id: equal" in res.output
     assert len(calls) == len(expected)
     assert set(calls) == {big for big, _, _ in expected}
+
+
+def _pinned_coordinates():
+    """{(movie file, theory): stdout} from the pinned file; lines before
+    the first block header are comments."""
+    blocks, key = {}, None
+    with open(COORDINATES) as fh:
+        for line in fh:
+            if line.startswith("== "):
+                key = tuple(line[3:].split())
+                blocks[key] = ""
+            elif key is not None:
+                blocks[key] += line
+    return blocks
+
+
+PINNED = _pinned_coordinates()
+
+
+def test_pinned_coordinates_cover_the_benchmark_movies():
+    movies = sorted(os.listdir(MOVIE_DIR)) + sorted(
+        f for f in os.listdir(FROZEN_DIR) if f.endswith(".movie"))
+    assert sorted(PINNED) == sorted(
+        (m, th) for m in movies for th in ("bn", "alpha@0,t/f3"))
+
+
+@pytest.mark.parametrize("movie,theory", sorted(PINNED))
+def test_movie_coordinates_are_pinned(movie, theory):
+    # the printed matrices are coordinates in the basis that elimination
+    # chooses; a builder that reorders a basis changes them even where
+    # the verdict stays "equal"
+    directory = MOVIE_DIR if movie in os.listdir(MOVIE_DIR) else FROZEN_DIR
+    res = run("movie", "--script", os.path.join(directory, movie),
+              "--theory", theory, "--compose-reverse", "--compare", "id")
+    assert res.exit_code == 0, res.output
+    assert res.stdout == PINNED[(movie, theory)]
 
 
 def test_movie_missing_file():

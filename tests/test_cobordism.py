@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from knothom.diagram import LinkDiagram, parse_pd, unknot_diagram, is_planar
 from knothom.frobenius import theory_from_selector
-from knothom.complexes import (CubeComplex, build_complex, identity_map,
-                               zero_map, circle_match, plan_images,
-                               compose, add_maps, scale_map, maps_equal,
-                               mat_eq, mat_mul)
+from knothom.complexes import (ChainComplex, CubeComplex, build_complex,
+                               identity_map, zero_map, circle_match,
+                               plan_images, compose, add_maps, scale_map,
+                               maps_equal, mat_eq, mat_mul)
 from knothom.homology import (HomologyData, induced_map,
                               maps_equal_on_homology, reduce_complex,
                               reduction_identities_hold, scale_induced)
@@ -347,6 +347,45 @@ def test_prescribed_pairs_in_any_order_reduce_alike(path, sel):
     assert moves
 
 
+@pytest.mark.parametrize("sel", ["bn", "alpha@t,-t/q"])
+@pytest.mark.parametrize("path", R_MOVIES, ids=os.path.basename)
+def test_dropped_targets_change_no_elimination(path, sel, monkeypatch):
+    # the loader leaves out the entries at the prescribed sources of the
+    # next degree; an elimination through a loader that keeps them must
+    # give the same reduced complex and the same inclusion, projection
+    # and homotopy of every generator
+    th = theory_from_selector(sel)
+    one = th.ring.one
+    movie = load_movie(path)
+    cxs = movie.complexes(th)
+    take_d = ChainComplex.take_d
+    moves = 0
+    for k, info in enumerate(movie.infos):
+        if info["kind"] not in ("r1+", "r1-", "r2+", "r2-"):
+            continue
+        moves += 1
+        big = cxs[k + 1] if info["kind"].endswith("+") else cxs[k]
+        pairs = (_loop_pairs(big, *info["crossings"])[0]
+                 if info["kind"].startswith("r1")
+                 else _bigon_pairs(big, *info["crossings"])[0])
+        a = reduce_complex(big, pairs=pairs)
+        with monkeypatch.context() as m:
+            m.setattr(ChainComplex, "take_d",
+                      lambda self, r, skip, drop=(): take_d(self, r, skip))
+            b = reduce_complex(big, pairs=pairs)
+        assert a.red.gens == b.red.gens and a.red.qdeg == b.red.qdeg
+        for r in big.degrees:
+            assert a.red.d(r) == b.red.d(r), (k, r)
+            for i in range(big.rank(r)):
+                for f, g in ((a.proj, b.proj), (a.homotopy, b.homotopy)):
+                    assert (f.apply(r, {i: one})
+                            == g.apply(r, {i: one})), (k, r, i)
+            for j in range(a.red.rank(r)):
+                assert (a.incl.apply(r, {j: one})
+                        == b.incl.apply(r, {j: one})), (k, r, j)
+    assert moves
+
+
 @pytest.mark.parametrize("tamper", ["value", "drop"])
 def test_relabeling_rejects_a_tampered_small_differential(tamper):
     # negative control for the entrywise check: one entry of the small
@@ -509,14 +548,16 @@ def test_r3_record_must_name_three_crossings_of_its_frame():
 def test_prescribed_elimination_streams_the_big_cube(name, kind,
                                                      monkeypatch):
     # a move's elimination builds each degree of the bigger cube once, at
-    # its turn, skipping the column of every prescribed target, and the
-    # cube stores none of the blocks it consumed
+    # its turn, skipping the column of every prescribed target and every
+    # entry at a prescribed source of the next degree, and the cube
+    # stores none of the blocks it consumed
     built = []
     build = CubeComplex._build_degree
 
-    def recording_build(self, r, skip=()):
-        built.append((self, r, set(skip)))
-        return build(self, r, skip)
+    def recording_build(self, r, skip=(), drop=()):
+        cols = build(self, r, skip, drop)
+        built.append((self, r, set(skip), cols))
+        return cols
 
     monkeypatch.setattr(CubeComplex, "_build_degree", recording_build)
     th = theory_from_selector("bn")
@@ -528,12 +569,15 @@ def test_prescribed_elimination_streams_the_big_cube(name, kind,
     pairs = (_loop_pairs(big, *info["crossings"])[0] if kind == "r1+"
              else _bigon_pairs(big, *info["crossings"])[0])
     targets = {(r + 1, y) for r, _, y in pairs}
+    sources = {(r, x) for r, x, _ in pairs}
     assert {r for r, _ in targets} & set(big.degrees[1:])
     _reidemeister_reduction(small, big, info)
-    calls = [(r, skip) for cx, r, skip in built if cx is big]
-    assert [r for r, _ in calls] == big.degrees
-    for r, skip in calls:
+    calls = [(r, skip, cols) for cx, r, skip, cols in built if cx is big]
+    assert [r for r, _, _ in calls] == big.degrees
+    for r, skip, cols in calls:
         assert {t for rt, t in targets if rt == r} <= skip, r
+        assert not any((r + 1, t) in sources
+                       for col in cols.values() for t in col), r
     assert big._diffs == {}
 
 

@@ -2,15 +2,17 @@
 sparse vector helpers."""
 
 import copy
+import os
 
 import pytest
 
-from knothom.diagram import from_pd, parse_pd, unknot_diagram
+from knothom.cobordism import load_movie
+from knothom.diagram import Resolution, from_pd, parse_pd, unknot_diagram
 from knothom.frobenius import theory_from_selector
 from knothom.complexes import (build_complex, CubeComplex, identity_map,
                                zero_map, compose, add_maps, scale_map,
                                maps_equal, mat_mul, mat_add, mat_eq, axpy,
-                               plan_images)
+                               circle_match, plan_images)
 from knothom.jones import quantum_jones
 from knothom.tables import load_table
 
@@ -18,6 +20,44 @@ LEFT_TREFOIL = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 SELECTORS = ["bn", "kh-f2", "alpha", "alpha@0,t/f2", "alpha@1,-1/q"]
 
 SMALL = ["3_1", "4_1", "5_1", "5_2", "6_1", "6_2", "6_3"]
+MOVIE_DIRS = [os.path.join(os.path.dirname(__file__), os.pardir, *parts)
+              for parts in (("src", "knothom", "data", "movies"),
+                            ("perfbench", "inputs"))]
+GENUS_ONE = ((1, 2, 3, 4), (2, 3, 1, 4))
+
+
+def _cube_diagrams():
+    """The 35 table knots, every distinct frame of the bundled and frozen
+    movies (kinks, free edges), the unknot and the genus-1 code."""
+    out = list(load_table().values()) + [unknot_diagram(), from_pd(GENUS_ONE)]
+    for directory in MOVIE_DIRS:
+        for name in sorted(os.listdir(directory)):
+            if name.endswith(".movie"):
+                out += load_movie(os.path.join(directory, name)).frames
+    return list(dict.fromkeys(out))
+
+
+def _resolve_by_union_find(D, state):
+    """The circles of a smoothing by union-find over every edge: the
+    0-smoothing joins a-b and c-d, the 1-smoothing a-d and b-c."""
+    parent = {e: e for e in D.edges}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for ci, (a, b, c, d) in enumerate(D.crossings):
+        for x, y in ((a, d), (b, c)) if state >> ci & 1 else ((a, b), (c, d)):
+            parent[find(y)] = find(x)
+    groups = {}
+    for e in D.edges:
+        groups.setdefault(find(e), []).append(e)
+    circles = sorted((tuple(sorted(g)) for g in groups.values()),
+                     key=lambda g: g[0])
+    return Resolution(tuple(circles), {e: i for i, circ in enumerate(circles)
+                                       for e in circ})
 
 
 def test_unknot_complex():
@@ -135,32 +175,57 @@ def test_differential_matches_edge_images(name, sel):
         assert cx.d(r) == _d_from_plan_images(cx, r), (name, sel, r)
 
 
+def _state_blocks(cx, r):
+    """The index ranges of the states of degree r, in order."""
+    return [(off, off + (1 << c))
+            for s, (rs, off, c) in sorted(cx.state_block.items()) if rs == r]
+
+
+def _restricted(block, skip, drop):
+    """The columns of ``block`` outside ``skip``, without their entries in
+    ``drop`` and without the columns that leaves empty."""
+    out = {}
+    for s, col in block.items():
+        if s not in skip:
+            col = {t: v for t, v in col.items() if t not in drop}
+            if col:
+                out[s] = col
+    return out
+
+
 @pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
 def test_build_of_live_columns_restricts_the_full_build(sel):
     cx = build_complex(load_table()["6_2"], theory_from_selector(sel))
     for r in cx.degrees:
         full = cx._build_degree(r)
-        blocks = [(off, off + (1 << c))
-                  for s, (rs, off, c) in sorted(cx.state_block.items())
-                  if rs == r]
         # skip every other state whole, every third generator, none, all
-        skips = [{i for k, (lo, hi) in enumerate(blocks) if k % 2
+        skips = [{i for k, (lo, hi) in enumerate(_state_blocks(cx, r)) if k % 2
                   for i in range(lo, hi)},
                  set(range(0, cx.rank(r), 3)), set(), set(range(cx.rank(r)))]
+        # drop the targets of every other state of degree r + 1 whole,
+        # every third target, none, all
+        drops = [{i for k, (lo, hi) in enumerate(_state_blocks(cx, r + 1))
+                  if k % 2 == 0 for i in range(lo, hi)},
+                 set(range(1, cx.rank(r + 1), 3)), set(),
+                 set(range(cx.rank(r + 1)))]
         for skip in skips:
-            assert cx._build_degree(r, skip) == {
-                s: col for s, col in full.items() if s not in skip}, (r, skip)
+            for drop in drops:
+                assert cx._build_degree(r, skip, drop) == _restricted(
+                    full, skip, drop), (r, skip, drop)
     assert cx._diffs == {}
 
 
 def test_take_d_copies_a_stored_block_and_stores_no_fresh_one():
     cx = build_complex(load_table()["4_1"], theory_from_selector("bn"))
     r = cx.degrees[1]
-    skip = {0}
+    skip, drop = {0}, set(range(0, cx.rank(r + 1), 2))
     taken = cx.take_d(r, skip)
+    dropped = cx.take_d(r, skip, drop)
     assert cx._diffs == {}
     stored = cx.d(r)
-    assert taken == {s: col for s, col in stored.items() if s not in skip}
+    assert taken == _restricted(stored, skip, ())
+    assert dropped == _restricted(stored, skip, drop) != taken
+    assert cx.take_d(r, skip, drop) == dropped
     for col in cx.take_d(r, skip).values():
         col.clear()
     assert stored == cx._build_degree(r)
@@ -272,10 +337,43 @@ def test_euler_characteristic_guards():
             d, theory_from_selector("alpha@1,-1/q")).graded_euler_characteristic()
 
 
+def test_resolutions_walk_like_union_find():
+    # the walk along the smoothing's arcs gives, on every state, the
+    # circles and the edge index that union-find over every edge gives
+    diagrams = _cube_diagrams()
+    assert len(diagrams) > 60
+    for D in diagrams:
+        for s in range(1 << D.n):
+            assert D.resolve(s) == _resolve_by_union_find(D, s), (D, s)
+
+
+def test_edge_plans_match_circle_match():
+    # a target circle's persisting source, read from its least edge, is
+    # the one circle_match finds by scanning every edge
+    th = theory_from_selector("bn")
+    edges = 0
+    for D in _cube_diagrams():
+        cx = build_complex(D, th)
+        for s in range(1 << D.n):
+            rs = D.resolve(s)
+            for i in range(D.n):
+                if s >> i & 1:
+                    continue
+                try:
+                    plan = cx.edge_plan(s, i)
+                except ValueError:
+                    assert D.crossings == GENUS_ONE
+                    continue
+                a, _, c, _ = D.crossings[i]
+                assert plan[4] == circle_match(
+                    rs, D.resolve(s | 1 << i), (rs.index[a], rs.index[c]))
+                edges += 1
+    assert edges > 30000
+
+
 def test_nonplanar_code_fails_edge_plan():
     # the genus-1 code: a smoothing change keeps one circle one circle
-    cx = build_complex(from_pd(((1, 2, 3, 4), (2, 3, 1, 4))),
-                       theory_from_selector("bn"))
+    cx = build_complex(from_pd(GENUS_ONE), theory_from_selector("bn"))
     with pytest.raises(ValueError, match="must split"):
         cx.materialize()
 
