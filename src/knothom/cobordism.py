@@ -28,18 +28,17 @@ elementary builders give the image of one generator, and a movie's
 composite pushes a vector through its moves one after another.  An r1 or
 r2 map composes the relabeling with the elimination's inclusion or
 projection, which replays the recorded cancellations on that vector; no
-matrix of it is built unless a check asks for one.  Circle matching,
-label transport and merge/split images come from ``complexes``
-(``circle_match``, ``transport``, ``plan_images``).  The birth, death,
-saddle and decoration maps work out what depends only on a state (its
-circle match, its merge or split plan, the block of its generators in
-``CubeComplex.state_block``) once per state, the first time one of its
-labels is mapped, and what depends on neither state nor label (a
-decoration's products) once per map.  An r1 or r2 move's cancelling
-pairs are read per state off the cancelling edge's plan: a label with 1
-on the kink or bigon circle against its lone product (``_merge_pairs``),
-or any label against the X-at-circle term of its coproduct
-(``_split_pairs``).  A kink uses one half, a bigon both.
+matrix of it is built unless a check asks for one.  Labels are carried
+between resolutions as along the cube's edges, by ``persisting`` and
+``CubeComplex.carry`` (see ``complexes``).  The birth, death, saddle and
+decoration maps work out what depends only on a state (its label table,
+the block of its generators in ``CubeComplex.state_block``) once per
+state, the first time one of its labels is mapped, and what depends on
+neither state nor label (a decoration's products) once per map.  An r1
+or r2 move's cancelling pairs are read per state off the cancelling
+edge's plan: a label with 1 on the kink or bigon circle against its lone
+product (``_merge_pairs``), or any label against the X-at-circle term of
+its coproduct (``_split_pairs``).  A kink uses one half, a bigon both.
 
 Applying a move gives the next frame and a step record, the ``info``
 dict that is all a chain map reads.  An r1 or r2 record names only the
@@ -55,9 +54,9 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .diagram import LinkDiagram, is_planar, parse_pd, unknot_diagram
-from .complexes import (build_complex, circle_match, compose, add_maps,
-                        generator_map, identity_map, matrix_map,
-                        plan_images, scale_map, transport, zero_map)
+from .complexes import (build_complex, compose, add_maps, generator_map,
+                        identity_map, matrix_map, persisting, scale_map,
+                        zero_map)
 from .homology import HomologyData, maps_equal_on_homology, reduce_complex
 
 
@@ -473,42 +472,43 @@ def _r3_chain_map(theory, cx_src, cx_tgt, info):
 
 def birth_chain_map(theory, cx_src, cx_tgt, info):
     """The unit: every circle keeps its label, and the new circle, which
-    has no edge in the source, gets the label 1.  The circle match and the
+    has no edge in the source, gets the label 1.  The label table and the
     target block of each state are worked out once per state."""
     one = theory.ring.one
 
     @cache
     def plan(s):
-        match = circle_match(cx_src.diagram.resolve(s),
-                             cx_tgt.diagram.resolve(s))
-        return cx_tgt.state_block[s][1], match
+        rs = cx_src.diagram.resolve(s)
+        match = persisting(rs, cx_tgt.diagram.resolve(s))
+        return cx_tgt.state_block[s][1], cx_tgt.carry(match, len(rs))
 
     def image(r, i):
         s, L = cx_src.gens[r][i]
-        toff, match = plan(s)
-        return {toff + transport(L, match): one}
+        toff, base = plan(s)
+        return {toff + base[L]: one}
     return generator_map(cx_src, cx_tgt, image, 0, 1, "birth")
 
 
 def death_chain_map(theory, cx_src, cx_tgt, info):
     """The counit on the circle of ``info["edge"]``: zero on its label 1,
-    and the other circles keep their labels.  The circle position, circle
-    match and target block of each state are worked out once per state."""
+    and the other circles keep their labels.  The circle position, label
+    table and target block of each state are worked out once per state."""
     e = info["edge"]
     one = theory.ring.one
 
     @cache
     def plan(s):
         rs = cx_src.diagram.resolve(s)
-        match = circle_match(rs, cx_tgt.diagram.resolve(s))
-        return rs.index[e], cx_tgt.state_block[s][1], match
+        match = persisting(rs, cx_tgt.diagram.resolve(s))
+        return (rs.index[e], cx_tgt.state_block[s][1],
+                cx_tgt.carry(match, len(rs)))
 
     def image(r, i):
         s, L = cx_src.gens[r][i]
-        j, toff, match = plan(s)
+        j, toff, base = plan(s)
         if not (L >> j & 1):
             return None             # counit sends the 1-label to zero
-        return {toff + transport(L, match): one}
+        return {toff + base[L]: one}
     return generator_map(cx_src, cx_tgt, image, 0, 1, "death")
 
 
@@ -541,9 +541,10 @@ def decoration_chain_map(theory, cx, kind, edge):
 def saddle_chain_map(theory, cx_src, cx_tgt, info):
     """Per-state merge or split along the band of a saddle move, whose
     ends are the source edges ``info["ends"][0]`` and the target edges
-    ``info["ends"][1]``.  Each state's resolutions, circle match and
-    merge or split plan are worked out once, the first time one of its
-    labels is mapped; ``plan_images`` then gives each label's images."""
+    ``info["ends"][1]``.  Each state's band, a plan shaped as ``edge_plan``
+    returns it, and its label table (``CubeComplex._shape`` without a
+    sign) are worked out once, the first time one of the state's labels
+    is mapped; a band that neither merges nor splits is a MoveError."""
     Ds, Dt = cx_src.diagram, cx_tgt.diagram
     (a, b), (ta, tb) = info["ends"]
 
@@ -553,22 +554,21 @@ def saddle_chain_map(theory, cx_src, cx_tgt, info):
         rt = Dt.resolve(s)
         ia, ib = rs.index[a], rs.index[b]
         ja, jb = rt.index[ta], rt.index[tb]
-        match = circle_match(rs, rt, (ia, ib))
+        match = persisting(rs, rt, (ia, ib))
         if ia != ib:
-            if ja != jb:
+            if ja != jb or len(rt) != len(rs) - 1:
                 raise MoveError("band joining two circles must merge them")
             band = ("merge", ia, ib, ja, match)
         else:
-            if ja == jb:
+            if ja == jb or len(rt) != len(rs) + 1:
                 raise MoveError("band on one circle must split it")
             band = ("split", ia, ja, jb, match)
-        return cx_tgt.state_block[s][1], band
+        return (cx_tgt.state_block[s][1],) + cx_tgt._shape(band, 0)
 
     def image(r, i):
         s, L = cx_src.gens[r][i]
-        toff, band = plan(s)
-        return {toff + tl: coeff
-                for tl, coeff in plan_images(theory, band, L)}
+        toff, base, rows = plan(s)
+        return {toff + base[L] + bits: v for bits, v in rows[L]}
     return generator_map(cx_src, cx_tgt, image, 0, -1, "saddle")
 
 
@@ -587,7 +587,8 @@ def _merge_pairs(cx, s, ci, edge):
                         % (edge, ci))
     other = ib if j == ia else ia
     (r, off, c), toff = cx.state_block[s], cx.state_block[s | 1 << ci][1]
-    return [(r, off + L, toff + (transport(L, match) | (L >> other & 1) << it))
+    base = cx.carry(match, c)
+    return [(r, off + L, toff + (base[L] | (L >> other & 1) << it))
             for L in range(1 << c) if not L >> j & 1]
 
 
@@ -604,8 +605,8 @@ def _split_pairs(cx, s, ci, edge):
                         % (edge, ci))
     other = it2 if j == it1 else it1
     (r, off, c), toff = cx.state_block[s], cx.state_block[s | 1 << ci][1]
-    return [(r, off + L, toff + (transport(L, match) | 1 << j
-                                 | (L >> ia & 1) << other))
+    base = cx.carry(match, c)
+    return [(r, off + L, toff + (base[L] | 1 << j | (L >> ia & 1) << other))
             for L in range(1 << c)]
 
 
@@ -668,14 +669,14 @@ def _relabel_iso(redn, cx_small, fixed_bits, forced_labels):
     What depends only on a survivor's big state is worked out once per
     state: that the state lies in the fixed layer, its sign, its small
     state, that the two resolutions have matching circle counts, the
-    circle match between them and the circle positions of the forced
-    labels.  Each survivor then checks its forced labels, and its
-    relabeled generator its degree, its q and that no other survivor
-    relabels to it.  The relabeling is thus a signed bijection, so it and
-    its inverse are chain maps exactly when each degree's differentials
-    have equal nnz and every reduced entry v at (i, t) appears as
-    sign_i sign_t v at the relabeled (i, t) of the small differential;
-    that is checked entry by entry.
+    ``persisting`` match of the small circles, its ``carry`` table and
+    the circle positions of the forced labels.  Each survivor then checks
+    its forced labels, and its relabeled generator its degree, its q and
+    that no other survivor relabels to it.  The relabeling is thus a
+    signed bijection, so it and its inverse are chain maps exactly when
+    each degree's differentials have equal nnz and every reduced entry v
+    at (i, t) appears as sign_i sign_t v at the relabeled (i, t) of the
+    small differential; that is checked entry by entry.
     """
     red = redn.red
     big = redn.original
@@ -699,14 +700,14 @@ def _relabel_iso(redn, cx_small, fixed_bits, forced_labels):
         if len(res_small) != len(res_big) - len(forced_labels):
             raise MoveError("survivor's circles do not match the small "
                             "diagram's")
-        match = circle_match(res_big, res_small)
+        match = persisting(res_big, res_small)
         if None in match:
             raise MoveError("a circle of the small diagram has no edge "
                             "in the big one")
         forced = tuple((res_big.index[e], bit)
                        for e, bit in forced_labels.items())
         coeff = minus_one if (R.char != 2 and sgn % 2) else R.one
-        return coeff, s_small, match, forced
+        return coeff, s_small, cx_small.carry(match, len(res_big)), forced
 
     fwd_blocks = {}
     bwd_blocks = {}
@@ -716,11 +717,11 @@ def _relabel_iso(redn, cx_small, fixed_bits, forced_labels):
         for i, (S, L) in enumerate(red.gens[r]):
             if S not in states:
                 states[S] = state_relabel(S)
-            coeff, s_small, match, forced = states[S]
+            coeff, s_small, base, forced = states[S]
             if any(L >> j & 1 != bit for j, bit in forced):
                 raise MoveError(
                     "survivor carries the wrong label on a collapsed circle")
-            rs, js = cx_small.gen_index(s_small, transport(L, match))
+            rs, js = cx_small.gen_index(s_small, base[L])
             if rs != r:
                 raise MoveError("homological degree mismatch in relabeling")
             if red.qdeg[r][i] != cx_small.qdeg[rs][js]:

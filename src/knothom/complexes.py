@@ -23,32 +23,35 @@ and entries, which nobody stores.  A cube that only goes through
 elimination thus never holds its whole differential; a reduced complex,
 which has no builder, always keeps its blocks.
 
-The differential is built from edge shapes.  An edge's plan (which
-circles merge or split, and which source circle persists as each other
-target circle) and its sign make its shape; edges out of different
-states share it wherever their circles line up alike, as most do (on
-the cube of 8_19 under bn, 1,024 edges have 63 shapes).  Each shape's
-label table is built once, from the theory's ``mul_basis`` and
-``comul_basis``: for every source labelling, the target bits of its
-persisting circles and the (bits, payload) pairs that its labels on
-the merging or splitting circles give.  An edge then writes its target
-block's offset plus the table's labels, and a state whose target
-generators are all dropped is not visited through that edge.  Distinct
-edges out of one generator reach distinct states, so every entry is
-assigned once and nothing is accumulated.  ``plan_images`` of
-``edge_plan`` gives the same images one generator at a time, without
-the sign; the tests keep the two routes equal.
+Circle labels are carried between smoothings by one rule and one
+table.  ``persisting(rs, rt, skip)`` matches each circle of ``rt`` to
+the circle of ``rs`` through its least edge: a circle away from a local
+surgery is a circle of ``rs`` whole, and one through it is left
+unmatched, its least edge being new or on a circle in ``skip``.
+``CubeComplex.carry`` tables, once per match, the target bits of every
+source labelling.  The cube's edges and the birth, death, saddle and
+r1/r2 maps of ``cobordism`` read their labels off these two.
+
+The differential is built from edge shapes.  An edge's plan
+(``edge_plan``: which circles merge or split, and the match of the
+others) and its sign make its shape; edges out of different states
+share it wherever their circles line up alike, as most do (on the cube
+of 8_19 under bn, 1,024 edges have 63 shapes).  Each shape's label
+table is built once: the ``carry`` table of its match, and for every
+source labelling the (bits, payload) pairs that its labels on the
+merging or splitting circles give under the theory's ``mul_basis`` and
+``comul_basis``.  An edge then writes its target block's offset plus
+the table's labels, and a state whose target generators are all
+dropped is not visited through that edge.  Distinct edges out of one
+generator reach distinct states, so every entry is assigned once and
+nothing is accumulated.  A saddle's band is a plan too, and its map
+reads the same table without a sign.
 
 ``CubeComplex.gen_index`` is the lookup of a generator (state, labels):
 the state's block offset in ``state_block`` plus the labels.  The
 elementary maps of ``cobordism`` read that offset once per state, with
 the rest of the state's plan; its r1/r2 pair halves read the cancelling
-edge's ``edge_plan`` the same way.  ``edge_plan`` reads each target
-circle's persisting source off the circle's least edge, since a circle
-away from the surgery keeps its edges.  ``circle_match``, ``transport``
-and ``plan_images`` carry circle labels through a local surgery; the
-saddle, birth and death maps of ``cobordism`` use them, and the tests
-hold ``edge_plan`` to ``circle_match``.
+edge's ``edge_plan`` the same way.
 
 Chain maps are evaluated on the sparse vectors they are applied to: an
 elementary map gives the image of one generator, and sums, multiples and
@@ -223,45 +226,16 @@ class ChainComplex:
 
 # -- circle labels through a local surgery -------------------------------
 
-def circle_match(rs, rt, skip=()):
-    """For each circle of smoothing ``rt``, the circle of ``rs`` that
-    persists as it, found through an edge that lies in ``rs`` on a circle
-    not listed in ``skip``; None where there is no such edge."""
+def persisting(rs, rt, skip=()):
+    """For each circle of smoothing ``rt``, the circle of ``rs`` through
+    its least edge, the one that persists as it; None where that edge is
+    not in ``rs`` or lies on a circle listed in ``skip``."""
+    index = rs.index
     match = []
     for circ in rt.circles:
-        match.append(next((rs.index[e] for e in circ
-                           if e in rs.index and rs.index[e] not in skip),
-                          None))
+        m = index.get(circ[0])
+        match.append(None if m in skip else m)
     return tuple(match)
-
-
-def transport(labels, match):
-    """Target labels whose bit j is the bit of source circle match[j]
-    (0, the label 1, where match[j] is None)."""
-    out = 0
-    for j, mj in enumerate(match):
-        if mj is not None and labels >> mj & 1:
-            out |= 1 << j
-    return out
-
-
-def plan_images(theory, plan, labels):
-    """Images of ``labels`` under a merge or split ``plan`` shaped as
-    ``CubeComplex.edge_plan`` returns it: yields (target labels, payload),
-    without a sign."""
-    kind = plan[0]
-    base = transport(labels, plan[4])
-    if kind == "merge":
-        _, ia, ib, it, _ = plan
-        prod = theory.mul_basis(labels >> ia & 1, labels >> ib & 1)
-        for comp in (0, 1):
-            coeff = prod[comp]
-            if not theory.ring.is_zero(coeff):
-                yield base | (comp << it), coeff
-    else:
-        _, ia, it1, it2, _ = plan
-        for (l1, l2), coeff in theory.comul_basis(labels >> ia & 1).items():
-            yield base | (l1 << it1) | (l2 << it2), coeff
 
 
 class CubeComplex(ChainComplex):
@@ -274,8 +248,6 @@ class CubeComplex(ChainComplex):
         self.states_by_weight = {}
         for s in range(1 << n):
             self.states_by_weight.setdefault(s.bit_count(), []).append(s)
-        # the smoothing of each state, read by edge_plan
-        self._res = [diagram.resolve(s) for s in range(1 << n)]
         gens = {}
         qdeg = {}
         self.state_block = {}
@@ -285,7 +257,7 @@ class CubeComplex(ChainComplex):
             keys = []
             qs = []
             for s in self.states_by_weight.get(w, ()):
-                c = len(self._res[s])
+                c = len(diagram.resolve(s))
                 self.state_block[s] = (r, len(keys), c)
                 keys += zip(repeat(s), range(1 << c))
                 if theory.graded:
@@ -298,6 +270,7 @@ class CubeComplex(ChainComplex):
         super().__init__(theory, gens, qdeg, diff_builder=self._build_degree)
         self._plans = {}
         self._signed = {}
+        self._carries = {}  # (match, source circle count) -> target bits
         self._shapes = {}   # (plan, sign) -> label table
         # r1/r2 move eliminations of this complex, filled by
         # cobordism._reidemeister_map: {(smaller complex, frozenset of the
@@ -319,15 +292,14 @@ class CubeComplex(ChainComplex):
         key = (s, i)
         if key in self._plans:
             return self._plans[key]
-        rs, rt = self._res[s], self._res[s | 1 << i]
-        a, b, c, d = self.diagram.crossings[i]
-        src = rs.index
-        ia, ic = src[a], src[c]
+        D = self.diagram
+        rs, rt = D.resolve(s), D.resolve(s | 1 << i)
+        a, b, c, d = D.crossings[i]
+        ia, ic = rs.index[a], rs.index[c]
         # a target circle off the surgery is a source circle whole, so
         # its least edge names it; the merged or split circles hold only
         # edges of circles ia and ic
-        firsts = [src[circ[0]] for circ in rt.circles]
-        match = tuple([None if m == ia or m == ic else m for m in firsts])
+        match = persisting(rs, rt, (ia, ic))
         if ia != ic:
             it = rt.index[a]
             if rt.index[c] != it:
@@ -362,26 +334,39 @@ class CubeComplex(ChainComplex):
             self._signed[key] = merge, split
         return self._signed[key]
 
+    def carry(self, match, nsrc):
+        """The target bits of each labelling L of ``nsrc`` source circles
+        under a ``persisting`` match, as a list: bit j of ``base[L]`` is
+        L's bit of circle match[j], or 0, the label 1, where match[j] is
+        None.  Built once per (match, nsrc) and kept."""
+        key = match, nsrc
+        base = self._carries.get(key)
+        if base is None:
+            dest = [0] * nsrc
+            for j, mj in enumerate(match):
+                if mj is not None:
+                    dest[mj] |= 1 << j
+            base = [0]
+            for bit in dest:
+                base += [b + bit for b in base]
+            self._carries[key] = base
+        return base
+
     def _shape(self, plan, sign):
         """The label table of an edge shape, a ``plan`` of ``edge_plan``
         with its cube sign (1 for minus), as two lists over the source
-        labels L: ``base[L]``, the target bits of L's persisting circles,
-        and ``rows[L]``, the (bits, payload) pairs that L's labels on the
-        merging or splitting circles give.  The image of L is base[L] +
-        bits with its payload, for each pair.  Built once per shape and
-        shared by its edges."""
+        labels L: ``base[L]`` of ``carry``, the target bits of L's
+        persisting circles, and ``rows[L]``, the (bits, payload) pairs
+        that L's labels on the merging or splitting circles give.  The
+        image of L is base[L] + bits with its payload, for each pair.
+        Built once per shape and shared by its edges."""
         key = plan, sign
         shape = self._shapes.get(key)
         if shape is None:
             kind, ia, j1, j2, match = plan
             merge, split = self._signed_images(sign)
-            dest = [0] * (len(match) + (1 if kind == "merge" else -1))
-            for j, mj in enumerate(match):
-                if mj is not None:
-                    dest[mj] = 1 << j
-            base = [0]
-            for bit in dest:
-                base += [b + bit for b in base]
+            base = self.carry(match,
+                              len(match) + (1 if kind == "merge" else -1))
             if kind == "merge":
                 ib = j1
                 rows = [tuple((comp << j2, coeff) for comp, coeff in row)

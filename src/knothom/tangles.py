@@ -87,7 +87,11 @@ def _crossing_order(diagram):
 class _Scan:
     """One scan: the matchings it has met, cached gluings, and the
     current complex as ``objs`` {id: (matching, q, r)}, ``out`` {id:
-    {target: morphism}} and ``inn`` {id: set of sources}."""
+    {target: morphism}} and ``inn`` {id: set of sources}.
+
+    Caches keyed on matching ids live for one step (``add_crossing``);
+    glued surfaces and their values key on the plan itself and serve the
+    whole scan."""
 
     def __init__(self, theory):
         self.theory = theory
@@ -95,13 +99,13 @@ class _Scan:
         self.minus_s = R.neg(theory.s)
         self.partners = []      # matching id -> {point: partner point}
         self.matching_ids = {}  # sorted tuple of pairs -> matching id
-        self._cycles = {}
-        self._compositions = {}
         self._values = {}
         self._surfaces = {}
-        # per crossing: its record and the gluings that read it
+        # per crossing: its record and the caches keyed on its matchings
         self.step = None
-        self._smoothings = self._extensions = self._unit_extensions = None
+        self._cycles, self._first_new = {}, 0
+        self._compositions = self._smoothings = None
+        self._extensions = self._unit_extensions = None
 
     # -- matchings and their cycles ----------------------------------
 
@@ -377,6 +381,12 @@ class _Scan:
         fresh = {e: ks[0] for e, ks in slots.items()
                  if len(ks) == 1 and e not in boundary}
         self.step = cr, shared, kinks, fresh
+        # a matching lies on one boundary, and the step before made those
+        # of the boundary before this crossing, whose cycles ``extension``
+        # reads again: keep those, drop the rest
+        old, self._first_new = self._first_new, len(self.partners)
+        self._cycles = {k: v for k, v in self._cycles.items() if k[0] >= old}
+        self._compositions = {}
         self._smoothings, self._extensions = {}, {}
         self._unit_extensions = {}
         boundary.difference_update(e for e, _ in shared)

@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 from knothom.diagram import LinkDiagram, parse_pd, unknot_diagram, is_planar
 from knothom.frobenius import theory_from_selector
 from knothom.complexes import (ChainComplex, CubeComplex, build_complex,
-                               identity_map, zero_map, circle_match,
-                               plan_images, compose, add_maps, scale_map,
-                               maps_equal, mat_eq, mat_mul)
+                               identity_map, zero_map, compose, add_maps,
+                               scale_map, maps_equal, mat_eq, mat_mul)
 from knothom.homology import (HomologyData, induced_map,
                               maps_equal_on_homology, reduce_complex,
                               reduction_identities_hold, scale_induced)
@@ -25,13 +24,16 @@ from knothom.cobordism import (Move, MoveError, MovieError, apply_move,
                                verify_symmetry, verify_star_placement,
                                ribbon_structure_errors,
                                verify_ribbon_composite, _bigon_pairs,
-                               _bigon_structure, _find_kink_loop,
+                               _bigon_structure, _drop_bit, _find_kink_loop,
                                _inverse_info, _loop_pairs, _merge_pairs,
                                _relabel_iso, _reidemeister_map,
                                _reidemeister_reduction, _split_pairs)
+from knothom import cobordism
 from knothom.cli import main
 from knothom.jones import jones_polynomial
 from knothom.tables import load_table, braid_pd
+
+from label_oracles import circle_match, plan_images, transport
 
 SELECTORS = ["bn", "kh-f2", "alpha", "alpha@0,t/f2", "alpha@1,-1/q"]
 MOVIE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src",
@@ -1017,6 +1019,110 @@ def test_elementary_images_match_per_generator_references(name, sel):
             _every_image_matches(
                 saddle_chain_map(th, src, tgt, rec),
                 lambda r, i: _saddle_reference(th, src, tgt, rec, r, i))
+
+
+def _label_route_faults(sel):
+    """Where the package's label tables and the label-by-label oracles
+    disagree, on every step of the bundled and frozen movies and of their
+    reverses: a birth, death or saddle step's ``persisting`` match of
+    each state against ``circle_match``, and each generator's image
+    against ``transport`` or ``plan_images``; an r1/r2 step's relabelling
+    of each survivor against ``transport`` of ``circle_match``, or the
+    error raised where the move's elimination or relabelling fails."""
+    th = theory_from_selector(sel)
+    R = th.ring
+    faults = []
+    for path in R_MOVIES:
+        movie = load_movie(path)
+        cxs = movie.complexes(th)
+        for m, frames in ((movie, cxs), (movie.reversed(), cxs[::-1])):
+            for k, info in enumerate(m.infos):
+                src, tgt = frames[k], frames[k + 1]
+                kind, where = info["kind"], (os.path.basename(path), m.name, k)
+                if kind in ("r1+", "r1-", "r2+", "r2-"):
+                    faults += _relabel_faults(th, src, tgt, info, where)
+                    continue
+                if kind not in ("birth", "death", "saddle"):
+                    continue
+                f = move_chain_map(th, src, tgt, info)
+                for s in range(1 << src.diagram.n):
+                    rs, rt = src.diagram.resolve(s), tgt.diagram.resolve(s)
+                    skip = (tuple(rs.index[e] for e in info["ends"][0])
+                            if kind == "saddle" else ())
+                    if (cobordism.persisting(rs, rt, skip)
+                            != circle_match(rs, rt, skip)):
+                        faults.append(where + ("match", s))
+                for r in src.degrees:
+                    for i in range(src.rank(r)):
+                        if kind == "saddle":
+                            want = _saddle_reference(th, src, tgt, info, r, i)
+                        else:
+                            want = _unit_counit_reference(th, src, tgt, info,
+                                                          r, i)
+                        got = f.apply(r, {i: R.one})
+                        if set(got) != set(want) or not all(
+                                R.eq(got[t], v) for t, v in want.items()):
+                            faults.append(where + ("image", r, i))
+    return faults
+
+
+def _unit_counit_reference(theory, cx_src, cx_tgt, info, r, i):
+    """A birth's or death's image of one generator, its circle match
+    worked out from scratch."""
+    s, L = cx_src.gens[r][i]
+    rs, rt = cx_src.diagram.resolve(s), cx_tgt.diagram.resolve(s)
+    if info["kind"] == "death" and not L >> rs.index[info["edge"]] & 1:
+        return {}
+    tl = transport(L, circle_match(rs, rt))
+    return {cx_tgt.gen_index(s, tl)[1]: theory.ring.one}
+
+
+def _relabel_faults(theory, cx_src, cx_tgt, info, where):
+    """The survivors of an r1/r2 move's elimination that ``_relabel_iso``
+    sends elsewhere than ``transport`` of ``circle_match`` between the
+    big and small resolutions."""
+    grow = info["kind"].endswith("+")
+    small, big = (cx_src, cx_tgt) if grow else (cx_tgt, cx_src)
+    try:
+        move_chain_map(theory, cx_src, cx_tgt, info)
+    except ValueError as e:
+        return [where + ("relabel", str(e))]
+    redn, fwd, _ = big.move_reductions[(small, frozenset(info["crossings"]))]
+    faults = []
+    for r in redn.red.degrees:
+        for i, (S, L) in enumerate(redn.red.gens[r]):
+            s = S
+            for ci in sorted(info["crossings"], reverse=True):
+                s = _drop_bit(s, ci)
+            match = circle_match(big.diagram.resolve(S),
+                                 small.diagram.resolve(s))
+            if set(fwd.block(r)[i]) != {small.gen_index(
+                    s, transport(L, match))[1]}:
+                faults.append(where + ("relabel", r, i))
+    return faults
+
+
+@pytest.mark.parametrize("sel", ["bn", "alpha@t,-t/q", "alpha@1,-1/f5"])
+def test_movie_maps_carry_labels_as_the_oracles_do(sel):
+    assert _label_route_faults(sel) == []
+
+
+def test_label_route_check_flags_a_broken_rule_or_table(monkeypatch):
+    # negative controls: a least-edge rule that keeps the band's circles,
+    # and a table that drops source circle 0, must each be flagged
+    real_persisting, real_carry = cobordism.persisting, CubeComplex.carry
+    with monkeypatch.context() as m:
+        m.setattr(cobordism, "persisting",
+                  lambda rs, rt, skip=(): real_persisting(rs, rt))
+        faults = _label_route_faults("bn")
+        assert any(f[3] == "match" for f in faults)
+        assert any(f[3] == "image" for f in faults)
+    with monkeypatch.context() as m:
+        m.setattr(CubeComplex, "carry", lambda self, match, nsrc: real_carry(
+            self, tuple(None if j == 0 else j for j in match), nsrc))
+        faults = _label_route_faults("bn")
+        assert {f[3] for f in faults} == {"image", "relabel"}
+    assert _label_route_faults("bn") == []
 
 
 def test_verification_leaves_shared_payloads_unchanged():

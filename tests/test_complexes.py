@@ -11,10 +11,11 @@ from knothom.diagram import Resolution, from_pd, parse_pd, unknot_diagram
 from knothom.frobenius import theory_from_selector
 from knothom.complexes import (build_complex, CubeComplex, identity_map,
                                zero_map, compose, add_maps, scale_map,
-                               maps_equal, mat_mul, mat_add, mat_eq, axpy,
-                               circle_match, plan_images)
+                               maps_equal, mat_mul, mat_add, mat_eq, axpy)
 from knothom.jones import quantum_jones
 from knothom.tables import load_table
+
+from label_oracles import circle_match, plan_images
 
 LEFT_TREFOIL = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 SELECTORS = ["bn", "kh-f2", "alpha", "alpha@0,t/f2", "alpha@1,-1/q"]

@@ -146,6 +146,38 @@ def test_equal_gluings_share_one_plan_and_one_value():
     assert len(scan._values) == 1
 
 
+def test_matching_caches_hold_one_step(monkeypatch):
+    # the caches keyed on matching ids live for one step: after each step
+    # they name only matchings of the boundary before or after its
+    # crossing.  The cycles of the boundary before are kept from the step
+    # that made it, so no pair's cycles are worked out twice, but for the
+    # empty matching's at the first and last crossing.  T(4,5) still
+    # reads mu = 2
+    add_crossing, cycles = tangles._Scan.add_crossing, tangles._Scan.cycles
+    stale, worked_out = [], []
+
+    def recording(self, cr, boundary):
+        points = set(boundary)
+        add_crossing(self, cr, boundary)
+        points |= boundary
+        keys = list(self._cycles) + list(self._compositions)
+        stale.append(sum(not points.issuperset(self.partners[m])
+                         for key in keys for m in key))
+
+    def counting(self, m1, m2):
+        if (m1, m2) not in self._cycles:
+            worked_out.append((m1, m2))
+        return cycles(self, m1, m2)
+    monkeypatch.setattr(tangles._Scan, "add_crossing", recording)
+    monkeypatch.setattr(tangles._Scan, "cycles", counting)
+    bn = theory_from_selector("bn")
+    assert torsion_bound(homology(scan_complex(torus("T(4,5)"), bn)),
+                         bn).value == 2
+    assert len(stale) == 15 and not any(stale)
+    twice = [k for k in set(worked_out) if worked_out.count(k) > 1]
+    assert len(worked_out) > 500 and twice == [(0, 0)]
+
+
 def tangle_d_squared_is_zero(scan):
     """d o d = 0 as morphisms on the tangle complex a scan holds."""
     for x, row in scan.out.items():
