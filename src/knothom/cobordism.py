@@ -1004,7 +1004,7 @@ def parse_movie(text, name=""):
                 raise MovieError("birth takes no arguments", no)
             mv = Move("birth", line=no)
         elif kind == "r1+":
-            if not args or (len(args) > 1 and args[1] not in ("+", "-")):
+            if not 1 <= len(args) <= 2 or args[1:] not in ([], ["+"], ["-"]):
                 raise MovieError("usage: r1+ <edge> [+|-]", no)
             try:
                 e = int(args[0])

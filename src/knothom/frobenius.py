@@ -22,6 +22,14 @@ Bundled theories:
                        remembered so the shifted decorations X - a_i and
                        the doubled decoration 2X - s make sense.
 
+Each theory fixes its structure constants when it is built: the four
+basis products ``mul_basis(i, j)`` and the two basis coproducts
+``comul_basis(i)`` are computed once, before ``axiom_report`` checks
+them, and are then shared values that nothing changes.  Neck-cutting
+is one form, a = (X - r1) eps(a) + eps((X - r2) a) 1, which holds
+exactly when r1 + r2 = s; ``neck_cutting_report`` checks it at
+(s, 0) and, when roots are chosen, at (a1, a2) and (a2, a1).
+
 ``specialize`` maps the generic theory along a1 -> u1, a2 -> u2 into a
 univariate polynomial ring or a field.  Gradings: deg X = 2, ring
 generators have degree 2 per exponent; a theory stays graded when s is
@@ -33,6 +41,7 @@ are sparse dicts {(i, j): coeff} over the basis {1, X}.
 
 import re
 
+from .complexes import axpy
 from .rings import PrimeField, PolyRing, Rationals, Integers, TwoVarPolys, F2
 
 
@@ -48,8 +57,13 @@ class Theory:
         self.p = p
         self.alphas = alphas
         self.graded = self._compute_graded()
-        self._mul_cache = {}
-        self._comul_cache = {}
+        R = self.ring
+        self._products = {(i, j): self.mul(self.basis(i), self.basis(j))
+                          for i in (0, 1) for j in (0, 1)}
+        self._coproducts = tuple(
+            {key: c for key, c in terms.items() if not R.is_zero(c)}
+            for terms in ({(0, 1): R.one, (1, 0): R.one, (0, 0): R.neg(s)},
+                          {(1, 1): R.one, (0, 0): R.neg(p)}))
         bad = [n for n, ok, _ in axiom_report(self) if not ok]
         if bad:
             raise TheoryError("Frobenius axioms failed for %s: %s"
@@ -89,39 +103,15 @@ class Theory:
         return (c0, c1)
 
     def mul_basis(self, i, j):
-        key = (i, j)
-        if key not in self._mul_cache:
-            self._mul_cache[key] = self.mul(self.basis(i), self.basis(j))
-        return self._mul_cache[key]
+        return self._products[i, j]
 
     def comul_basis(self, i):
-        if i not in self._comul_cache:
-            R = self.ring
-            if i == 0:
-                out = {(0, 1): R.one, (1, 0): R.one}
-                ms = R.neg(self.s)
-                if not R.is_zero(ms):
-                    out[(0, 0)] = ms
-            else:
-                out = {(1, 1): R.one}
-                mp = R.neg(self.p)
-                if not R.is_zero(mp):
-                    out[(0, 0)] = mp
-            self._comul_cache[i] = out
-        return self._comul_cache[i]
+        return self._coproducts[i]
 
     def comul(self, a):
-        R = self.ring
         out = {}
-        for i, c in ((0, a[0]), (1, a[1])):
-            if R.is_zero(c):
-                continue
-            for key, v in self.comul_basis(i).items():
-                w = R.add(out.get(key, R.zero), R.mul(c, v))
-                if R.is_zero(w):
-                    out.pop(key, None)
-                else:
-                    out[key] = w
+        for i in (0, 1):
+            axpy(self.ring, out, a[i], self.comul_basis(i))
         return out
 
     def counit(self, a):
@@ -205,32 +195,16 @@ def axiom_report(theory):
              for i in (0, 1) for j in (0, 1))
     out.append(("commutativity", ok, ""))
 
-    def triple_left(i):
-        # (Delta x id) Delta
+    def triple(i, left):
+        # (Delta x id) Delta when left, else (id x Delta) Delta
         out3 = {}
         for (j, k), c in T.comul_basis(i).items():
-            for (a, b), d in T.comul_basis(j).items():
-                key = (a, b, k)
-                v = R.add(out3.get(key, R.zero), R.mul(c, d))
-                if R.is_zero(v):
-                    out3.pop(key, None)
-                else:
-                    out3[key] = v
+            inner = T.comul_basis(j if left else k).items()
+            axpy(R, out3, c, {(a, b, k) if left else (j, a, b): d
+                              for (a, b), d in inner})
         return out3
 
-    def triple_right(i):
-        out3 = {}
-        for (j, k), c in T.comul_basis(i).items():
-            for (a, b), d in T.comul_basis(k).items():
-                key = (j, a, b)
-                v = R.add(out3.get(key, R.zero), R.mul(c, d))
-                if R.is_zero(v):
-                    out3.pop(key, None)
-                else:
-                    out3[key] = v
-        return out3
-
-    ok = all(_tensor_eq(R, triple_left(i), triple_right(i)) for i in (0, 1))
+    ok = all(_tensor_eq(R, triple(i, True), triple(i, False)) for i in (0, 1))
     out.append(("coassociativity", ok, ""))
 
     ok = True
@@ -262,15 +236,8 @@ def axiom_report(theory):
             lhs = T.comul(prod)
             rhs = {}
             for (k, l), c in T.comul_basis(j).items():
-                m = T.mul_basis(i, k)
-                for comp, coeff in ((0, m[0]), (1, m[1])):
-                    v = R.mul(c, coeff)
-                    key = (comp, l)
-                    w = R.add(rhs.get(key, R.zero), v)
-                    if R.is_zero(w):
-                        rhs.pop(key, None)
-                    else:
-                        rhs[key] = w
+                axpy(R, rhs, c, {(comp, l): coeff for comp, coeff
+                                 in enumerate(T.mul_basis(i, k))})
             ok = ok and _tensor_eq(R, lhs, rhs)
     out.append(("frobenius", ok, "Delta m = (m x id)(id x Delta)"))
 
@@ -304,52 +271,31 @@ def axiom_report(theory):
 
 
 def neck_cutting_report(theory):
-    """Check the neck-cutting decompositions of the identity.
+    """Check the neck-cutting decompositions of the identity,
 
-    Universal form:  a = X eps(a) + eps(X a) 1 - s eps(a) 1
-    Rooted forms (when roots are chosen):
-        a = (X - a1) eps(a) + eps((X - a2) a) 1
-        a = (X - a2) eps(a) + eps((X - a1) a) 1
-    Verified on the basis, which suffices by linearity.
+        a = (X - r1) eps(a) + eps((X - r2) a) 1,
+
+    which holds exactly when r1 + r2 = s.  The universal form
+    ``neck-cutting`` takes (r1, r2) = (s, 0); when roots are chosen,
+    ``neck-cutting-12`` and ``neck-cutting-21`` take (a1, a2) and
+    (a2, a1).  Verified on the basis, which suffices by linearity.
     """
     T = theory
     R = T.ring
-    X = T.x_elt()
+    forms = [("neck-cutting", (T.s, R.zero))]
+    if T.alphas is not None:
+        a1, a2 = T.alphas
+        forms += [("neck-cutting-12", (a1, a2)), ("neck-cutting-21", (a2, a1))]
     out = []
-
-    def _terms_eq(label, forms):
-        ok = True
+    for label, (r1, r2) in forms:
         detail = ""
         for i in (0, 1):
             a = T.basis(i)
-            acc = (R.zero, R.zero)
-            for term in forms(a):
-                acc = (R.add(acc[0], term[0]), R.add(acc[1], term[1]))
-            if not _pair_eq(R, acc, a):
-                ok = False
+            e_a = T.counit(a)
+            cut = T.counit(T.mul((R.neg(r2), R.one), a))
+            if not _pair_eq(R, (R.add(R.mul(R.neg(r1), e_a), cut), e_a), a):
                 detail = "fails on basis %d" % i
-        out.append((label, ok, detail))
-
-    def universal(a):
-        e_a = T.counit(a)
-        e_xa = T.counit(T.mul(X, a))
-        yield (R.mul(R.neg(T.s), e_a), R.zero)
-        yield (e_xa, R.zero)
-        yield (R.zero, e_a)
-
-    _terms_eq("neck-cutting", universal)
-
-    if T.alphas is not None:
-        for label, (r1, r2) in (("neck-cutting-12", T.alphas),
-                                ("neck-cutting-21", tuple(reversed(T.alphas)))):
-            def rooted(a, r1=r1, r2=r2):
-                e_a = T.counit(a)
-                shifted = (R.neg(r1), R.one)
-                yield (R.mul(shifted[0], e_a), R.mul(shifted[1], e_a))
-                other = T.mul((R.neg(r2), R.one), a)
-                yield (T.counit(other), R.zero)
-            _terms_eq(label, rooted)
-
+        out.append((label, not detail, detail))
     return out
 
 
@@ -455,21 +401,13 @@ def theory_from_selector(text):
         parts = args.split(",")
         if len(parts) != 2:
             raise TheoryError("selector needs two root images")
-        base = _base_ring(ring_code)
+        ring = base = _base_ring(ring_code)
         parsed = [_parse_image(p) for p in parts]
         if any(kind == "t" for kind, _, _ in parsed):
-            if base.is_field:
-                ring = PolyRing(base, "t")
-            else:
+            if not base.is_field:
                 raise TheoryError("polynomial images need a field base")
-            def mk(kind, k, c):
-                if kind == "t":
-                    return ring.monomial(ring.base.from_int(c), k)
-                return ring.from_int(c)
-        else:
-            ring = base
-            def mk(kind, k, c):
-                return ring.from_int(c)
-        images = tuple(mk(*p) for p in parsed)
+            ring = PolyRing(base, "t")
+        images = tuple(ring.monomial(base.from_int(c), k) if kind == "t"
+                       else ring.from_int(c) for kind, k, c in parsed)
         return specialize(images, ring)
     raise TheoryError("unknown theory selector %r" % text)

@@ -14,6 +14,10 @@ Payload conventions:
                          with no zero coefficients; ``{}`` is zero
 * ``TwoVarPolys()``   -- Z[a1, a2] as ``{(i, j): int}``
 
+The three number rings share the base ``_Numbers``: Python's ``+``,
+``-`` and ``*``, zero as ``== 0``, every element homogeneous of exponent
+0 and ``str`` as the format.  ``PrimeField`` reduces mod p.
+
 Every payload is kept canonical, so two elements are equal exactly when
 their payloads compare equal with ``==`` and ``eq`` is that comparison:
 ``PrimeField`` reduces every result mod p, the dict rings never store a
@@ -22,7 +26,7 @@ Code that builds a payload by hand must keep these conventions.
 
 Payloads are values: once built, a payload is never changed in place,
 and the same payload may sit in many containers at once (vectors,
-matrix columns, a theory's cached structure maps, ``one`` and ``zero``
+matrix columns, a theory's structure constants, ``one`` and ``zero``
 themselves).  ``PolyRing`` relies on this to skip work whose result is
 known: ``mul`` hands back the other factor when one factor is one,
 ``add`` the other summand when one summand is zero, and ``neg`` its
@@ -55,7 +59,32 @@ class BaseRing:
         return self.name
 
 
-class PrimeField(BaseRing):
+class _Numbers(BaseRing):
+    """Rings whose payloads are Python numbers (ints or Fractions)."""
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def is_zero(self, a):
+        return a == 0
+
+    def is_homogeneous(self, a):
+        return True
+
+    def exponent(self, a):
+        return None if a == 0 else 0
+
+    def fmt(self, a):
+        return str(a)
+
+
+class PrimeField(_Numbers):
     is_field = True
 
     def __init__(self, p):
@@ -79,9 +108,6 @@ class PrimeField(BaseRing):
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def is_zero(self, a):
-        return a == 0
-
     def is_unit(self, a):
         return a != 0
 
@@ -90,17 +116,8 @@ class PrimeField(BaseRing):
             raise ZeroDivisionError("0 has no inverse in %s" % self.name)
         return pow(a, self.p - 2, self.p)
 
-    def is_homogeneous(self, a):
-        return True
 
-    def exponent(self, a):
-        return None if a == 0 else 0
-
-    def fmt(self, a):
-        return str(a)
-
-
-class Rationals(BaseRing):
+class Rationals(_Numbers):
     is_field = True
     name = "Q"
     zero = Fraction(0)
@@ -109,53 +126,20 @@ class Rationals(BaseRing):
     def from_int(self, n):
         return Fraction(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a == 0
-
     def is_unit(self, a):
         return a != 0
 
     def inv(self, a):
         return 1 / a
 
-    def is_homogeneous(self, a):
-        return True
 
-    def exponent(self, a):
-        return None if a == 0 else 0
-
-    def fmt(self, a):
-        return str(a)
-
-
-class Integers(BaseRing):
+class Integers(_Numbers):
     name = "Z"
     zero = 0
     one = 1
 
     def from_int(self, n):
         return n
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a == 0
 
     def is_unit(self, a):
         return a in (1, -1)
@@ -164,15 +148,6 @@ class Integers(BaseRing):
         if a not in (1, -1):
             raise ZeroDivisionError("%s is not a unit in %s" % (a, self.name))
         return a
-
-    def is_homogeneous(self, a):
-        return True
-
-    def exponent(self, a):
-        return None if a == 0 else 0
-
-    def fmt(self, a):
-        return str(a)
 
 
 class PolyRing(BaseRing):

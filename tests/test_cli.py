@@ -555,6 +555,14 @@ def test_movie_script_errors_are_input_errors(tmp_path):
     assert "line 2" in res.output
 
 
+def test_movie_r1_plus_with_a_third_argument_is_input_error(tmp_path):
+    p = tmp_path / "bad.movie"
+    p.write_text("start unknot\n# pad\nr1+ 1 + junk\n")
+    res = run("movie", "--script", str(p))
+    assert res.exit_code == 2, res.output
+    assert "line 3: usage: r1+ <edge> [+|-]" in res.output
+
+
 def test_movie_nonplanar_frame_is_input_error(tmp_path):
     p = tmp_path / "nonplanar.movie"
     p.write_text("start PD[X[1,5,2,4],X[3,1,4,6],X[5,3,6,2]]\n"

@@ -1,5 +1,6 @@
 """Elementary cobordisms: move mechanics, chain maps, movie plumbing."""
 
+import dataclasses
 import os
 import random
 
@@ -149,7 +150,46 @@ def test_decoration_maps_are_chain_maps(sel):
     for kind in kinds:
         f = decoration_chain_map(th, cx, kind, 1)
         assert f.is_chain_map(), (sel, kind)
-        assert f.q_shift == -2
+
+
+def _q_violations(f):
+    """The entries (r, src, tgt) of f's generator images where the target
+    q less twice the coefficient's exponent is not the source q plus the
+    declared ``q_shift``."""
+    R = f.ring
+    bad = []
+    for r in f.source.degrees:
+        for i, col in f.block(r).items():
+            for j, c in col.items():
+                qt = f.target.qdeg[r + f.r_shift][j] - 2 * R.exponent(c)
+                if qt != f.source.qdeg[r][i] + f.q_shift:
+                    bad.append((r, i, j))
+    return bad
+
+
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3", "alpha@t,-t/q"])
+def test_elementary_maps_shift_q_as_declared(sel):
+    th = theory_from_selector(sel)
+    want = {"birth": 1, "death": 1, "saddle": -1}
+    movies = [load_movie(os.path.join(MOVIE_DIR, f))
+              for f in sorted(os.listdir(MOVIE_DIR))]
+    movies.append(parse_movie("start unknot\nbirth\ndeath 2\n"))
+    seen = set()
+    for movie in movies:
+        maps = movie.chain_maps(th, movie.complexes(th))
+        for info, f in zip(movie.infos, maps):
+            if info["kind"] in want:
+                seen.add(info["kind"])
+                assert f.q_shift == want[info["kind"]], (movie.name, info)
+                assert not _q_violations(f), (movie.name, info)
+    assert seen == set(want)
+    cx = build_complex(load_table()["3_1"], th)
+    for kind in ["dot", "star"] + (["dot1", "dot2"] if th.alphas else []):
+        f = decoration_chain_map(th, cx, kind, 1)
+        assert f.q_shift == -2 and not _q_violations(f), kind
+    # negative control: the same images under a wrongly declared shift
+    f = decoration_chain_map(th, cx, "dot", 1)
+    assert _q_violations(dataclasses.replace(f, q_shift=0))
 
 
 @pytest.mark.parametrize("sel", ["bn", "alpha", "alpha@0,t/f2"])
@@ -835,6 +875,7 @@ def test_parse_movie_aliases_and_ledger():
     ("start unknot\nwiggle 1\n", "unknown move"),
     ("start unknot\nsaddle 1\n", "argument"),
     ("start unknot\nr1+ 1 *\n", "usage"),
+    ("start unknot\nr1+ 1 + junk\n", "line 2: usage: r1+ <edge> [+|-]"),
     ("start unknot\ndeath 7\n", "death"),
 ])
 def test_parse_movie_errors(text, frag):

@@ -180,10 +180,36 @@ def test_theory_with_failing_axioms_raises():
             R = self.ring
             return {(1, 1): R.one} if i == 0 else {(0, 1): R.one}
 
+    class BadUnit(Theory):
+        # 1 * X = 0, read by axiom_report through mul_basis
+        def mul_basis(self, i, j):
+            R = self.ring
+            if i != j:
+                return (R.zero, R.zero)
+            return super().mul_basis(i, j)
+
     F2H = PolyRing(PrimeField(2), "h")
     with pytest.raises(TheoryError, match="axioms failed for bad: .*counit"):
         BadComul("bad", F2H, s=F2H.gen(), p=F2H.zero)
+    with pytest.raises(TheoryError,
+                       match=r"axioms failed for bad: .*\bunit\b"):
+        BadUnit("bad", F2H, s=F2H.gen(), p=F2H.zero)
     Theory("bn", F2H, s=F2H.gen(), p=F2H.zero)
+
+
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
+def test_neck_cutting_fails_with_the_wrong_counit(sel):
+    class OneCounit(Theory):
+        def counit(self, a):
+            return a[0]
+
+    th = theory_from_selector(sel)
+    bad = OneCounit(th.name, th.ring, th.s, th.p, th.alphas)
+    report = neck_cutting_report(bad)
+    assert [label for label, _, _ in report] == [
+        label for label, _, _ in neck_cutting_report(th)]
+    assert report[0] == ("neck-cutting", False, "fails on basis 1")
+    assert not any(ok for _, ok, _ in report)
 
 
 def test_digit_ordering_agreement():
