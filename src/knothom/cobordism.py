@@ -13,7 +13,13 @@ Saddles swap the heads of the two edges: after ``saddle e1 e2`` the
 strand runs tail(e1) -> head(e2) and tail(e2) -> head(e1).  Saddling an
 edge with itself splits off a free loop; free loops may be saddled into
 other edges (absorption).  Moves that create crossings append them at
-the end of the crossing list so earlier indices stay stable.
+the end of the crossing list so earlier indices stay stable.  Moves that
+remove or rearrange crossings read their strands off the diagram's
+``successor`` and ``predecessor``: ``r1-`` joins the edges before and
+after the kink's loop, ``r2-`` those before and after each middle edge
+of the bigon (a strand whose join meets itself closes into a free
+loop), and ``r3`` moves each triangle edge past its neighbours within
+the slots it occupies.
 
 Reidemeister moves induce chain maps through the unit-entry elimination
 engine: cancelling the local pairs of the kink or bigon leaves a complex
@@ -30,7 +36,9 @@ r2 map composes the relabeling with the elimination's inclusion or
 projection, which replays the recorded cancellations on that vector; no
 matrix of it is built unless a check asks for one.  Labels are carried
 between resolutions as along the cube's edges, by ``persisting`` and
-``CubeComplex.carry`` (see ``complexes``).  The birth, death, saddle and
+``CubeComplex.carry`` (see ``complexes``).  A birth's unit and a death's
+counit are one map (``_unit_counit_map``): they differ only in whether
+the circle of their edge is in the source.  That map and the saddle and
 decoration maps work out what depends only on a state (its label table,
 the block of its generators in ``CubeComplex.state_block``) once per
 state, the first time one of its labels is mapped, and what depends on
@@ -222,7 +230,9 @@ def _apply_r1_plus(diagram, move):
 
 def _find_kink_loop(cr):
     cands = [e for e in set(cr) if cr.count(e) == 2]
-    if not cands:
+    # a kink's loop sits in adjacent slots; in opposite ones (only in a
+    # non-planar code) the strand would not run on through slot ^ 2
+    if not cands or cr[0] == cr[2] or cr[1] == cr[3]:
         raise MoveError("crossing %s is not a kink" % (cr,))
     if len(cands) == 1:
         return cands[0]
@@ -235,29 +245,19 @@ def _apply_r1_minus(diagram, move):
     (ci,) = move.args
     if not (0 <= ci < diagram.n):
         raise MoveError("no crossing %d" % ci)
-    cr = diagram.crossings[ci]
-    loop = _find_kink_loop(cr)
-    strand = [e for e in cr if e != loop]
-    if not strand:
-        raise MoveError("crossing %d is not a kink" % ci)
-    # the incoming strand edge has its head at ci, the outgoing its tail
-    e_in = next(e for e in set(strand) if diagram.head(e)[0] == ci)
-    e_out = next(e for e in set(strand) if diagram.tail(e)[0] == ci)
-    crossings = list(diagram.crossings)
-    signs = list(diagram.signs)
-    del crossings[ci]
-    del signs[ci]
+    loop = _find_kink_loop(diagram.crossings[ci])
+    # the strand runs e_in -> loop -> e_out, both ends at crossing ci
+    e_in, e_out = diagram.predecessor(loop), diagram.successor(loop)
+    crossings = list(diagram.crossings[:ci] + diagram.crossings[ci + 1:])
+    signs = diagram.signs[:ci] + diagram.signs[ci + 1:]
     free = list(diagram.free_edges)
     if e_in == e_out:
         # single-crossing unknot component: it becomes a free loop
         free.append(e_in)
     else:
-        place = diagram.head(e_out)
-        if place[0] == ci:
-            raise MoveError("crossing %d is not a kink" % ci)
-        pl = (place[0] - 1, place[1]) if place[0] > ci else place
-        _rewrite_occurrence(crossings, pl, e_in)
-    new = LinkDiagram(tuple(crossings), tuple(signs), tuple(sorted(free)))
+        ck, slot = diagram.head(e_out)
+        _rewrite_occurrence(crossings, (ck - (ck > ci), slot), e_in)
+    new = LinkDiagram(tuple(crossings), signs, tuple(sorted(free)))
     info = {"kind": "r1-", "crossings": (ci,)}
     return new, info
 
@@ -300,15 +300,14 @@ def _apply_r2_plus(diagram, move):
 
 def _bigon_structure(diagram, ci, cj):
     """Shared over-mid and under-mid edges of a candidate bigon."""
-    cri, crj = diagram.crossings[ci], diagram.crossings[cj]
-    shared = set(cri) & set(crj)
+    shared = set(diagram.crossings[ci]) & set(diagram.crossings[cj])
     over_mid = under_mid = None
     for e in sorted(shared):
-        si = {k for k in range(4) if cri[k] == e}
-        sj = {k for k in range(4) if crj[k] == e}
-        if si <= {1, 3} and sj <= {1, 3}:
+        # a shared edge sits once at each crossing: at its head and tail
+        parity = {diagram.head(e)[1] & 1, diagram.tail(e)[1] & 1}
+        if parity == {1}:
             over_mid = e
-        if si <= {0, 2} and sj <= {0, 2}:
+        if parity == {0}:
             under_mid = e
     if over_mid is None or under_mid is None:
         raise MoveError(
@@ -325,65 +324,26 @@ def _apply_r2_minus(diagram, move):
     if not (0 <= ci < cj < diagram.n):
         raise MoveError("bad crossing indices for r2-")
     over_mid, under_mid = _bigon_structure(diagram, ci, cj)
-
-    def path(mid):
-        h, t = diagram.head(mid), diagram.tail(mid)
-        c_in = t[0]   # mid's tail sits where the in-edge arrives
-        cr_in = diagram.crossings[c_in]
-        cr_out = diagram.crossings[h[0]]
-        e_in = next(e for e in set(cr_in)
-                    if e != mid and diagram.head(e) and diagram.head(e)[0] == c_in
-                    and _same_strand(cr_in, e, mid))
-        e_out = next(e for e in set(cr_out)
-                     if e != mid and diagram.tail(e) and diagram.tail(e)[0] == h[0]
-                     and _same_strand(cr_out, e, mid))
-        return e_in, e_out
-
-    a_in, a_out = path(over_mid)
-    b_in, b_out = path(under_mid)
-
-    crossings = []
-    signs = []
-    for k, (cr, s) in enumerate(zip(diagram.crossings, diagram.signs)):
-        if k not in (ci, cj):
-            crossings.append(cr)
-            signs.append(s)
-
-    rep = {}
-
-    def find(e):
-        while e in rep:
-            e = rep[e]
-        return e
-
-    closed = []
-
-    def merge(ein, eout):
-        x, y = find(ein), find(eout)
-        if x == y:
-            closed.append(x)
+    # each strand through the bigon joins the edges before and after its
+    # middle edge; a strand whose join meets its own other end closes up
+    # into a free loop
+    rename = {}
+    free = list(diagram.free_edges)
+    for mid in (over_mid, under_mid):
+        e_in = rename.get(diagram.predecessor(mid), diagram.predecessor(mid))
+        e_out = rename.get(diagram.successor(mid), diagram.successor(mid))
+        if e_in == e_out:
+            free.append(e_in)
         else:
-            rep[y] = x
-
-    merge(a_in, a_out)
-    merge(b_in, b_out)
-    for idx, cr in enumerate(crossings):
-        for slot, e in enumerate(cr):
-            f = find(e)
-            if f != e:
-                _rewrite_occurrence(crossings, (idx, slot), f)
-    free = list(diagram.free_edges) + closed
-    new = LinkDiagram(tuple(crossings), tuple(signs), tuple(sorted(free)))
+            rename = {e: e_in if f == e_out else f for e, f in rename.items()}
+            rename[e_out] = e_in
+    keep = [k for k in range(diagram.n) if k not in (ci, cj)]
+    crossings = tuple(tuple(rename.get(e, e) for e in diagram.crossings[k])
+                      for k in keep)
+    new = LinkDiagram(crossings, tuple(diagram.signs[k] for k in keep),
+                      tuple(sorted(free)))
     info = {"kind": "r2-", "crossings": (ci, cj)}
     return new, info
-
-
-def _same_strand(cr, e, mid):
-    """Do e and mid occupy the same strand (both over or both under)?"""
-    slots_e = {k for k in range(4) if cr[k] == e}
-    slots_m = {k for k in range(4) if cr[k] == mid}
-    over = {1, 3}
-    return (slots_e <= over) == (slots_m <= over)
 
 
 def _r3_triangle(diagram, ca, cb, cc):
@@ -416,47 +376,28 @@ def _apply_r3(diagram, move):
     if len({ca, cb, cc}) != 3 or not all(0 <= c < diagram.n
                                          for c in (ca, cb, cc)):
         raise MoveError("r3 needs three distinct crossing indices")
-    u, v, w = _r3_triangle(diagram, ca, cb, cc)
-    # strand A carries u through ca and cb, B carries v, C carries w
-    strands = ((u, ca, cb), (v, cb, cc), (w, ca, cc))
+    # strand 0 carries u through ca and cb, 1 carries v through cb and
+    # cc, 2 carries w through ca and cc
+    triangle = _r3_triangle(diagram, ca, cb, cc)
     # at each crossing the strand whose face edge sits in an over slot
     # passes over; a slideable triangle has a top/middle/bottom layering
     wins = [0, 0, 0]
     for ci, (sa, sb) in ((ca, (0, 2)), (cb, (0, 1)), (cc, (1, 2))):
-        a_over = diagram.crossings[ci].index(strands[sa][0]) in (1, 3)
+        a_over = diagram.crossings[ci].index(triangle[sa]) in (1, 3)
         wins[sa if a_over else sb] += 1
     if sorted(wins) != [0, 1, 2]:
         raise MoveError("triangle strands have no consistent layering; "
                         "not an r3 site")
     crossings = [list(cr) for cr in diagram.crossings]
-    for t, x, y in strands:
-        tf, th = diagram.tail(t), diagram.head(t)
-        F, G = tf[0], th[0]
-        if {F, G} != {x, y}:
-            raise MoveError("triangle edge %d does not join crossings %d "
-                            "and %d" % (t, x, y))
-        # the strand's in/out slots at each crossing stay fixed; the move
-        # swaps which of its three edges sits where
-        if tf[1] == 2:
-            f_in, f_out = 0, 2
-        else:
-            f_in, f_out = (3, 1) if diagram.signs[F] > 0 else (1, 3)
-        if tf[1] != f_out:
-            raise MoveError("edge %d leaves crossing %d through an in slot"
-                            % (t, F))
-        if th[1] == 0:
-            g_in, g_out = 0, 2
-        else:
-            g_in, g_out = (3, 1) if diagram.signs[G] > 0 else (1, 3)
-        if th[1] != g_in:
-            raise MoveError("edge %d enters crossing %d through an out slot"
-                            % (t, G))
-        e_in = diagram.crossings[F][f_in]
-        e_out = diagram.crossings[G][g_out]
-        crossings[F][f_in] = t
-        crossings[F][f_out] = e_out
-        crossings[G][g_in] = e_in
-        crossings[G][g_out] = t
+    for t in triangle:
+        # the strand runs predecessor(t) -> t -> successor(t) through the
+        # out slot f of t's tail and the in slot g of its head; the move
+        # keeps those slots and swaps which of the three edges sits where
+        (F, f), (G, g) = diagram.tail(t), diagram.head(t)
+        crossings[F][f ^ 2] = t
+        crossings[F][f] = diagram.successor(t)
+        crossings[G][g] = diagram.predecessor(t)
+        crossings[G][g ^ 2] = t
     new = LinkDiagram(tuple(tuple(c) for c in crossings), diagram.signs,
                       diagram.free_edges)
     info = {"kind": "r3", "crossings": (ca, cb, cc)}
@@ -470,29 +411,13 @@ def _r3_chain_map(theory, cx_src, cx_tgt, info):
 
 # -- elementary chain maps -----------------------------------------------
 
-def birth_chain_map(theory, cx_src, cx_tgt, info):
-    """The unit: every circle keeps its label, and the new circle, which
-    has no edge in the source, gets the label 1.  The label table and the
-    target block of each state are worked out once per state."""
-    one = theory.ring.one
-
-    @cache
-    def plan(s):
-        rs = cx_src.diagram.resolve(s)
-        match = persisting(rs, cx_tgt.diagram.resolve(s))
-        return cx_tgt.state_block[s][1], cx_tgt.carry(match, len(rs))
-
-    def image(r, i):
-        s, L = cx_src.gens[r][i]
-        toff, base = plan(s)
-        return {toff + base[L]: one}
-    return generator_map(cx_src, cx_tgt, image, 0, 1, "birth")
-
-
-def death_chain_map(theory, cx_src, cx_tgt, info):
-    """The counit on the circle of ``info["edge"]``: zero on its label 1,
-    and the other circles keep their labels.  The circle position, label
-    table and target block of each state are worked out once per state."""
+def _unit_counit_map(theory, cx_src, cx_tgt, info):
+    """A birth's unit or a death's counit on the circle of
+    ``info["edge"]``: every other circle keeps its label, a born circle
+    gets the label 1, and a dying one sends its label 1 to zero.  The
+    circle position (None for a birth, whose edge is not in the source),
+    label table and target block of each state are worked out once per
+    state."""
     e = info["edge"]
     one = theory.ring.one
 
@@ -500,16 +425,16 @@ def death_chain_map(theory, cx_src, cx_tgt, info):
     def plan(s):
         rs = cx_src.diagram.resolve(s)
         match = persisting(rs, cx_tgt.diagram.resolve(s))
-        return (rs.index[e], cx_tgt.state_block[s][1],
+        return (rs.index.get(e), cx_tgt.state_block[s][1],
                 cx_tgt.carry(match, len(rs)))
 
     def image(r, i):
         s, L = cx_src.gens[r][i]
         j, toff, base = plan(s)
-        if not (L >> j & 1):
+        if j is not None and not L >> j & 1:
             return None             # counit sends the 1-label to zero
         return {toff + base[L]: one}
-    return generator_map(cx_src, cx_tgt, image, 0, 1, "death")
+    return generator_map(cx_src, cx_tgt, image, 0, 1, info["kind"])
 
 
 def decoration_chain_map(theory, cx, kind, edge):
@@ -858,10 +783,8 @@ def move_chain_map(theory, cx_src, cx_tgt, info):
     The record must fit the two frames (``_check_record``)."""
     _check_record(cx_src.diagram, cx_tgt.diagram, info)
     kind = info["kind"]
-    if kind == "birth":
-        return birth_chain_map(theory, cx_src, cx_tgt, info)
-    if kind == "death":
-        return death_chain_map(theory, cx_src, cx_tgt, info)
+    if kind in ("birth", "death"):
+        return _unit_counit_map(theory, cx_src, cx_tgt, info)
     if kind in DECORATIONS:
         return decoration_chain_map(theory, cx_src, kind, info["edge"])
     if kind == "saddle":

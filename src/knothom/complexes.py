@@ -121,13 +121,16 @@ def mat_eq(R, a, b):
 class ChainComplex:
     """Container for a bigraded cochain complex over a theory's ring."""
 
-    def __init__(self, theory, gens, qdeg, diff_builder=None, diffs=None):
+    # (r, skip=(), drop=()) -> block, for a subclass that builds blocks
+    # on demand; a method, so that a complex holds no reference to itself
+    _build_degree = None
+
+    def __init__(self, theory, gens, qdeg, diffs=None):
         self.theory = theory
         self.ring = theory.ring
         self.gens = gens            # {r: [key, ...]}
         self.qdeg = qdeg            # {r: [int or None, ...]}
         self._diffs = dict(diffs) if diffs else {}
-        self._diff_builder = diff_builder   # (r, skip=(), drop=()) -> block
 
     @property
     def degrees(self):
@@ -143,8 +146,8 @@ class ChainComplex:
         """Differential out of degree r as {src: {tgt: payload}}, stored
         on first read and kept for every later reader."""
         if r not in self._diffs:
-            if self._diff_builder is not None and r in self.gens:
-                self._diffs[r] = self._diff_builder(r)
+            if self._build_degree is not None and r in self.gens:
+                self._diffs[r] = self._build_degree(r)
             else:
                 self._diffs[r] = {}
         return self._diffs[r]
@@ -157,7 +160,7 @@ class ChainComplex:
         one (a complex built from its blocks, or a cube whose block was
         read through ``d``), else a fresh build from the builder that is
         not stored, so the complex never holds it."""
-        if r in self._diffs or self._diff_builder is None:
+        if r in self._diffs or self._build_degree is None:
             out = {}
             for s, c in self.d(r).items():
                 if s not in skip:
@@ -165,12 +168,11 @@ class ChainComplex:
                     if col:
                         out[s] = col
             return out
-        return self._diff_builder(r, skip, drop)
+        return self._build_degree(r, skip, drop)
 
     def materialize(self):
         for r in self.degrees:
             self.d(r)
-        self._diff_builder = None
         return self
 
     def check_d_squared(self):
@@ -267,7 +269,7 @@ class CubeComplex(ChainComplex):
                     qs += [shift + w + q for q in qrows[c]]
             gens[r] = keys
             qdeg[r] = qs if theory.graded else [None] * len(keys)
-        super().__init__(theory, gens, qdeg, diff_builder=self._build_degree)
+        super().__init__(theory, gens, qdeg)
         self._plans = {}
         self._signed = {}
         self._carries = {}  # (match, source circle count) -> target bits

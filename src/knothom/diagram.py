@@ -6,6 +6,11 @@ entering the crossing and ``c`` is it leaving.  The over-strand occupies
 slots ``b`` and ``d``; which of the two is incoming determines the sign
 (``d`` incoming gives a positive crossing, ``b`` incoming negative).
 
+A strand leaves a crossing by the partner ``slot ^ 2`` of the slot it
+enters by (a-c, b-d), and that is how ``successor`` and ``predecessor``
+step along it.  ``_occurrences`` is the one check of a code's edges.
+``is_planar`` wants n + 2k faces for n crossings in k components.
+
 Orientations are recovered from the under-strand slots and propagated.
 Components that only ever pass over (no occurrence in slots a or c) carry
 no orientation data, so they are oriented by the edge numbering (ids
@@ -69,19 +74,7 @@ class LinkDiagram:
                                 % (len(self.signs), len(self.crossings)))
         if any(s not in (1, -1) for s in self.signs):
             raise PDSyntaxError("crossing signs must be +1 or -1")
-        occ = {}
-        for ci, cr in enumerate(self.crossings):
-            if len(cr) != 4:
-                raise PDSyntaxError("crossing %d does not have 4 edges" % ci)
-            for slot, e in enumerate(cr):
-                if not isinstance(e, int) or e <= 0:
-                    raise PDSyntaxError("edge ids are positive ints, got %r"
-                                        % (e,))
-                occ.setdefault(e, []).append((ci, slot))
-        for e, places in occ.items():
-            if len(places) != 2:
-                raise PDSyntaxError(
-                    "edge %d appears %d times, expected 2" % (e, len(places)))
+        occ = _occurrences(self.crossings)
         for e in self.free_edges:
             if e in occ:
                 raise PDSyntaxError("free edge %d also appears in a crossing" % e)
@@ -150,13 +143,20 @@ class LinkDiagram:
         return max(es) if es else 0
 
     def successor(self, e):
-        """The next edge along the oriented strand through e."""
+        """The next edge along the oriented strand through e: the one in
+        the partner slot (``slot ^ 2``) of e's head."""
         if e in self.free_edges:
             return e
         ci, slot = self._heads[e]
-        if slot == 0:
-            return self.crossings[ci][2]
-        return self.crossings[ci][3 if slot == 1 else 1]
+        return self.crossings[ci][slot ^ 2]
+
+    def predecessor(self, e):
+        """The edge before e along its oriented strand: the one in the
+        partner slot (``slot ^ 2``) of e's tail."""
+        if e in self.free_edges:
+            return e
+        ci, slot = self._tails[e]
+        return self.crossings[ci][slot ^ 2]
 
     @property
     def components(self):
@@ -302,12 +302,7 @@ def faces(diagram):
     Free circles carry no darts and are ignored here.
     """
     mate = {}
-    occs = {}
-    for ci, cr in enumerate(diagram.crossings):
-        for slot, e in enumerate(cr):
-            occs.setdefault(e, []).append((ci, slot))
-    for pair in occs.values():
-        p, q = pair
+    for p, q in diagram._occ.values():
         mate[p] = q
         mate[q] = p
     out = []
@@ -331,30 +326,29 @@ def faces(diagram):
 def is_planar(diagram):
     """Whether the PD code is realizable by a plane diagram.
 
-    Checks Euler's formula V - E + F = 2 on every connected component
-    of the crossing graph (E = 2V for 4-valent graphs, so F = V + 2).
-    PD codes produced by arbitrary edge surgery can fail this; valid
-    movies must not.
+    ``faces`` embeds each component of the crossing graph in a closed
+    oriented surface, where V - E + F = 2 - 2g and E = 2V: a component
+    has at most V + 2 faces, exactly when it is planar.  So n crossings
+    in k components have n + 2k faces exactly when all are planar.  PD
+    codes produced by arbitrary edge surgery can fail this; valid movies
+    must not.
     """
-    comp_of = {}
-    for ci, cr in enumerate(diagram.crossings):
-        groups = {comp_of[e] for e in cr if e in comp_of}
-        tag = min(groups) if groups else ci
-        for e in cr:
-            comp_of[e] = tag
-        if groups:
-            for e, t in list(comp_of.items()):
-                if t in groups:
-                    comp_of[e] = tag
-    counts = {}
-    for ci, cr in enumerate(diagram.crossings):
-        tag = comp_of[cr[0]]
-        counts.setdefault(tag, [0, 0])[0] += 1
-    for face in faces(diagram):
-        ci0 = face[0][0]
-        tag = comp_of[diagram.crossings[ci0][0]]
-        counts[tag][1] += 1
-    return all(v + 2 == f for v, f in counts.values())
+    occ = diagram._occ
+    seen = set()
+    k = 0
+    for c0 in range(diagram.n):
+        if c0 in seen:
+            continue
+        k += 1
+        seen.add(c0)
+        stack = [c0]
+        while stack:
+            for e in diagram.crossings[stack.pop()]:
+                for cj, _ in occ[e]:
+                    if cj not in seen:
+                        seen.add(cj)
+                        stack.append(cj)
+    return len(faces(diagram)) == diagram.n + 2 * k
 
 
 # -- parsing -------------------------------------------------------------
@@ -461,18 +455,28 @@ def parse_pd(text):
 def from_pd(crossings, free_edges=()):
     """Build a LinkDiagram from bare crossing tuples, inferring signs."""
     crossings = tuple(tuple(c) for c in crossings)
+    signs = _solve_orientation(crossings, _occurrences(crossings))
+    return LinkDiagram(crossings, signs, tuple(free_edges))
+
+
+def _occurrences(crossings):
+    """{edge: [(crossing, slot), (crossing, slot)]}, in the order the
+    slots are read.  This is the one check of a code's edges: every
+    crossing has 4, ids are positive ints, and each id occurs twice."""
     occ = {}
     for ci, cr in enumerate(crossings):
         if len(cr) != 4:
             raise PDSyntaxError("crossing %d does not have 4 edges" % ci)
         for slot, e in enumerate(cr):
+            if not isinstance(e, int) or e <= 0:
+                raise PDSyntaxError("edge ids are positive ints, got %r"
+                                    % (e,))
             occ.setdefault(e, []).append((ci, slot))
     for e, places in occ.items():
         if len(places) != 2:
             raise PDSyntaxError(
                 "edge %d appears %d times, expected 2" % (e, len(places)))
-    signs = _solve_orientation(crossings, occ)
-    return LinkDiagram(crossings, signs, tuple(free_edges))
+    return occ
 
 
 def _solve_orientation(crossings, occ):

@@ -563,6 +563,25 @@ def test_movie_r1_plus_with_a_third_argument_is_input_error(tmp_path):
     assert "line 3: usage: r1+ <edge> [+|-]" in res.output
 
 
+KINK_BIGON = "start unknot\nbirth\nr2+ 2 1\nsaddle 1 3\nr2- 1 0\n"
+
+
+@pytest.mark.parametrize("theory", ["bn", "alpha@0,t/f3"])
+def test_movie_r2_minus_next_to_kinks_plays(tmp_path, theory):
+    # the bigon's strands run on into kinks at both of its crossings
+    p = tmp_path / "kink-bigon.movie"
+    p.write_text(KINK_BIGON)
+    res = run("movie", "--script", str(p), "--theory", theory,
+              "--compose-reverse", "--compare", "id")
+    assert res.exit_code == 0, res.output
+    assert "frame 4 (r2- 1 0): 0 crossings, 1 components" in res.output
+    assert "compare id: equal" in res.output
+    res = run("movie", "--script", str(p), "--theory", theory,
+              "--compose-reverse", "--compare", "x^1")
+    assert res.exit_code == 1, res.output
+    assert "compare x^1: DIFFERENT" in res.output
+
+
 def test_movie_nonplanar_frame_is_input_error(tmp_path):
     p = tmp_path / "nonplanar.movie"
     p.write_text("start PD[X[1,5,2,4],X[3,1,4,6],X[5,3,6,2]]\n"

@@ -8,7 +8,8 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from knothom.diagram import LinkDiagram, parse_pd, unknot_diagram, is_planar
+from knothom.diagram import (LinkDiagram, from_pd, is_planar, parse_pd,
+                             unknot_diagram)
 from knothom.frobenius import theory_from_selector
 from knothom.complexes import (ChainComplex, CubeComplex, build_complex,
                                identity_map, zero_map, compose, add_maps,
@@ -74,6 +75,17 @@ def test_r2_round_trip_on_trefoil():
     assert back.canonical_key() == d.canonical_key()
 
 
+def test_r2_minus_next_to_kinks():
+    # after the saddle, both crossings of the bigon are kinks: the edge
+    # before the over-middle edge and the one after it are kink loops
+    m = parse_movie("start unknot\nbirth\nr2+ 2 1\nsaddle 1 3\n")
+    assert m.final.key() == (((6, 6, 4, 2), (4, 5, 5, 2)), (1, -1), ())
+    new, info, inverse = apply_move(m.final, Move("r2-", (1, 0)))
+    assert new.key() == ((), (), (5,))
+    assert info == {"kind": "r2-", "crossings": (0, 1)}
+    assert inverse == {"kind": "r2+", "crossings": (0, 1)}
+
+
 def test_r3_round_trip():
     d = parse_pd(braid_pd([1, 2, 1], 3))
     d2, info, _ = apply_move(d, Move("r3", (0, 1, 2)))
@@ -127,6 +139,14 @@ def test_invalid_moves_raise(mv):
     d = load_table()["3_1"]
     with pytest.raises(MoveError):
         apply_move(d, mv)
+
+
+@pytest.mark.parametrize("crossings", [((1, 2, 1, 2),),
+                                       ((1, 2, 3, 2), (3, 4, 1, 4))])
+def test_r1_minus_on_a_loop_in_opposite_slots_raises(crossings):
+    # such a loop only occurs in a non-planar code, built by hand
+    with pytest.raises(MoveError, match="not a kink"):
+        apply_move(from_pd(crossings), Move("r1-", (0,)))
 
 
 def test_move_line_is_keyword_only():

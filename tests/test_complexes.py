@@ -2,7 +2,9 @@
 sparse vector helpers."""
 
 import copy
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -12,6 +14,7 @@ from knothom.frobenius import theory_from_selector
 from knothom.complexes import (build_complex, CubeComplex, identity_map,
                                zero_map, compose, add_maps, scale_map,
                                maps_equal, mat_mul, mat_add, mat_eq, axpy)
+from knothom.homology import HomologyData
 from knothom.jones import quantum_jones
 from knothom.tables import load_table
 
@@ -230,6 +233,21 @@ def test_take_d_copies_a_stored_block_and_stores_no_fresh_one():
     for col in cx.take_d(r, skip).values():
         col.clear()
     assert stored == cx._build_degree(r)
+
+
+def test_a_cube_is_freed_without_the_cycle_collector():
+    # a cube holds no reference to itself, so dropping the last name
+    # frees it at once, also after its blocks are built and eliminated
+    gc.disable()
+    try:
+        cx = build_complex(load_table()["4_1"], theory_from_selector("bn"))
+        cx.d(0)
+        HomologyData(cx).summary()
+        ref = weakref.ref(cx)
+        del cx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_edge_image_comparison_flags_a_tampered_differential():
