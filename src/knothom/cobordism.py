@@ -21,32 +21,39 @@ of the bigon (a strand whose join meets itself closes into a free
 loop), and ``r3`` moves each triangle edge past its neighbours within
 the slots it occupies.
 
-Reidemeister moves induce chain maps through the unit-entry elimination
-engine: cancelling the local pairs of the kink or bigon leaves a complex
-that is literally the small diagram's complex (up to a checked sign
-relabeling), and the inclusion/projection of that elimination are the
-chain maps.  This is checked at runtime (MoveError) rather than assumed:
-the relabeling must carry the reduced differential entry for entry onto
-the small one.
-
 Chain maps are evaluated on the vectors they are applied to: the
 elementary builders give the image of one generator, and a movie's
-composite pushes a vector through its moves one after another.  An r1 or
-r2 map composes the relabeling with the elimination's inclusion or
-projection, which replays the recorded cancellations on that vector; no
-matrix of it is built unless a check asks for one.  Labels are carried
-between resolutions as along the cube's edges, by ``persisting`` and
-``CubeComplex.carry`` (see ``complexes``).  A birth's unit and a death's
-counit are one map (``_unit_counit_map``): they differ only in whether
-the circle of their edge is in the source.  That map and the saddle and
-decoration maps work out what depends only on a state (its label table,
-the block of its generators in ``CubeComplex.state_block``) once per
-state, the first time one of its labels is mapped, and what depends on
-neither state nor label (a decoration's products) once per map.  An r1
-or r2 move's cancelling pairs are read per state off the cancelling
-edge's plan: a label with 1 on the kink or bigon circle against its lone
-product (``_merge_pairs``), or any label against the X-at-circle term of
-its coproduct (``_split_pairs``).  A kink uses one half, a bigon both.
+composite pushes a vector through its moves one after another.  Labels
+are carried between resolutions as along the cube's edges, by
+``persisting`` and ``CubeComplex.carry`` (see ``complexes``).  A
+birth's unit and a death's counit are one map (``_unit_counit_map``):
+they differ only in whether the circle of their edge is in the source.
+That map and the saddle and decoration maps work out what depends only
+on a state (its label table, the block of its generators in
+``CubeComplex.state_block``) once per state, the first time one of its
+labels is mapped, and what depends on neither state nor label (a
+decoration's products) once per map.
+
+An r1 or r2 move cancels the local pairs of its kink or bigon in the
+bigger complex, leaving the smaller diagram's complex up to a checked
+sign relabelling; the inclusion and projection of those cancellations,
+replayed on the vectors they are applied to, are its maps.  The pairs
+are read per state off the cancelling edge's plan: a label with 1 on
+the kink or bigon circle against its lone product (``_merge_pairs``),
+or any label against the X-at-circle term of its coproduct
+(``_split_pairs``).  A kink uses one half, a bigon both.  No pair fills
+in, so ``_read_off`` runs no elimination: it pops each pair's column x
+out of the bigger cube's load, checks that its pivot <dx, y> is a unit
+and pulls the entries at the targets y out of the kept columns, which
+are then the reduced differential.  Off the kink crossing the loop
+keeps its label.  Where it splits off, a pair's target carries X on it,
+and so does any other column with an entry there, which is then itself
+a target, cancelled below and never loaded; where it merges, a pair's
+source carries 1 on it, and so do its other images, the next degree's
+sources, which the load leaves out.  A bigon's split pair's target has
+no other source, and a merge pair's column holds only its pivot.  So
+each step's dx or into_y is empty.  This is checked, not assumed: a pair whose dx and into_y are
+both non-empty, or whose dx holds another target, raises MoveError.
 
 Applying a move gives the next frame and a step record, the ``info``
 dict that is all a chain map reads.  An r1 or r2 record names only the
@@ -61,11 +68,13 @@ homology (Levine-Zemke, *Khovanov homology and ribbon concordances*);
 from dataclasses import dataclass, field
 from functools import cache
 
-from .diagram import LinkDiagram, is_planar, parse_pd, unknot_diagram
-from .complexes import (build_complex, compose, add_maps, generator_map,
-                        identity_map, matrix_map, persisting, scale_map,
+from .diagram import (LinkDiagram, faces, is_planar, parse_pd,
+                      unknot_diagram)
+from .complexes import (ChainMap, build_complex, compose, add_maps,
+                        generator_map, identity_map, persisting, scale_map,
                         zero_map)
-from .homology import HomologyData, maps_equal_on_homology, reduce_complex
+from .homology import (HomologyData, Reduction, _Cancellations,
+                       maps_equal_on_homology)
 
 
 class MoveError(ValueError):
@@ -348,25 +357,20 @@ def _apply_r2_minus(diagram, move):
 
 def _r3_triangle(diagram, ca, cb, cc):
     """The triangle edges (u joining ca-cb, v joining cb-cc, w joining
-    ca-cc) of the r3 face: at each crossing the two face edges must sit
-    in adjacent slots, which picks out an actual face of the diagram."""
+    ca-cc) of the r3 face: a face of ``faces`` with three edges, which
+    are u, v and w."""
     def shared(x, y):
         return sorted(set(diagram.crossings[x]) & set(diagram.crossings[y]))
-
-    def adjacent(ci, e1, e2):
-        cr = diagram.crossings[ci]
-        return (cr.index(e1) - cr.index(e2)) % 4 in (1, 3)
 
     su, sv, sw = shared(ca, cb), shared(cb, cc), shared(ca, cc)
     if not (su and sv and sw):
         raise MoveError("crossings do not pairwise share an edge")
+    triangles = {frozenset(diagram.crossings[ci][slot] for ci, slot in face)
+                 for face in faces(diagram) if len(face) == 3}
     for u in su:
         for v in sv:
             for w in sw:
-                if len({u, v, w}) < 3:
-                    continue
-                if (adjacent(ca, u, w) and adjacent(cb, u, v)
-                        and adjacent(cc, v, w)):
+                if frozenset((u, v, w)) in triangles:
                     return u, v, w
     raise MoveError("no triangular face spans the three crossings")
 
@@ -497,7 +501,7 @@ def saddle_chain_map(theory, cx_src, cx_tgt, info):
     return generator_map(cx_src, cx_tgt, image, 0, -1, "saddle")
 
 
-# -- r1/r2 maps through the elimination engine ---------------------------
+# -- r1/r2 maps read off the bigger cube ---------------------------------
 
 def _merge_pairs(cx, s, ci, edge):
     """Each label of state s with 1 on ``edge``'s circle against its lone
@@ -539,8 +543,9 @@ def _loop_pairs(cx, ci):
     """Cancelling pairs that collapse the kink at crossing ci: its loop's
     1-labels through the merge if the loop is a circle at state 0,
     else the whole 0 side against its X-labels through the split.  A
-    wrong pair from either half would be caught, by ``reduce_complex``
-    (not a unit) or by ``_relabel_iso``."""
+    wrong pair from either half would be caught by ``_read_off``: not a
+    unit, fill-in, or a relabelling that does not land.  Returns the
+    pairs, the surviving bit of ci and the loop's surviving label."""
     D = cx.diagram
     loop = _find_kink_loop(D.crossings[ci])
     res0 = D.resolve(0)
@@ -548,14 +553,14 @@ def _loop_pairs(cx, ci):
     half = _split_pairs if eps else _merge_pairs
     pairs = [p for s in range(1 << D.n) if not s >> ci & 1
              for p in half(cx, s, ci, loop)]
-    return pairs, eps, loop
+    return pairs, {ci: eps}, {loop: 1 - eps}
 
 
 def _bigon_pairs(cx, ci, cj):
     """Cancelling pairs that collapse the r2 bigon at crossings ci, cj:
     below the bigon circle each state cancels against its X-labels
     through the split, and above it the circle's 1-labels cancel through
-    the merge."""
+    the merge.  Returns the pairs and the surviving bits of ci and cj."""
     D = cx.diagram
     om, um = _bigon_structure(D, ci, cj)
     circ = None
@@ -579,44 +584,47 @@ def _bigon_pairs(cx, ci, cj):
         if not s & both:
             pairs += _split_pairs(cx, s, delta_bit, om)
             pairs += _merge_pairs(cx, s | 1 << delta_bit, merge_bit, om)
-    return pairs, circ
+    return pairs, {ci: 1 - circ[0], cj: 1 - circ[1]}, {}
 
 
-def _relabel_iso(redn, cx_small, fixed_bits, forced_labels):
-    """Match a reduced big complex with the small diagram's complex.
+def _read_off(big, small, pairs, fixed_bits, forced_labels):
+    """Read the cancellation record of an r1 or r2 move's pairs off the
+    bigger cube and relabel its survivors onto the smaller one, in one
+    pass over the degrees (see the module docstring).
 
-    fixed_bits: {crossing index: surviving smoothing bit}.  forced_labels:
-    {edge: label bit} for big circles absent from the small diagram.
-    Removing a fixed 1-bit changes the cube sign convention, so survivors
-    pick up (-1) per set bit above the removed crossing; the returned
-    relabeling maps carry those signs.
+    pairs: (r, x, y) indices, x of degree r against y of degree r + 1; a
+    source given twice, two pairs with one target, or a source that is
+    also a target is already gone.  fixed_bits: {crossing: surviving
+    smoothing bit}; forced_labels: {edge: label bit} for big circles
+    absent from the small diagram.  A fixed 1-bit changes the cube sign
+    convention: a survivor picks up (-1) per set bit above the removed
+    crossing.  Per big state the layer, the circle counts and the
+    ``persisting`` match are checked, per survivor its forced labels and
+    its small generator's degree, q and uniqueness; every small
+    generator must be hit, and each degree's kept columns must carry the
+    differential entry for entry, signed, onto the small one.  Each
+    failure raises MoveError.  Returns the record (``_Cancellations``)
+    and the tables fwd {r: {survivor: (small index, negate)}} and bwd
+    {r: {small index: (survivor, negate)}}."""
+    R = big.ring
+    table = {}                      # {r: {x: y}}
+    for r, x, y in pairs:
+        table.setdefault(r, {})[x] = y
+    targets = {r + 1: set(p.values()) for r, p in table.items()}
+    if len(pairs) != sum(map(len, targets.values())) or any(
+            targets.get(r, set()) & p.keys() for r, p in table.items()):
+        raise MoveError("prescribed pair already gone")
 
-    What depends only on a survivor's big state is worked out once per
-    state: that the state lies in the fixed layer, its sign, its small
-    state, that the two resolutions have matching circle counts, the
-    ``persisting`` match of the small circles, its ``carry`` table and
-    the circle positions of the forced labels.  Each survivor then checks
-    its forced labels, and its relabeled generator its degree, its q and
-    that no other survivor relabels to it.  The relabeling is thus a
-    signed bijection, so it and its inverse are chain maps exactly when
-    each degree's differentials have equal nnz and every reduced entry v
-    at (i, t) appears as sign_i sign_t v at the relabeled (i, t) of the
-    small differential; that is checked entry by entry.
-    """
-    red = redn.red
-    big = redn.original
-    D, Ds = big.diagram, cx_small.diagram
-    R = red.ring
+    D, Ds = big.diagram, small.diagram
     removed = sorted(fixed_bits, reverse=True)
-    minus_one = R.from_int(-1)
+    odd = R.char != 2
     states = {}
 
     def state_relabel(S):
         if any(S >> ci & 1 != bit for ci, bit in fixed_bits.items()):
             raise MoveError("survivor outside expected layer")
         res_big = D.resolve(S)
-        sgn = 0
-        s_small = S
+        sgn, s_small = 0, S
         for ci in removed:
             if fixed_bits[ci]:
                 sgn += (s_small >> (ci + 1)).bit_count()
@@ -629,107 +637,133 @@ def _relabel_iso(redn, cx_small, fixed_bits, forced_labels):
         if None in match:
             raise MoveError("a circle of the small diagram has no edge "
                             "in the big one")
-        forced = tuple((res_big.index[e], bit)
-                       for e, bit in forced_labels.items())
-        coeff = minus_one if (R.char != 2 and sgn % 2) else R.one
-        return coeff, s_small, cx_small.carry(match, len(res_big)), forced
+        mask = sum(1 << res_big.index[e] for e in forced_labels)
+        value = sum(bit << res_big.index[e]
+                    for e, bit in forced_labels.items())
+        return (odd and sgn % 2 == 1, small.state_block[s_small][:2],
+                small.carry(match, len(res_big)), mask, value)
 
-    fwd_blocks = {}
-    bwd_blocks = {}
-    seen = set()
-    for r in red.degrees:
-        fblk = {}
-        for i, (S, L) in enumerate(red.gens[r]):
+    fwd, bwd = {}, {}
+
+    def relabel(r):
+        cancelled = targets.get(r, set()).union(table.get(r, ()))
+        fwd[r], bwd[r] = f, b = {}, {}
+        for i, (S, L) in enumerate(big.gens.get(r, ())):
+            if i in cancelled:
+                continue
             if S not in states:
                 states[S] = state_relabel(S)
-            coeff, s_small, base, forced = states[S]
-            if any(L >> j & 1 != bit for j, bit in forced):
+            negate, (rs, off), base, mask, value = states[S]
+            if L & mask != value:
                 raise MoveError(
                     "survivor carries the wrong label on a collapsed circle")
-            rs, js = cx_small.gen_index(s_small, base[L])
+            js = off + base[L]
             if rs != r:
                 raise MoveError("homological degree mismatch in relabeling")
-            if red.qdeg[r][i] != cx_small.qdeg[rs][js]:
+            if big.qdeg[r][i] != small.qdeg[rs][js]:
                 raise MoveError("q mismatch in relabeling")
-            if (rs, js) in seen:
+            if js in b:
                 raise MoveError("two survivors relabel to one generator")
-            seen.add((rs, js))
-            fblk[i] = {js: coeff}
-            bwd_blocks.setdefault(r, {})[js] = {i: coeff}
-        if fblk:
-            fwd_blocks[r] = fblk
-    if len(seen) != cx_small.total_rank():
-        raise MoveError("reduction did not land on the small complex")
-    for r in set(red.degrees) | set(cx_small.degrees):
-        if not _relabels_onto(R, red.d(r), cx_small.d(r),
-                              fwd_blocks.get(r), fwd_blocks.get(r + 1)):
+            f[i] = js, negate
+            b[js] = i, negate
+
+    steps = []
+    killed = {r: {} for r in big.degrees}
+    touching = {}
+    relabel(big.degrees[0])
+    for r in big.degrees:
+        pivots, ys = table.get(r, {}), targets.get(r + 1, set())
+        cols = big.take_d(r, targets.get(r, ()), table.get(r + 1, ()))
+        popped = []
+        for x in sorted(pivots):
+            dx = cols.pop(x, {})
+            u = dx.pop(pivots[x], R.zero)
+            if not R.is_unit(u):
+                raise MoveError("prescribed pair is not a unit")
+            popped.append((x, pivots[x], R.inv(u), dx))
+        # one pass over the kept columns: the entries at targets are the
+        # steps' into_y, every other entry must be the small one's
+        relabel(r + 1)
+        small_cols = small.take_d(r, ())
+        rel_src, rel_tgt = fwd[r], fwd[r + 1]
+        into = {}                   # {y: {w: <dw, y>}}
+        same, nnz = True, sum(map(len, small_cols.values()))
+        for i, col in cols.items():
+            si, ni = rel_src[i]
+            small_col = small_cols.get(si, {})
+            for t, v in col.items():
+                if t in ys:
+                    into.setdefault(t, {})[i] = v
+                    continue
+                nnz -= 1
+                st, nt = rel_tgt[t]
+                # the signs are units +-1, so the entry is v or -v; every
+                # ring keeps its values canonical (see ``rings``)
+                same = same and small_col.get(st) == (
+                    v if ni == nt else R.neg(v))
+        touching[r] = touch = {}
+        for x, y, uinv, dx in popped:
+            into_y = into.get(y, {})
+            if dx and (into_y or not ys.isdisjoint(dx)):
+                raise MoveError("pair %s of degree %d fills in" % ((x, y), r))
+            killed[r][x] = killed[r + 1][y] = len(steps)
+            for w in into_y:
+                touch.setdefault(w, []).append(len(steps))
+            steps.append((r, x, y, uinv, dx, into_y))
+        if not same or nnz:
             raise MoveError(
                 "reduced differential differs from the small diagram's")
-    return (matrix_map(red, cx_small, fwd_blocks, 0, 0, "relabel"),
-            matrix_map(cx_small, red, bwd_blocks, 0, 0, "relabel"))
+    if sum(map(len, bwd.values())) != small.total_rank():
+        raise MoveError("reduction did not land on the small complex")
+    keep = {r: list(fwd[r]) for r in big.degrees}
+    return _Cancellations(R, steps, killed, keep, touching), fwd, bwd
 
 
-def _relabels_onto(R, d_red, d_small, rel_src, rel_tgt):
-    """Does the signed relabeling (rel_src on the sources, rel_tgt on the
-    targets, each {i: {j: sign}}) carry d_red entry for entry onto
-    d_small?  Entries are compared by value, which every ring keeps
-    canonical (see ``rings``); d_red holds no zero entry, so a missing
-    small entry never compares equal."""
-    if (sum(len(col) for col in d_red.values())
-            != sum(len(col) for col in d_small.values())):
-        return False
-    for i, col in d_red.items():
-        ((si, ci),) = rel_src[i].items()
-        small_col = d_small.get(si, {})
-        for t, v in col.items():
-            ((st, ct),) = rel_tgt[t].items()
-            # the signs are units +-1, so ci ct v is v or -v
-            if small_col.get(st) != (v if ci == ct else R.neg(v)):
-                return False
-    return True
+def _move_pairs(big, info):
+    """The pairs, fixed bits and forced labels (see ``_read_off``) that
+    collapse the kink or bigon of an r1 or r2 move in its bigger
+    complex."""
+    pairs = _loop_pairs if info["kind"].startswith("r1") else _bigon_pairs
+    return pairs(big, *info["crossings"])
 
 
 def _reidemeister_reduction(cx_small, cx_big, info):
-    """The prescribed-pair elimination of an r1 or r2 move's bigger
-    complex and the relabelings between its reduced complex and the
-    smaller one: (reduction, reduced -> small, small -> reduced)."""
-    if info["kind"].startswith("r1"):
-        (ci,) = info["crossings"]
-        pairs, eps, loop = _loop_pairs(cx_big, ci)
-        fixed, forced = {ci: eps}, {loop: 1 if eps == 0 else 0}
-    else:
-        ci, cj = info["crossings"]
-        pairs, circ = _bigon_pairs(cx_big, ci, cj)
-        fixed, forced = {ci: 1 - circ[0], cj: 1 - circ[1]}, {}
-    redn = reduce_complex(cx_big, pairs=pairs)
-    fwd, bwd = _relabel_iso(redn, cx_small, fixed, forced)
-    return redn, fwd, bwd
+    """An r1 or r2 move as a Reduction of the bigger complex onto the
+    smaller one, whose maps replay the read-off record (``_read_off``)
+    on the vectors they are applied to, through the relabel tables.
+
+    The record and tables are read once and kept in the bigger complex's
+    ``move_reductions``, keyed by the smaller complex and the crossings
+    the move removes, on which alone the pairs depend (``_bigon_pairs``
+    is symmetric in them); so a move and its reverse read them once.
+    Nothing kept there refers back to the bigger complex."""
+    key = (cx_small, frozenset(info["crossings"]))
+    if key not in cx_big.move_reductions:
+        cx_big.move_reductions[key] = _read_off(
+            cx_big, cx_small, *_move_pairs(cx_big, info))
+    record, fwd, bwd = cx_big.move_reductions[key]
+    R = cx_big.ring
+
+    def signed(rel, vec):
+        return {j: R.neg(v) if negate else v
+                for i, v in vec.items() for j, negate in (rel[i],)}
+
+    return Reduction(
+        cx_big, cx_small,
+        ChainMap(cx_small, cx_big, lambda r, vec: record._include(
+            r, signed(bwd[r], vec), {}), 0, 0, "incl"),
+        ChainMap(cx_big, cx_small, lambda r, vec: signed(
+            fwd[r], record._project(r, vec)), 0, 0, "proj"),
+        ChainMap(cx_big, cx_big, record.homotopy, -1, None, "H"))
 
 
 def _reidemeister_map(theory, cx_src, cx_tgt, info):
-    """The chain map of an r1 or r2 move.
-
-    Cancelling the kink or bigon pairs of the bigger complex leaves the
-    smaller one up to relabeling.  The map is the inclusion of that
-    elimination after the relabeling (for a move that adds crossings),
-    or the relabeling after its projection; it acts on the vectors it is
-    applied to by replaying the elimination's recorded cancellations.
-
-    One elimination serves both directions: it is kept in the bigger
-    complex's ``move_reductions``, keyed by the smaller complex and the
-    crossings the move removes, so a move and its reverse (or a move
-    repeated between frames that share complexes) eliminate and check
-    the relabeling once.  The pairs depend only on the bigger complex
-    and those crossings (``_bigon_pairs`` is symmetric in them).
-    """
+    """The chain map of an r1 or r2 move: the inclusion of its reduction
+    for a move that adds crossings, else its projection."""
     grow = info["kind"].endswith("+")
     cx_small, cx_big = (cx_src, cx_tgt) if grow else (cx_tgt, cx_src)
-    key = (cx_small, frozenset(info["crossings"]))
-    if key not in cx_big.move_reductions:
-        cx_big.move_reductions[key] = _reidemeister_reduction(
-            cx_small, cx_big, info)
-    redn, fwd, bwd = cx_big.move_reductions[key]
-    return compose(redn.incl, bwd) if grow else compose(fwd, redn.proj)
+    redn = _reidemeister_reduction(cx_small, cx_big, info)
+    return redn.incl if grow else redn.proj
 
 
 # kind -> (change in crossing count, possible changes in free-edge count)
@@ -843,8 +877,8 @@ class Movie:
         reuse their complexes, and its records are the inverse records
         (``_inverse_info``) in reverse order.  Each reversed r1/r2 step
         then names the same crossings of the same bigger complex as the
-        forward one, and both directions read the one elimination kept
-        there (see ``_reidemeister_map``).  It was played from no script,
+        forward one, and both directions read the one record kept there
+        (see ``_reidemeister_reduction``).  It was played from no script,
         so its ``moves`` is None.
         """
         rev = Movie(self.final, ())

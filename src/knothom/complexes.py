@@ -13,15 +13,15 @@ bit); matrices are sparse dicts {source index: {target index: payload}}.
 
 A complex holds its differential as one block per degree.  ``d(r)``
 stores the block it returns, so every reader that comes back to it (the
-d^2 and chain-map checks, the ``quotient_dims`` oracle, relabelling in
-``cobordism``) pays for one build.  Elimination consumes its blocks
-instead: at each degree's turn ``take_d`` hands it the columns of the
-sources it has not cancelled, without the entries at the targets it
-will cancel as sources of the next degree, a copy of the stored block
-where there is one and otherwise a fresh build of only those columns
-and entries, which nobody stores.  A cube that only goes through
-elimination thus never holds its whole differential; a reduced complex,
-which has no builder, always keeps its blocks.
+d^2 and chain-map checks, the ``quotient_dims`` oracle) pays for one
+build.  Elimination and the r1/r2 read-off of ``cobordism`` consume
+their blocks instead: at each degree's turn ``take_d`` hands them the
+columns of the sources not cancelled, without the entries at the
+read-off's sources of the next degree, a copy of the stored block where
+there is one and otherwise a fresh build of only those columns and
+entries, which nobody stores.  A cube that only goes through them thus
+never holds its whole differential; a reduced complex, which has no
+builder, keeps its blocks.
 
 Circle labels are carried between smoothings by one rule and one
 table.  ``persisting(rs, rt, skip)`` matches each circle of ``rt`` to
@@ -274,9 +274,9 @@ class CubeComplex(ChainComplex):
         self._signed = {}
         self._carries = {}  # (match, source circle count) -> target bits
         self._shapes = {}   # (plan, sign) -> label table
-        # r1/r2 move eliminations of this complex, filled by
-        # cobordism._reidemeister_map: {(smaller complex, frozenset of the
-        # crossings the move removes): (reduction, fwd, bwd)}
+        # r1/r2 move read-offs of this complex, filled by
+        # cobordism._reidemeister_reduction: {(smaller complex, frozenset
+        # of the crossings the move removes): (record, fwd, bwd)}
         self.move_reductions = {}
 
     def gen_index(self, s, labels):

@@ -7,7 +7,9 @@ and the step that cancelled each generator.
 
 * ``reduce_complex`` cancels unit differential entries, a discrete
   homotopy equivalence with inclusion, projection and homotopy maps, in
-  one loop, degree by degree.  The inclusion, projection and homotopy
+  one loop, degree by degree, and in one mode: an r1 or r2 move's pairs
+  are prescribed and never fill in, so ``cobordism`` reads their record
+  off the cube instead (their elimination is a test oracle).  The maps
   replay the record on the vectors they are applied to, so no matrix of
   them is built unless a check asks for one.  ``HomologyData`` keeps the
   maps so that chain maps on a cube can be pushed through homology, and
@@ -45,9 +47,10 @@ from .complexes import (ChainComplex, ChainMap, axpy, matrix_map, mat_eq,
 
 @dataclass
 class Reduction:
-    """An elimination: the original complex, the reduced one and the maps
-    between them, incl: red -> original, proj: original -> red and the
-    homotopy H of degree -1 on the original.  The maps replay the
+    """An elimination, or an r1/r2 move's read-off (``cobordism``, where
+    red is the smaller cube): the original complex, the reduced one and
+    the maps between them, incl: red -> original, proj: original -> red
+    and the homotopy H of degree -1 on the original.  The maps replay the
     recorded cancellations on the vectors they are applied to (see
     ``_Cancellations``); their matrices are built only where a check
     asks for them."""
@@ -72,11 +75,11 @@ class _Cancellations:
     u^-1 <P_k v, y> I_k(x), where P_k projects through the steps before
     k and I_k includes through them.  Indices are those of the original
     complex; ``killed[r]`` maps each cancelled index of degree r to the
-    step that cancels it, as ``_Blocks`` wrote it while eliminating, and
-    ``keep[r]`` lists the survivors of degree r in the order of the
-    reduced complex.  The two indices below are built the first time a
-    map that reads them is applied, so a caller of one map pays for no
-    other.
+    step that cancels it, and ``keep[r]`` lists the survivors of degree
+    r in the order of the reduced complex.  The two indices below are
+    built the first time a map that reads them is applied (an r1/r2
+    read-off in ``cobordism`` hands in the first), so a caller of one
+    map pays for no other.
 
     A torsion split of x against y through a = <dx, y> (see ``_split``)
     is the step (r, x, y, 1, a^-1 dx, a^-1 into_y).  In the basis where
@@ -85,12 +88,12 @@ class _Cancellations:
     the coordinate of v at the torsion generator y'.
     """
 
-    def __init__(self, ring, steps, killed, keep):
+    def __init__(self, ring, steps, killed, keep, touching=None):
         self.ring = ring
         self.steps = steps
         self.killed = killed
         self.keep = keep
-        self._touching = None   # {r: {w: steps whose into_y holds w}}
+        self._touching = touching   # {r: {w: steps whose into_y holds w}}
         self._reduced = None    # {r: {survivor: its reduced index}}
 
     def _touch_index(self):
@@ -197,12 +200,11 @@ class _Blocks:
         self.cols = {}
         self.rows = {}
 
-    def load(self, r, drop=()):
-        """Load degree r without the cancelled sources, and without the
-        entries at the targets in ``drop`` (see ``ChainComplex.take_d``)."""
+    def load(self, r):
+        """Load degree r without the cancelled sources."""
         rows = self.rows
         rows.pop(r - 2, None)   # read only by cancellations of degree r - 1
-        self.cols[r] = cols_r = self.cx.take_d(r, self.killed[r], drop)
+        self.cols[r] = cols_r = self.cx.take_d(r, self.killed[r])
         rows[r] = rows_r = {}
         for s, col in cols_r.items():
             for t in col:
@@ -214,6 +216,31 @@ class _Blocks:
         keep = {r: [i for i in range(self.cx.rank(r)) if i not in killed]
                 for r, killed in self.killed.items()}
         return _Cancellations(self.cx.ring, self.steps, self.killed, keep)
+
+    def reduction(self):
+        """The cancellations so far as a Reduction: the reduced complex
+        holds the loaded blocks on the survivors, in their original order,
+        and its maps replay the record."""
+        cx = self.cx
+        record = self.record()
+        red_gens, red_qdeg, reindex = {}, {}, {}
+        for r, keep in record.keep.items():
+            red_gens[r] = [cx.gens[r][i] for i in keep]
+            red_qdeg[r] = [cx.qdeg[r][i] for i in keep]
+            reindex.update(((r, i), j) for j, i in enumerate(keep))
+        red_diffs = {}
+        for r in cx.degrees:
+            blk = {}
+            for s, col in self.cols[r].items():
+                newcol = {reindex[(r + 1, t)]: v for t, v in col.items()}
+                if newcol:
+                    blk[reindex[(r, s)]] = newcol
+            red_diffs[r] = blk
+        red = ChainComplex(cx.theory, red_gens, red_qdeg, diffs=red_diffs)
+        return Reduction(cx, red,
+                         ChainMap(red, cx, record.incl, 0, 0, "incl"),
+                         ChainMap(cx, red, record.proj, 0, 0, "proj"),
+                         ChainMap(cx, cx, record.homotopy, -1, None, "H"))
 
     def cancel(self, r, x, y, over):
         """Cancel x in degree r against y in degree r + 1 through the
@@ -269,19 +296,19 @@ class _Blocks:
         return dx, into_y, grown
 
 
-def reduce_complex(cx, pairs=None):
+def reduce_complex(cx):
     """Cancel unit entries of the differential.
 
     One loop runs degree by degree: it loads degree r through
     ``cx.take_d``, which skips the generators already cancelled, heaps
-    the sources of degree r and pops the least first.  By default every
-    loaded column is pushed, and again whenever fill-in creates a unit
-    in it.  The pivot of a popped column x is its unit target y with the
-    fewest live entries in its row, ties to the least y.  Cancelling x
-    against y adds a multiple of dx to every other column with an entry
-    at y, so it fills in at most (|dx| - 1)(|row y| - 1) entries; with
-    the column fixed, this is the Markowitz choice.  A popped column
-    without a unit is left in place.
+    the sources of degree r and pops the least first.  Every loaded
+    column is pushed, and again whenever fill-in creates a unit in it.
+    The pivot of a popped column x is its unit target y with the fewest
+    live entries in its row, ties to the least y.  Cancelling x against
+    y adds a multiple of dx to every other column with an entry at y, so
+    it fills in at most (|dx| - 1)(|row y| - 1) entries; with the column
+    fixed, this is the Markowitz choice.  A popped column without a unit
+    is left in place.
 
     This order leaves no unit entry.  Fill-in from a degree-r pivot
     lands only in d_r, so the heap runs out only when d_r holds no unit.
@@ -294,26 +321,9 @@ def reduce_complex(cx, pairs=None):
     only its basis, and so the coordinates that ``induced_map`` prints,
     depend on the order.
 
-    ``pairs`` prescribes the pivots instead, as (r, x, y) tuples: x
-    indexes a generator of degree r and y one of degree r + 1.  Only the
-    prescribed sources are heaped, and a popped x cancels against its y.
-    A source given twice, a target that is also a prescribed source, or
-    a pair whose x or y an earlier pivot has cancelled, is already gone,
-    and an entry <dx, y> that is not a unit cannot be cancelled; either
-    raises ValueError.  The pairs of an r1 or r2 move (``cobordism``)
-    never change one another's pivot entry, so the order within a degree
-    changes neither the reduced complex nor what incl and proj do to a
-    vector.
-
-    With ``pairs``, degree r is loaded without its entries at the
-    prescribed sources x' of degree r + 1, and that changes nothing that
-    survives.  Fill-in adds entries one by one, so the entries at every
-    other target come out the same.  No pivot and no row y that a
-    cancellation reads sits at an x', since no x' is a prescribed
-    target, and the cancellation of x' would delete those entries
-    anyway.  A step's dx without its entries at the x' projects alike,
-    since the projection sends each x' to 0 at the step that cancels
-    it; and a homotopy seed is read at a target y, never at an x'.
+    This is the one elimination mode: an r1 or r2 move's prescribed
+    pairs never fill in, so ``cobordism`` reads their record off the
+    cube, and their elimination is an oracle in ``tests/``.
 
     Returns a Reduction whose maps satisfy proj∘incl = id and
     id - incl∘proj = dH + Hd; they replay the record of the
@@ -323,68 +333,24 @@ def reduce_complex(cx, pairs=None):
     R = cx.ring
     is_unit = R.is_unit
     blocks = _Blocks(cx)
-    killed = blocks.killed
-    table = {}      # the prescribed pivots, {r: {x: y}}
-    for r, x, y in pairs or ():
-        if x in table.setdefault(r, {}):
-            raise ValueError("prescribed pair already gone")
-        table[r][x] = y
-    for r, pivots in table.items():
-        sources = table.get(r + 1, ())
-        if any(y in sources for y in pivots.values()):
-            raise ValueError("prescribed pair already gone")
-
     for r in cx.degrees:
-        cols_r = blocks.load(r, table.get(r + 1, ()))
+        cols_r = blocks.load(r)
         rows_r = blocks.rows[r]
-        heap = list(cols_r if pairs is None else table.get(r, ()))
+        heap = list(cols_r)
         heapq.heapify(heap)
         while heap:
             x = heapq.heappop(heap)
             col = cols_r.get(x, {})
-            if pairs is None:
-                y = min(((len(rows_r[t]), t) for t, v in col.items()
-                         if is_unit(v)), default=(0, None))[1]
-                if y is None:
-                    continue
-            else:
-                y = table[r][x]
-                if x in killed[r] or y in killed.get(r + 1, ()):
-                    raise ValueError("prescribed pair already gone")
-                if not is_unit(col.get(y, R.zero)):
-                    raise ValueError("prescribed pair is not a unit")
+            y = min(((len(rows_r[t]), t) for t, v in col.items()
+                     if is_unit(v)), default=(0, None))[1]
+            if y is None:
+                continue
             uinv = R.inv(col[y])
             dx, into_y, grown = blocks.cancel(r, x, y, partial(R.mul, uinv))
             blocks.steps.append((r, x, y, uinv, dx, into_y))
-            if pairs is None:
-                for w in grown:
-                    heapq.heappush(heap, w)
-
-    # assemble the reduced complex, keeping original key order
-    record = blocks.record()
-    keep = record.keep
-    degrees = cx.degrees
-    red_gens = {}
-    red_qdeg = {}
-    reindex = {}
-    for r in degrees:
-        red_gens[r] = [cx.gens[r][i] for i in keep[r]]
-        red_qdeg[r] = [cx.qdeg[r][i] for i in keep[r]]
-        reindex.update(((r, i), j) for j, i in enumerate(keep[r]))
-    red_diffs = {}
-    for r in degrees:
-        blk = {}
-        for s, col in blocks.cols[r].items():
-            newcol = {reindex[(r + 1, t)]: v for t, v in col.items()}
-            if newcol:
-                blk[reindex[(r, s)]] = newcol
-        red_diffs[r] = blk
-    red = ChainComplex(cx.theory, red_gens, red_qdeg, diffs=red_diffs)
-
-    return Reduction(cx, red,
-                     ChainMap(red, cx, record.incl, 0, 0, "incl"),
-                     ChainMap(cx, red, record.proj, 0, 0, "proj"),
-                     ChainMap(cx, cx, record.homotopy, -1, None, "H"))
+            for w in grown:
+                heapq.heappush(heap, w)
+    return blocks.reduction()
 
 
 def reduction_identities_hold(redn):

@@ -1,5 +1,6 @@
 """Command line interface behavior, via click's test runner."""
 
+from importlib import import_module
 import json
 import os
 
@@ -615,8 +616,10 @@ def test_movie_compose_reverse_builds_each_frame_once(movie, monkeypatch):
 def test_movie_compose_reverse_eliminates_each_move_once(movie, theory,
                                                          monkeypatch):
     # a move and its reverse, and equal moves between shared frames, read
-    # one prescribed-pair elimination: one per (big frame, small frame,
-    # crossings the move removes)
+    # one cancellation record off the bigger cube: one per (big frame,
+    # small frame, crossings the move removes).  No move runs an
+    # elimination: the one elimination is that of the first frame's
+    # homology
     path = os.path.join(MOVIE_DIR, movie)
     m = load_movie(path)
     expected = set()
@@ -628,20 +631,29 @@ def test_movie_compose_reverse_eliminates_each_move_once(movie, theory,
             small, big = big, small
         expected.add((big, small, frozenset(info["crossings"])))
     calls = []
-    reduce = cobordism.reduce_complex
+    read_off = cobordism._read_off
 
-    def counting_reduce(cx, *args, **kwargs):
-        if kwargs.get("pairs") is not None:
-            calls.append(cx.diagram)
-        return reduce(cx, *args, **kwargs)
+    def counting_read_off(big, small, *args):
+        calls.append((big.diagram, small.diagram))
+        return read_off(big, small, *args)
 
-    monkeypatch.setattr(cobordism, "reduce_complex", counting_reduce)
+    eliminated = []
+    homology = import_module("knothom.homology")
+    reduce = homology.reduce_complex
+
+    def counting_reduce(cx):
+        eliminated.append(cx.diagram)
+        return reduce(cx)
+
+    monkeypatch.setattr(cobordism, "_read_off", counting_read_off)
+    monkeypatch.setattr(homology, "reduce_complex", counting_reduce)
     res = run("movie", "--script", path, "--theory", theory,
               "--compose-reverse", "--compare", "id")
     assert res.exit_code == 0, res.output
     assert "compare id: equal" in res.output
     assert len(calls) == len(expected)
-    assert set(calls) == {big for big, _, _ in expected}
+    assert set(calls) == {(big, small) for big, small, _ in expected}
+    assert eliminated == [m.frames[0]]
 
 
 def _pinned_coordinates():

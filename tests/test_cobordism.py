@@ -1,8 +1,10 @@
 """Elementary cobordisms: move mechanics, chain maps, movie plumbing."""
 
 import dataclasses
+import gc
 import os
 import random
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -15,7 +17,7 @@ from knothom.complexes import (ChainComplex, CubeComplex, build_complex,
                                identity_map, zero_map, compose, add_maps,
                                scale_map, maps_equal, mat_eq, mat_mul)
 from knothom.homology import (HomologyData, induced_map,
-                              maps_equal_on_homology, reduce_complex,
+                              maps_equal_on_homology,
                               reduction_identities_hold, scale_induced)
 from knothom.cobordism import (Move, MoveError, MovieError, apply_move,
                                decoration_chain_map, move_chain_map,
@@ -25,16 +27,17 @@ from knothom.cobordism import (Move, MoveError, MovieError, apply_move,
                                verify_dot_crossing, verify_saddle_split,
                                verify_symmetry, verify_star_placement,
                                ribbon_structure_errors,
-                               verify_ribbon_composite, _bigon_pairs,
+                               verify_ribbon_composite,
                                _bigon_structure, _drop_bit, _find_kink_loop,
-                               _inverse_info, _loop_pairs, _merge_pairs,
-                               _relabel_iso, _reidemeister_map,
+                               _inverse_info, _merge_pairs,
+                               _move_pairs, _read_off, _reidemeister_map,
                                _reidemeister_reduction, _split_pairs)
 from knothom import cobordism
-from knothom.cli import main
+from knothom.cli import SYMMETRY_MOVIES, main
 from knothom.jones import jones_polynomial
 from knothom.tables import load_table, braid_pd
 
+from elimination_oracle import reduce_pairs
 from label_oracles import circle_match, plan_images, transport
 
 SELECTORS = ["bn", "kh-f2", "alpha", "alpha@0,t/f2", "alpha@1,-1/q"]
@@ -93,6 +96,15 @@ def test_r3_round_trip():
     assert d2.n == 3
     back, _, _ = apply_move(d2, Move("r3", info["crossings"]))
     assert back.canonical_key() == d.canonical_key()
+
+
+def test_r3_needs_a_triangular_face():
+    # on 7_1 after a kink at edge 7, crossings 7, 1 and 0 pairwise share
+    # edges that sit in adjacent slots, but the kink makes the face they
+    # bound a 4-gon: there is no r3 site there
+    d = apply_move(load_table()["7_1"], Move("r1+", (7, "+")))[0]
+    with pytest.raises(MoveError, match="no triangular face spans"):
+        apply_move(d, Move("r3", (7, 1, 0)))
 
 
 def test_split_loop_saddle():
@@ -323,33 +335,39 @@ def test_movie_composite_matches_matrix_product(name):
 
 
 def test_relabeling_is_checked():
+    # the read-off's relabel tables are mutually inverse and make the
+    # move's inclusion and projection chain maps; a wrong surviving
+    # layer, a wrong forced label and a small diagram whose circle has
+    # no edge in the big one are each refused
     th = theory_from_selector("bn")
     small = unknot_diagram()
     big, info, _ = apply_move(small, Move("r1+", (1, "+")))
     cx_small, cx_big = build_complex(small, th), build_complex(big, th)
     (ci,) = info["crossings"]
-    pairs, eps, loop = _loop_pairs(cx_big, ci)
-    redn = reduce_complex(cx_big, pairs=pairs)
-    forced = {loop: 1 if eps == 0 else 0}
-    fwd, bwd = _relabel_iso(redn, cx_small, {ci: eps}, forced)
-    assert fwd.is_chain_map() and bwd.is_chain_map()
+    pairs, fixed, forced = _move_pairs(cx_big, info)
+    ((loop, bit),) = forced.items()
+    _, fwd, bwd = _read_off(cx_big, cx_small, pairs, fixed, forced)
+    assert {r: {j: (i, n) for i, (j, n) in rel.items()}
+            for r, rel in fwd.items()} == bwd
+    redn = _reidemeister_reduction(cx_small, cx_big, info)
+    assert redn.incl.is_chain_map() and redn.proj.is_chain_map()
     with pytest.raises(MoveError, match="expected layer"):
-        _relabel_iso(redn, cx_small, {ci: 1 - eps}, forced)
+        _read_off(cx_big, cx_small, pairs, {ci: 1 - fixed[ci]}, forced)
     with pytest.raises(MoveError, match="wrong label"):
-        _relabel_iso(redn, cx_small, {ci: eps}, {loop: 1 - forced[loop]})
+        _read_off(cx_big, cx_small, pairs, fixed, {loop: 1 - bit})
     renamed = build_complex(LinkDiagram((), (), (5,)), th)
     with pytest.raises(MoveError, match="no edge in the big one"):
-        _relabel_iso(redn, renamed, {ci: eps}, forced)
+        _read_off(cx_big, renamed, pairs, fixed, forced)
 
 
 @pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3", "alpha@1,-1/f5"])
 @pytest.mark.parametrize("path", R_MOVIES, ids=os.path.basename)
 def test_reidemeister_reductions_and_maps(path, sel):
-    # every r1/r2 move: its prescribed-pair elimination satisfies the
-    # reduction identities, and the move map, which replays that
-    # elimination on vectors, has the matrix of the relabeling times the
-    # inclusion or projection.  Under alpha@1,-1/f5, X * X = 1 is a unit,
-    # so being a unit does not pin which pairs cancel; only the
+    # every r1/r2 move: its reduction of the bigger complex onto the
+    # smaller one, whose maps replay the read-off record through the
+    # relabelling, satisfies the reduction identities, and the move map
+    # is its inclusion or projection.  Under alpha@1,-1/f5, X * X = 1 is
+    # a unit, so being a unit does not pin which pairs cancel; only the
     # relabeling check tells a right pair set from a wrong one
     th = theory_from_selector(sel)
     R = th.ring
@@ -363,22 +381,23 @@ def test_reidemeister_reductions_and_maps(path, sel):
         grow = info["kind"].endswith("+")
         src, tgt = cxs[k], cxs[k + 1]
         small, big = (src, tgt) if grow else (tgt, src)
-        redn, fwd, bwd = _reidemeister_reduction(small, big, info)
+        redn = _reidemeister_reduction(small, big, info)
+        assert redn.original is big and redn.red is small
         assert reduction_identities_hold(redn), (k, info["kind"])
-        g, f = (redn.incl, bwd) if grow else (fwd, redn.proj)
+        want = redn.incl if grow else redn.proj
         move_map = _reidemeister_map(th, src, tgt, info)
         for r in src.degrees:
-            assert mat_eq(R, move_map.block(r),
-                          mat_mul(R, g.block(r), f.block(r))), (k, r)
+            assert mat_eq(R, move_map.block(r), want.block(r)), (k, r)
     assert moves
 
 
 @pytest.mark.parametrize("sel", ["bn", "alpha@t,-t/q"])
 @pytest.mark.parametrize("path", R_MOVIES, ids=os.path.basename)
 def test_prescribed_pairs_in_any_order_reduce_alike(path, sel):
-    # the r1/r2 pairs of a move, given shuffled or reversed, reduce the
-    # bigger complex to the same complex, with the same inclusion and
-    # projection of every generator, as the same pairs given sorted
+    # the r1/r2 pairs of a move, given shuffled or reversed to the
+    # prescribed-pair oracle, reduce the bigger complex to the same
+    # complex, with the same inclusion and projection of every generator,
+    # as the same pairs given sorted
     th = theory_from_selector(sel)
     one = th.ring.one
     movie = load_movie(path)
@@ -389,14 +408,12 @@ def test_prescribed_pairs_in_any_order_reduce_alike(path, sel):
             continue
         moves += 1
         big = cxs[k + 1] if info["kind"].endswith("+") else cxs[k]
-        pairs = (_loop_pairs(big, *info["crossings"])[0]
-                 if info["kind"].startswith("r1")
-                 else _bigon_pairs(big, *info["crossings"])[0])
+        pairs = _move_pairs(big, info)[0]
         shuffled = list(pairs)
         random.Random(k).shuffle(shuffled)
-        a = reduce_complex(big, pairs=sorted(pairs))
+        a = reduce_pairs(big, sorted(pairs))
         for given in (shuffled, sorted(pairs, reverse=True)):
-            b = reduce_complex(big, pairs=given)
+            b = reduce_pairs(big, given)
             assert a.red.gens == b.red.gens and a.red.qdeg == b.red.qdeg
             for r in big.degrees:
                 assert a.red.d(r) == b.red.d(r), (k, r)
@@ -411,30 +428,24 @@ def test_prescribed_pairs_in_any_order_reduce_alike(path, sel):
 
 @pytest.mark.parametrize("sel", ["bn", "alpha@t,-t/q"])
 @pytest.mark.parametrize("path", R_MOVIES, ids=os.path.basename)
-def test_dropped_targets_change_no_elimination(path, sel, monkeypatch):
-    # the loader leaves out the entries at the prescribed sources of the
-    # next degree; an elimination through a loader that keeps them must
-    # give the same reduced complex and the same inclusion, projection
-    # and homotopy of every generator
+def test_dropped_targets_change_no_elimination(path, sel):
+    # the read-off, and the oracle with it, loads each degree without its
+    # entries at the prescribed sources of the next degree; the oracle
+    # through a loader that keeps them must give the same reduced complex
+    # and the same inclusion, projection and homotopy of every generator
     th = theory_from_selector(sel)
     one = th.ring.one
     movie = load_movie(path)
     cxs = movie.complexes(th)
-    take_d = ChainComplex.take_d
     moves = 0
     for k, info in enumerate(movie.infos):
         if info["kind"] not in ("r1+", "r1-", "r2+", "r2-"):
             continue
         moves += 1
         big = cxs[k + 1] if info["kind"].endswith("+") else cxs[k]
-        pairs = (_loop_pairs(big, *info["crossings"])[0]
-                 if info["kind"].startswith("r1")
-                 else _bigon_pairs(big, *info["crossings"])[0])
-        a = reduce_complex(big, pairs=pairs)
-        with monkeypatch.context() as m:
-            m.setattr(ChainComplex, "take_d",
-                      lambda self, r, skip, drop=(): take_d(self, r, skip))
-            b = reduce_complex(big, pairs=pairs)
+        pairs = _move_pairs(big, info)[0]
+        a = reduce_pairs(big, pairs)
+        b = reduce_pairs(big, pairs, drop=False)
         assert a.red.gens == b.red.gens and a.red.qdeg == b.red.qdeg
         for r in big.degrees:
             assert a.red.d(r) == b.red.d(r), (k, r)
@@ -456,7 +467,8 @@ def test_relabeling_rejects_a_tampered_small_differential(tamper):
     small = load_table()["3_1"]
     big, info, _ = apply_move(small, Move("r2+", (2, 5)))
     cx_small, cx_big = build_complex(small, th), build_complex(big, th)
-    _reidemeister_reduction(cx_small, cx_big, info)      # untampered: fine
+    pairs, fixed, forced = _move_pairs(cx_big, info)
+    _read_off(cx_big, cx_small, pairs, fixed, forced)    # untampered: fine
     r = next(r for r in cx_small.degrees if cx_small.d(r))
     col = cx_small.d(r)[min(cx_small.d(r))]
     t = min(col)
@@ -465,7 +477,7 @@ def test_relabeling_rejects_a_tampered_small_differential(tamper):
     else:
         del col[t]
     with pytest.raises(MoveError, match="differs from the small diagram"):
-        _reidemeister_reduction(cx_small, cx_big, info)
+        _read_off(cx_big, cx_small, pairs, fixed, forced)
 
 
 @pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
@@ -609,7 +621,7 @@ def test_r3_record_must_name_three_crossings_of_its_frame():
                                        ("square-knot", "r2+")])
 def test_prescribed_elimination_streams_the_big_cube(name, kind,
                                                      monkeypatch):
-    # a move's elimination builds each degree of the bigger cube once, at
+    # a move's read-off builds each degree of the bigger cube once, at
     # its turn, skipping the column of every prescribed target and every
     # entry at a prescribed source of the next degree, and the cube
     # stores none of the blocks it consumed
@@ -628,8 +640,7 @@ def test_prescribed_elimination_streams_the_big_cube(name, kind,
     info = movie.infos[k]
     small = build_complex(movie.frames[k], th)
     big = build_complex(movie.frames[k + 1], th)
-    pairs = (_loop_pairs(big, *info["crossings"])[0] if kind == "r1+"
-             else _bigon_pairs(big, *info["crossings"])[0])
+    pairs = _move_pairs(big, info)[0]
     targets = {(r + 1, y) for r, _, y in pairs}
     sources = {(r, x) for r, x, _ in pairs}
     assert {r for r, _ in targets} & set(big.degrees[1:])
@@ -657,14 +668,152 @@ def test_two_kinks_out_of_one_complex_get_their_own_reductions():
     (cx_a, info_a), (cx_b, info_b) = smalls
     assert _reidemeister_map(th, cx_big, cx_a, info_a).is_chain_map()
     assert _reidemeister_map(th, cx_big, cx_b, info_b).is_chain_map()
-    redn_a = cx_big.move_reductions[(cx_a, frozenset((0,)))][0]
-    redn_b = cx_big.move_reductions[(cx_b, frozenset((1,)))][0]
-    assert redn_a.red.gens != redn_b.red.gens
-    # crossing 1's elimination does not land on crossing 0's small
-    # complex; it must not be answered by crossing 0's elimination
+    record_a = cx_big.move_reductions[(cx_a, frozenset((0,)))][0]
+    record_b = cx_big.move_reductions[(cx_b, frozenset((1,)))][0]
+    assert record_a.keep != record_b.keep
+    # crossing 1's read-off does not land on crossing 0's small complex;
+    # it must not be answered by crossing 0's record
     with pytest.raises(MoveError):
         _reidemeister_map(th, cx_big, cx_a, info_b)
     assert len(cx_big.move_reductions) == 2
+
+
+def _r_move_scripts():
+    """Every r1/r2 move of the bundled, frozen and symmetry-suite movies,
+    as (where, movie, step)."""
+    movies = [load_movie(p) for p in R_MOVIES] + [
+        parse_movie(script, name) for name, script, _ in SYMMETRY_MOVIES]
+    return [(m.name, m, k) for m in movies for k, info in enumerate(m.infos)
+            if info["kind"] in ("r1+", "r1-", "r2+", "r2-")]
+
+
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3", "alpha@t,-t/q",
+                                 "alpha@1,-1/f5"])
+def test_read_off_matches_the_prescribed_pair_oracle(sel, monkeypatch):
+    # on every r1/r2 move the read-off gives the steps, in order, that
+    # cancelling the pairs one by one with fill-in gives; its kept columns
+    # are the oracle's reduced differential; and its inclusion,
+    # projection and homotopy, through the relabel tables, are the
+    # oracle's on every generator
+    th = theory_from_selector(sel)
+    R = th.ring
+    one, minus_one = R.one, R.from_int(-1)
+    loaded = {}
+    take_d = ChainComplex.take_d
+
+    def recording_take_d(self, r, skip, drop=()):
+        loaded[(self, r)] = cols = take_d(self, r, skip, drop)
+        return cols
+
+    monkeypatch.setattr(CubeComplex, "take_d", recording_take_d)
+    scripts = _r_move_scripts()
+    assert len({name for name, _, _ in scripts}) == 17
+    complexes = {}
+    for name, movie, k in scripts:
+        if name not in complexes:
+            complexes[name] = movie.complexes(th)
+        cxs, info = complexes[name], movie.infos[k]
+        small, big = cxs[k], cxs[k + 1]
+        if info["kind"].endswith("-"):
+            small, big = big, small
+        pairs, fixed, forced = _move_pairs(big, info)
+        record, fwd, bwd = _read_off(big, small, pairs, fixed, forced)
+        kept = {}
+        for r in big.degrees:
+            gone = record.killed.get(r + 1, {})
+            kept[r] = {s: c for s, c in (
+                (s, {t: v for t, v in col.items() if t not in gone})
+                for s, col in loaded[(big, r)].items()) if c}
+        oracle = reduce_pairs(big, pairs)
+        steps = oracle.proj.act.__self__
+        assert record.steps == steps.steps, (name, k)
+        assert record.killed == steps.killed, (name, k)
+        keep = steps.keep
+        assert record.keep == keep, (name, k)
+        for r in big.degrees:
+            assert kept[r] == {
+                keep[r][s]: {keep[r + 1][t]: v for t, v in col.items()}
+                for s, col in oracle.red.d(r).items()}, (name, k, r)
+
+        redn = _reidemeister_reduction(small, big, info)
+        for r in big.degrees:
+            at = {i: j for j, i in enumerate(keep[r])}
+            for i in range(big.rank(r)):
+                want = {}
+                for j, v in oracle.proj.apply(r, {i: one}).items():
+                    js, negate = fwd[r][keep[r][j]]
+                    want[js] = R.neg(v) if negate else v
+                assert redn.proj.apply(r, {i: one}) == want, (name, k, r, i)
+                assert (redn.homotopy.apply(r, {i: one})
+                        == oracle.homotopy.apply(r, {i: one})), (name, k, i)
+            for js in range(small.rank(r)):
+                i, negate = bwd[r][js]
+                assert (redn.incl.apply(r, {js: one})
+                        == oracle.incl.apply(r, {at[i]: minus_one if negate
+                                                 else one})), (name, k, js)
+
+
+def test_read_off_checks_its_pairs():
+    # the read-off refuses a pair set that elimination would refuse or
+    # that fills in: a pair given twice, two pairs with one target, a
+    # source that is also a target, an entry that is not a unit, and the
+    # kink pairs plus one unit pair away from the kink, whose column and
+    # row both hold other survivors' entries
+    th = theory_from_selector("bn")
+    R = th.ring
+    small = load_table()["3_1"]
+    big, info, _ = apply_move(small, Move("r1+", (1, "+")))
+    cx_small, cx_big = build_complex(small, th), build_complex(big, th)
+    pairs, fixed, forced = _move_pairs(cx_big, info)
+    _read_off(cx_big, cx_small, pairs, fixed, forced)      # the kink: fine
+
+    def refused(given, message):
+        with pytest.raises(MoveError, match=message):
+            _read_off(cx_big, cx_small, given, fixed, forced)
+
+    r = cx_big.degrees[0]
+    first = [p for p in pairs if p[0] == r]
+    (_, x0, y0), (_, x1, y1) = first[:2]
+    refused(pairs + [first[0]], "already gone")
+    refused([p for p in pairs if p != first[1]] + [(r, x1, y0)],
+            "already gone")
+    t = min(cx_big.d(r + 1)[y0])
+    refused(pairs + [(r + 1, y0, t)], "already gone")
+    sources = {x for rr, x, _ in pairs if rr == r}
+    targets = {y for rr, _, y in pairs if rr == r}
+    ahead = {x for rr, x, _ in pairs if rr == r + 1}
+    off = min(t for t in range(cx_big.rank(r + 1)) if t not in targets
+              and t not in ahead and t not in cx_big.d(r)[x0])
+    refused([p for p in pairs if p != first[0]] + [(r, x0, off)],
+            "not a unit")
+
+    live = {s: {t: v for t, v in col.items() if t not in ahead}
+            for s, col in cx_big.d(r).items() if s not in sources}
+    x, y = next((s, t) for s, col in live.items() for t, v in col.items()
+                if R.is_unit(v) and t not in targets and len(col) > 1
+                and any(t in c for w, c in live.items() if w != s))
+    refused(pairs + [(r, x, y)], "fills in")
+
+
+def test_movie_complexes_are_freed_without_the_cycle_collector():
+    # the records kept in move_reductions refer to no complex but the
+    # smaller one, so a movie's complexes go as soon as the last name for
+    # them does, with the cycle collector off
+    th = theory_from_selector("bn")
+    movie = load_movie(os.path.join(FROZEN_DIR, "rmove-4_1.movie"))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cxs = movie.complexes(th)
+        f = evaluate_movie(movie, th, cxs)
+        assert any(cx.move_reductions for cx in cxs)
+        refs = {id(cx): weakref.ref(cx) for cx in cxs}
+        assert (len(cxs), len(refs)) == (4, 3)     # two frames are equal
+        del cxs, f
+        assert [ref for ref in refs.values() if ref() is not None] == []
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _pairs_by_label(cx, info):
@@ -688,7 +837,8 @@ def _pairs_by_label(cx, info):
     pairs = []
     if info["kind"].startswith("r1"):
         (ci,) = info["crossings"]
-        _, eps, loop = _loop_pairs(cx, ci)
+        _, fixed, forced = _move_pairs(cx, info)
+        eps, (loop,) = fixed[ci], forced
         for s in range(1 << D.n):
             if s >> ci & 1:
                 continue
@@ -700,7 +850,8 @@ def _pairs_by_label(cx, info):
                 pairs += [pair(s, ci, L) for L in labels(s) if not L >> j & 1]
         return pairs
     ci, cj = info["crossings"]
-    _, circ = _bigon_pairs(cx, ci, cj)
+    fixed = _move_pairs(cx, info)[1]
+    circ = (1 - fixed[ci], 1 - fixed[cj])
     om = _bigon_structure(D, ci, cj)[0]
     split, merge = (ci, cj) if circ[0] else (cj, ci)
     for s in range(1 << D.n):
@@ -728,9 +879,7 @@ def test_pair_halves_match_the_label_by_label_route(path):
                 continue
             moves += 1
             big = cxs[k + 1] if info["kind"].endswith("+") else cxs[k]
-            pairs = (_loop_pairs(big, *info["crossings"])[0]
-                     if info["kind"].startswith("r1")
-                     else _bigon_pairs(big, *info["crossings"])[0])
+            pairs = _move_pairs(big, info)[0]
             assert pairs == _pairs_by_label(big, info), (sel, k)
         assert moves
 
@@ -1089,7 +1238,7 @@ def _label_route_faults(sel):
     each state against ``circle_match``, and each generator's image
     against ``transport`` or ``plan_images``; an r1/r2 step's relabelling
     of each survivor against ``transport`` of ``circle_match``, or the
-    error raised where the move's elimination or relabelling fails."""
+    error raised where the move's read-off or relabelling fails."""
     th = theory_from_selector(sel)
     R = th.ring
     faults = []
@@ -1139,7 +1288,7 @@ def _unit_counit_reference(theory, cx_src, cx_tgt, info, r, i):
 
 
 def _relabel_faults(theory, cx_src, cx_tgt, info, where):
-    """The survivors of an r1/r2 move's elimination that ``_relabel_iso``
+    """The survivors of an r1/r2 move's read-off that its relabel table
     sends elsewhere than ``transport`` of ``circle_match`` between the
     big and small resolutions."""
     grow = info["kind"].endswith("+")
@@ -1148,17 +1297,17 @@ def _relabel_faults(theory, cx_src, cx_tgt, info, where):
         move_chain_map(theory, cx_src, cx_tgt, info)
     except ValueError as e:
         return [where + ("relabel", str(e))]
-    redn, fwd, _ = big.move_reductions[(small, frozenset(info["crossings"]))]
+    _, fwd, _ = big.move_reductions[(small, frozenset(info["crossings"]))]
     faults = []
-    for r in redn.red.degrees:
-        for i, (S, L) in enumerate(redn.red.gens[r]):
+    for r in big.degrees:
+        for i, (js, _) in fwd[r].items():
+            S, L = big.gens[r][i]
             s = S
             for ci in sorted(info["crossings"], reverse=True):
                 s = _drop_bit(s, ci)
             match = circle_match(big.diagram.resolve(S),
                                  small.diagram.resolve(s))
-            if set(fwd.block(r)[i]) != {small.gen_index(
-                    s, transport(L, match))[1]}:
+            if small.gen_index(s, transport(L, match)) != (r, js):
                 faults.append(where + ("relabel", r, i))
     return faults
 

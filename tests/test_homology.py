@@ -21,6 +21,8 @@ from knothom.homology import (reduce_complex, reduction_identities_hold,
 from knothom.tables import braid_pd, load_table
 from knothom.tangles import scan_complex
 
+from elimination_oracle import reduce_pairs
+
 # reference values computed by the dense SNF pipeline and frozen
 BN_3_1 = {
     "free": [(0, -3, 1), (0, -1, 1)],
@@ -244,6 +246,8 @@ def test_unit_entry_check_flags_an_unreduced_complex():
 
 
 def test_prescribed_pairs_are_checked():
+    # the prescribed-pair oracle of the r1/r2 read-off refuses a pair
+    # given twice and a pair whose entry is not a unit
     cx = build_complex(load_table()["3_1"], theory_from_selector("bn"))
     R = cx.ring
     r = cx.degrees[0]
@@ -253,10 +257,10 @@ def test_prescribed_pairs_are_checked():
               if not R.is_unit(v)]
     s0, t0 = units[0]
     with pytest.raises(ValueError, match="already gone"):
-        reduce_complex(cx, pairs=[(r, s0, t0)] * 2)
+        reduce_pairs(cx, [(r, s0, t0)] * 2)
     s1, t1 = others[0]
     with pytest.raises(ValueError, match="not a unit"):
-        reduce_complex(cx, pairs=[(r, s1, t1)])
+        reduce_pairs(cx, [(r, s1, t1)])
 
 
 def test_a_prescribed_source_cancelled_as_a_target_is_already_gone():
@@ -269,10 +273,10 @@ def test_a_prescribed_source_cancelled_as_a_target_is_already_gone():
                       for t, v in col.items() if R.is_unit(v)
                       for u, w in cx.d(r + 1).get(t, {}).items()
                       if R.is_unit(w))
-    assert reduce_complex(cx, pairs=[(r + 1, t0, t1)]).red.total_rank() \
-        == cx.total_rank() - 2
+    assert (reduce_pairs(cx, [(r + 1, t0, t1)]).red.total_rank()
+            == cx.total_rank() - 2)
     with pytest.raises(ValueError, match="already gone"):
-        reduce_complex(cx, pairs=[(r + 1, t0, t1), (r, s0, t0)])
+        reduce_pairs(cx, [(r + 1, t0, t1), (r, s0, t0)])
 
 
 # -- streamed elimination -------------------------------------------------
