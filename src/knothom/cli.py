@@ -24,7 +24,6 @@ instance of the group against them.  ``--jobs N`` (N >= 1) spreads the
 groups over N worker processes, which receive the theories pickled.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 import json
@@ -445,6 +444,9 @@ def cmd_verify(suite, selector, max_crossings, jobs, verbose):
             built[sel] = _resolve_theory(sel)
     theories = [built[sel] for _, sel, _, _ in groups]
     if jobs > 1:
+        # imported here: the pool pulls in multiprocessing, which no
+        # other command needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_group, groups, theories))
     else:

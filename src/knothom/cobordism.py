@@ -22,10 +22,11 @@ loop), and ``r3`` moves each triangle edge past its neighbours within
 the slots it occupies.
 
 Chain maps are evaluated on the vectors they are applied to: the
-elementary builders give the image of one generator, and a movie's
-composite pushes a vector through its moves one after another.  Labels
-are carried between resolutions as along the cube's edges, by
-``persisting`` and ``CubeComplex.carry`` (see ``complexes``).  A
+elementary builders give the image of one generator, a decoration reads
+a whole vector entry by entry, and a movie's composite pushes a vector
+through its moves one after another.  Labels are carried between
+resolutions as along the cube's edges, by ``persisting`` and
+``CubeComplex.carry`` (see ``complexes``).  A
 birth's unit and a death's counit are one map (``_unit_counit_map``):
 they differ only in whether the circle of their edge is in the source.
 That map and the saddle and decoration maps work out what depends only
@@ -446,8 +447,10 @@ def decoration_chain_map(theory, cx, kind, edge):
     ``edge``, label by label.  The two products elem * 1 and elem * X
     (``Theory.act_basis``) are worked out once per map, and the position
     of the circle and the state's block in ``cx.state_block`` once per
-    state; a generator's image is read off them."""
+    state; the map reads them entry by entry off the whole vector it is
+    applied to, building no image per generator."""
     R = theory.ring
+    add, mul, is_zero = R.add, R.mul, R.is_zero
     elem = theory.decoration_element(kind)
     # acts[b]: the nonzero components (comp, coeff) of elem * basis[b]
     acts = tuple(tuple((comp, c)
@@ -459,12 +462,27 @@ def decoration_chain_map(theory, cx, kind, edge):
     def plan(s):
         return cx.state_block[s][1], cx.diagram.locate(s, edge)
 
-    def image(r, i):
-        s, L = cx.gens[r][i]
-        off, j = plan(s)
-        base = off + (L & ~(1 << j))
-        return {base + (comp << j): c for comp, c in acts[L >> j & 1]}
-    return generator_map(cx, cx, image, 0, -2, kind)
+    def act(r, vec):
+        gens = cx.gens[r]
+        out = {}
+        for i, a in vec.items():
+            s, L = gens[i]
+            off, j = plan(s)
+            base = off + (L & ~(1 << j))
+            for comp, c in acts[L >> j & 1]:
+                k = base + (comp << j)
+                old = out.get(k)
+                if old is None:
+                    # c and a are nonzero, and every ring is a domain
+                    out[k] = mul(c, a)
+                    continue
+                v = add(old, mul(c, a))
+                if is_zero(v):
+                    del out[k]
+                else:
+                    out[k] = v
+        return out
+    return ChainMap(cx, cx, act, 0, -2, kind)
 
 
 def saddle_chain_map(theory, cx_src, cx_tgt, info):

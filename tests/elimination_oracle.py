@@ -3,8 +3,6 @@
 are cancelled one by one through ``homology._Blocks``, fill-in and all,
 and the result is a Reduction as ``reduce_complex`` returns one."""
 
-from functools import partial
-
 from knothom.homology import _Blocks
 
 
@@ -50,6 +48,6 @@ def reduce_pairs(cx, pairs, drop=True):
             if not R.is_unit(col.get(y, R.zero)):
                 raise ValueError("prescribed pair is not a unit")
             uinv = R.inv(col[y])
-            dx, into_y, _ = blocks.cancel(r, x, y, partial(R.mul, uinv))
+            dx, into_y = blocks.cancel(r, x, y, R.mul, uinv)
             blocks.steps.append((r, x, y, uinv, dx, into_y))
     return blocks.reduction()

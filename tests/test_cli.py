@@ -3,6 +3,8 @@
 from importlib import import_module
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -327,6 +329,19 @@ def test_verify_jobs_match_serial():
     parallel = run(*args, "--jobs", "2")
     assert serial.exit_code == parallel.exit_code == 0, parallel.output
     assert parallel.output == serial.output
+
+
+def test_importing_the_cli_leaves_the_process_pool_out():
+    # only verify --jobs N > 1 needs worker processes; every other
+    # command pays nothing for multiprocessing
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, knothom.cli; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert res.stdout == "False\n"
 
 
 def test_verify_reports_exceptions_as_error(tmp_path, monkeypatch):

@@ -4,20 +4,23 @@ oracle, bounds."""
 from copy import deepcopy
 from dataclasses import replace
 from importlib import import_module
+import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from knothom.diagram import parse_pd, unknot_diagram
 from knothom.frobenius import theory_from_selector, alpha_generic
-from knothom.cobordism import decoration_chain_map
+from knothom.cobordism import (apply_move, decoration_chain_map, Move,
+                               saddle_chain_map)
 from knothom.complexes import (ChainComplex, ChainMap, CubeComplex,
                                add_maps, axpy, build_complex, compose,
                                identity_map, zero_map, scale_map)
 from knothom.homology import (reduce_complex, reduction_identities_hold,
                               HomologyData, homology, induced_map,
-                              maps_equal_on_homology, torsion_bound,
-                              quotient_dims)
+                              induced_maps_equal, maps_equal_on_homology,
+                              torsion_bound, quotient_dims)
 from knothom.tables import braid_pd, load_table
 from knothom.tangles import scan_complex
 
@@ -304,6 +307,44 @@ def _record(redn):
     return redn.proj.act.__self__.steps
 
 
+def _pinned_pairs():
+    """The blocks of ``elimination_pairs.txt``: {(knot, theory): [(r, x,
+    y), ...]} in the order of the file."""
+    path = os.path.join(os.path.dirname(__file__), "elimination_pairs.txt")
+    blocks = {}
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("#"):
+                continue
+            if line.startswith("== "):
+                name, sel, count = line.split()[1:]
+                steps = blocks[(name, sel)] = []
+                expected = int(count)
+            else:
+                steps.append(tuple(map(int, line.split())))
+        assert len(steps) == expected
+    return blocks
+
+
+PINNED_PAIRS = _pinned_pairs()
+
+
+def test_pinned_pairs_cover_three_knots_under_two_theories():
+    assert sorted(PINNED_PAIRS) == sorted(
+        (name, sel) for name in ("5_2", "7_1", "8_19")
+        for sel in ("bn", "alpha@0,t/f3"))
+
+
+@pytest.mark.parametrize("name,sel", sorted(PINNED_PAIRS))
+def test_elimination_order_is_pinned(name, sel):
+    # the order of the cancellations fixes the basis that elimination
+    # leaves, and so every printed coordinate: a change to the kernel may
+    # not reorder its pivots
+    redn = reduce_complex(build_complex(load_table()[name],
+                                        theory_from_selector(sel)))
+    assert [step[:3] for step in _record(redn)] == PINNED_PAIRS[(name, sel)]
+
+
 def _same_reduction(a, b):
     assert a.red.gens == b.red.gens
     assert a.red.qdeg == b.red.qdeg
@@ -563,6 +604,134 @@ def test_generator_cycles_are_replayed_once():
     assert not maps_equal_on_homology(scale_map(th.s, one), one, hd, hd)
     assert len(replays) == n_gens
     assert {r: hd.gen_cycles_original(r) for r in hd.degrees()} == kept
+
+
+def _compared_maps(th, cx):
+    """Pairs of maps on the cube of a knot that the verify suites compare,
+    and negative controls: dots on the two under-edges of each crossing
+    against s, and a dot on one of them alone; stars at two edges, and a
+    star against its negative; a splitting saddle and its reverse against
+    the star; the identity against zero."""
+    one = identity_map(cx)
+    s_id = scale_map(th.s, one)
+    pairs = []
+    for c in range(len(cx.diagram.crossings)):
+        p, q = cx.diagram.under_edges(c)
+        dot_p = decoration_chain_map(th, cx, "dot", p)
+        pairs.append((add_maps(dot_p, decoration_chain_map(th, cx, "dot", q)),
+                      s_id))
+        pairs.append((dot_p, s_id))
+    edges = sorted(cx.diagram.edges)
+    star = decoration_chain_map(th, cx, "star", edges[0])
+    pairs.append((star, decoration_chain_map(th, cx, "star", edges[-1])))
+    pairs.append((star, scale_map(th.ring.from_int(-1), star)))
+    new, info, inverse = apply_move(cx.diagram, Move("saddle", (edges[0],) * 2))
+    cx2 = build_complex(new, th)
+    pairs.append((compose(saddle_chain_map(th, cx2, cx, inverse),
+                          saddle_chain_map(th, cx, cx2, info)), star))
+    pairs.append((one, zero_map(cx, cx)))
+    return pairs
+
+
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
+def test_one_pass_comparison_agrees_with_two_matrices(sel):
+    # maps_equal_on_homology pushes f - g, and f + g up to sign, through
+    # homology once; comparing the two induced matrices is its oracle
+    th = theory_from_selector(sel)
+    table = load_table()
+    names = [n for n in sorted(table) if len(table[n].crossings) <= 6]
+    assert len(names) == 7
+    seen = set()
+    for name in names:
+        cx = build_complex(table[name], th)
+        hd = HomologyData(cx)
+        for f, g in _compared_maps(th, cx):
+            for sign in (False, True):
+                want = induced_maps_equal(induced_map(f, hd, hd),
+                                          induced_map(g, hd, hd), hd, sign)
+                assert maps_equal_on_homology(f, g, hd, hd, sign) == want, (
+                    name, f.name, g.name, sign)
+                seen.add((sign, want))
+        # a dot on one under-edge is not s; under F3 a star is its own
+        # negative only up to sign
+        p, _ = cx.diagram.under_edges(0)
+        dot_p = decoration_chain_map(th, cx, "dot", p)
+        one = identity_map(cx)
+        assert not maps_equal_on_homology(dot_p, scale_map(th.s, one), hd, hd,
+                                          up_to_sign=True)
+        if th.ring.char == 3:
+            star = decoration_chain_map(th, cx, "star", 1)
+            minus = scale_map(th.ring.from_int(-1), star)
+            assert maps_equal_on_homology(star, minus, hd, hd,
+                                          up_to_sign=True)
+            assert not maps_equal_on_homology(star, minus, hd, hd)
+    assert seen == {(False, True), (False, False), (True, True),
+                    (True, False)}
+
+
+def _random_payload(R, rng):
+    """A nonzero element of F[t] with one or two terms."""
+    F = R.base
+    out = R.zero
+    while R.is_zero(out):
+        for _ in range(rng.randint(1, 2)):
+            c = F.from_int(rng.randrange(1, F.char))
+            out = R.add(out, R.monomial(c, rng.randrange(3)))
+    return out
+
+
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
+def test_projection_columns_sum_to_the_replay(sel):
+    # proj keeps each generator's projection column and sums them; on
+    # random sparse vectors in every degree that equals the replay of the
+    # whole vector, reindexed to the reduced complex, both the first
+    # time a generator is reached and once its column is kept
+    th = theory_from_selector(sel)
+    cx = build_complex(load_table()["7_1"], th)
+    record = reduce_complex(cx).proj.act.__self__
+    R = th.ring
+    rng = random.Random(7)
+    for r in cx.degrees:
+        n = cx.rank(r)
+        reduced = {i: j for j, i in enumerate(record.keep[r])}
+        assert len(reduced) < n
+        for _ in range(30):
+            vec = {i: _random_payload(R, rng)
+                   for i in rng.sample(range(n), min(n, rng.randint(1, 8)))}
+            want = {reduced[i]: v for i, v in record._project(r, vec).items()}
+            assert record.proj(r, vec) == want
+            assert record.proj(r, vec) == want
+        assert record._proj_cols[r]
+
+
+def test_kept_projection_columns_are_left_as_they_were():
+    # the projection columns are shared by every vector that reaches
+    # their generator: no induced map, and no caller that changes the
+    # vectors it is handed, may change one
+    th = theory_from_selector("bn")
+    cx = build_complex(load_table()["4_1"], th)
+    hd = HomologyData(cx)
+    one = identity_map(cx)
+    p, q = cx.diagram.under_edges(0)
+    dot_p = decoration_chain_map(th, cx, "dot", p)
+    dot_q = decoration_chain_map(th, cx, "dot", q)
+    induced_map(add_maps(dot_p, dot_q), hd, hd)
+    record = hd.redn.proj.act.__self__
+    kept = deepcopy(record._proj_cols)
+    assert sum(map(len, kept.values()))
+    assert maps_equal_on_homology(add_maps(dot_p, dot_q),
+                                  scale_map(th.s, one), hd, hd)
+    assert not maps_equal_on_homology(dot_p, one, hd, hd)
+    induced_map(compose(dot_p, dot_q), hd, hd)
+    for r in hd.degrees():
+        for z in hd.gen_cycles_original(r):
+            w = hd.to_work_coords(r, dot_p.apply(r, z))
+            for j in w:
+                w[j] = th.s
+            w.clear()
+    for r, cols in kept.items():
+        for i, col in cols.items():
+            assert record._proj_cols[r][i] == col, (r, i)
 
 
 def test_summary_formatting():
