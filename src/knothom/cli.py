@@ -71,7 +71,7 @@ def _load_diagram_arg(text):
     if "[" in text:
         try:
             return parse_pd(text), None
-        except Exception as e:
+        except ValueError as e:
             raise InputError("bad PD code: %s" % e)
     table = _table()
     if text in table:
@@ -112,7 +112,7 @@ def cmd_homology(selector, pd, name, input_, output):
             raise InputError("empty PD code")
         try:
             diagram = parse_pd(pd)
-        except Exception as e:
+        except ValueError as e:
             raise InputError("bad PD code: %s" % e)
         label = None
     elif name is not None:
@@ -125,7 +125,7 @@ def cmd_homology(selector, pd, name, input_, output):
             raise InputError(str(e))
         try:
             diagram = parse_pd(text)
-        except Exception as e:
+        except ValueError as e:
             raise InputError("bad PD code in %s: %s" % (input_, e))
         label = os.path.basename(input_)
 

@@ -21,19 +21,20 @@ of the bigon (a strand whose join meets itself closes into a free
 loop), and ``r3`` moves each triangle edge past its neighbours within
 the slots it occupies.
 
-Chain maps are evaluated on the vectors they are applied to: the
-elementary builders give the image of one generator, a decoration reads
-a whole vector entry by entry, and a movie's composite pushes a vector
-through its moves one after another.  Labels are carried between
-resolutions as along the cube's edges, by ``persisting`` and
-``CubeComplex.carry`` (see ``complexes``).  A
-birth's unit and a death's counit are one map (``_unit_counit_map``):
-they differ only in whether the circle of their edge is in the source.
-That map and the saddle and decoration maps work out what depends only
-on a state (its label table, the block of its generators in
-``CubeComplex.state_block``) once per state, the first time one of its
-labels is mapped, and what depends on neither state nor label (a
-decoration's products) once per map.
+Chain maps are evaluated on the vectors they are applied to.  A birth,
+death, saddle or decoration is one label table per state, read by the
+one kernel ``complexes.table_map`` entry by entry off the whole vector
+it is applied to; each builder here only says what its table is, and
+works it out once per state, the first time one of the state's labels
+is mapped.  Labels are carried between resolutions as along the cube's
+edges, by ``persisting`` and ``CubeComplex.carry``, and a saddle's band
+is the cube edge's rule, ``band_plan`` (see ``complexes``).  A birth's
+unit and a death's counit are one map (``_unit_counit_map``): they
+differ only in whether the circle of their edge is in the source.  A
+decoration's table depends only on the circle count and the decorated
+circle's position, so the states and maps of one complex share it
+(``CubeComplex.decorations``).  A movie's composite pushes a vector
+through its moves one after another.
 
 An r1 or r2 move cancels the local pairs of its kink or bigon in the
 bigger complex, leaving the smaller diagram's complex up to a checked
@@ -71,9 +72,9 @@ from functools import cache
 
 from .diagram import (LinkDiagram, faces, is_planar, parse_pd,
                       unknot_diagram)
-from .complexes import (ChainMap, build_complex, compose, add_maps,
-                        generator_map, identity_map, persisting, scale_map,
-                        zero_map)
+from .complexes import (ChainMap, band_plan, build_complex, compose,
+                        add_maps, identity_map, persisting, scale_map,
+                        table_map, zero_map)
 from .homology import (HomologyData, Reduction, _Cancellations,
                        maps_equal_on_homology)
 
@@ -419,104 +420,72 @@ def _r3_chain_map(theory, cx_src, cx_tgt, info):
 def _unit_counit_map(theory, cx_src, cx_tgt, info):
     """A birth's unit or a death's counit on the circle of
     ``info["edge"]``: every other circle keeps its label, a born circle
-    gets the label 1, and a dying one sends its label 1 to zero.  The
-    circle position (None for a birth, whose edge is not in the source),
-    label table and target block of each state are worked out once per
-    state."""
+    gets the label 1, and a dying one sends its label 1 to zero.  A
+    state's table carries the persisting circles' labels with payload
+    one, and has no row where the counit kills the label."""
     e = info["edge"]
-    one = theory.ring.one
+    live = ((0, theory.ring.one),)
 
     @cache
     def plan(s):
         rs = cx_src.diagram.resolve(s)
-        match = persisting(rs, cx_tgt.diagram.resolve(s))
-        return (rs.index.get(e), cx_tgt.state_block[s][1],
-                cx_tgt.carry(match, len(rs)))
-
-    def image(r, i):
-        s, L = cx_src.gens[r][i]
-        j, toff, base = plan(s)
-        if j is not None and not L >> j & 1:
-            return None             # counit sends the 1-label to zero
-        return {toff + base[L]: one}
-    return generator_map(cx_src, cx_tgt, image, 0, 1, info["kind"])
+        j = rs.index.get(e)         # None for a birth
+        base = cx_tgt.carry(persisting(rs, cx_tgt.diagram.resolve(s)),
+                            len(rs))
+        return cx_tgt.state_block[s][1], base, [
+            () if j is not None and not L >> j & 1 else live
+            for L in range(len(base))]
+    return table_map(cx_src, cx_tgt, plan, 0, 1, info["kind"])
 
 
 def decoration_chain_map(theory, cx, kind, edge):
     """Multiplication by the decoration's element on the circle through
-    ``edge``, label by label.  The two products elem * 1 and elem * X
-    (``Theory.act_basis``) are worked out once per map, and the position
-    of the circle and the state's block in ``cx.state_block`` once per
-    state; the map reads them entry by entry off the whole vector it is
-    applied to, building no image per generator."""
+    ``edge``, label by label.  The circle's position j is left out of
+    ``carry`` and its label's products elem * 1 and elem * X
+    (``Theory.act_basis``) fill the rows.  The table depends only on the
+    circle count and j, so it is built once per (kind, count, j) and
+    kept in ``cx.decorations`` for every state and map that reads it."""
     R = theory.ring
-    add, mul, is_zero = R.add, R.mul, R.is_zero
     elem = theory.decoration_element(kind)
     # acts[b]: the nonzero components (comp, coeff) of elem * basis[b]
     acts = tuple(tuple((comp, c)
                        for comp, c in enumerate(theory.act_basis(elem, b))
                        if not R.is_zero(c))
                  for b in (0, 1))
+    tables = cx.decorations
 
     @cache
     def plan(s):
-        return cx.state_block[s][1], cx.diagram.locate(s, edge)
-
-    def act(r, vec):
-        gens = cx.gens[r]
-        out = {}
-        for i, a in vec.items():
-            s, L = gens[i]
-            off, j = plan(s)
-            base = off + (L & ~(1 << j))
-            for comp, c in acts[L >> j & 1]:
-                k = base + (comp << j)
-                old = out.get(k)
-                if old is None:
-                    # c and a are nonzero, and every ring is a domain
-                    out[k] = mul(c, a)
-                    continue
-                v = add(old, mul(c, a))
-                if is_zero(v):
-                    del out[k]
-                else:
-                    out[k] = v
-        return out
-    return ChainMap(cx, cx, act, 0, -2, kind)
+        _, off, c = cx.state_block[s]
+        j = cx.diagram.locate(s, edge)
+        table = tables.get((kind, c, j))
+        if table is None:
+            rows = [tuple((comp << j, coeff) for comp, coeff in row)
+                    for row in acts]
+            table = tables[kind, c, j] = (
+                cx.carry(tuple(None if k == j else k for k in range(c)), c),
+                [rows[L >> j & 1] for L in range(1 << c)])
+        return (off,) + table
+    return table_map(cx, cx, plan, 0, -2, kind)
 
 
 def saddle_chain_map(theory, cx_src, cx_tgt, info):
     """Per-state merge or split along the band of a saddle move, whose
     ends are the source edges ``info["ends"][0]`` and the target edges
-    ``info["ends"][1]``.  Each state's band, a plan shaped as ``edge_plan``
-    returns it, and its label table (``CubeComplex._shape`` without a
-    sign) are worked out once, the first time one of the state's labels
-    is mapped; a band that neither merges nor splits is a MoveError."""
+    ``info["ends"][1]``: each state's ``band_plan`` and its label table
+    (``CubeComplex._shape`` without a sign).  A band that neither merges
+    nor splits is a MoveError."""
     Ds, Dt = cx_src.diagram, cx_tgt.diagram
-    (a, b), (ta, tb) = info["ends"]
 
     @cache
     def plan(s):
-        rs = Ds.resolve(s)
-        rt = Dt.resolve(s)
-        ia, ib = rs.index[a], rs.index[b]
-        ja, jb = rt.index[ta], rt.index[tb]
-        match = persisting(rs, rt, (ia, ib))
-        if ia != ib:
-            if ja != jb or len(rt) != len(rs) - 1:
-                raise MoveError("band joining two circles must merge them")
-            band = ("merge", ia, ib, ja, match)
-        else:
-            if ja == jb or len(rt) != len(rs) + 1:
-                raise MoveError("band on one circle must split it")
-            band = ("split", ia, ja, jb, match)
+        rs, rt = Ds.resolve(s), Dt.resolve(s)
+        try:
+            band = band_plan(rs, rt, *info["ends"])
+        except ValueError as e:
+            raise MoveError(str(e)) from e
         return (cx_tgt.state_block[s][1],) + cx_tgt._shape(band, 0)
-
-    def image(r, i):
-        s, L = cx_src.gens[r][i]
-        toff, base, rows = plan(s)
-        return {toff + base[L] + bits: v for bits, v in rows[L]}
-    return generator_map(cx_src, cx_tgt, image, 0, -1, "saddle")
+    return table_map(cx_src, cx_tgt, plan, 0, -1, "saddle")
 
 
 # -- r1/r2 maps read off the bigger cube ---------------------------------
@@ -968,7 +937,7 @@ def parse_movie(text, name=""):
             else:
                 try:
                     initial = parse_pd(rest)
-                except Exception as e:
+                except ValueError as e:
                     raise MovieError(str(e), no)
             continue
         parts = line.split()

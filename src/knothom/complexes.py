@@ -32,31 +32,32 @@ unmatched, its least edge being new or on a circle in ``skip``.
 source labelling.  The cube's edges and the birth, death, saddle and
 r1/r2 maps of ``cobordism`` read their labels off these two.
 
-The differential is built from edge shapes.  An edge's plan
-(``edge_plan``: which circles merge or split, and the match of the
-others) and its sign make its shape; edges out of different states
-share it wherever their circles line up alike, as most do (on the cube
-of 8_19 under bn, 1,024 edges have 63 shapes).  Each shape's label
-table is built once: the ``carry`` table of its match, and for every
-source labelling the (bits, payload) pairs that its labels on the
-merging or splitting circles give under the theory's ``mul_basis`` and
-``comul_basis``.  An edge then writes its target block's offset plus
-the table's labels, and a state whose target generators are all
-dropped is not visited through that edge.  Distinct edges out of one
-generator reach distinct states, so every entry is assigned once and
-nothing is accumulated.  A saddle's band is a plan too, and its map
-reads the same table without a sign.
+The differential is built from edge shapes.  An edge's plan is the
+``band_plan`` at its crossing's edges a and c on both sides
+(``edge_plan``): which circles merge or split, and the ``persisting``
+match of the others.  Its plan and sign make its shape; edges out of
+different states share it wherever their circles line up alike, as most
+do (on the cube of 8_19 under bn, 1,024 edges have 63 shapes).  Each
+shape's label table is built once: the ``carry`` table of its match,
+and for every source labelling the (bits, payload) pairs that its
+labels on the merging or splitting circles give under the theory's
+``mul_basis`` and ``comul_basis``.  An edge then writes its target
+block's offset plus the table's labels, and a state whose target
+generators are all dropped is not visited through that edge.  Distinct
+edges out of one generator reach distinct states, so every entry is
+assigned once and nothing is accumulated.
 
 ``CubeComplex.gen_index`` is the lookup of a generator (state, labels):
-the state's block offset in ``state_block`` plus the labels.  The
-elementary maps of ``cobordism`` read that offset once per state, with
-the rest of the state's plan; its r1/r2 pair halves read the cancelling
-edge's ``edge_plan`` the same way.
+the state's block offset in ``state_block`` plus the labels.
 
-Chain maps are evaluated on the sparse vectors they are applied to: an
-elementary map gives the image of one generator, and sums, multiples and
-composites act on whole vectors.  A map's matrix is built on demand,
-from the generator images, only where a check asks for it.
+Chain maps are evaluated on the sparse vectors they are applied to.
+Every local map on the cube (a saddle, birth, death or decoration of
+``cobordism``) is a label table per state in an edge shape's layout,
+read entry by entry off a whole vector by one kernel, ``table_map``; a
+saddle's table is its ``band_plan``'s shape without a sign.  Sums,
+multiples and composites act on whole vectors too.  A map's matrix is
+built on demand, from the generator images, only where a check asks
+for it.
 """
 
 from dataclasses import dataclass, field
@@ -240,6 +241,31 @@ def persisting(rs, rt, skip=()):
     return tuple(match)
 
 
+def band_plan(rs, rt, ends, tends):
+    """The band from smoothing ``rs`` to ``rt`` whose ends are the source
+    edges ``ends`` and the target edges ``tends``: ('merge', ia, ib, it,
+    match) where the ends lie on two source circles, which must become
+    one, or ('split', ia, it1, it2, match) where they lie on one, which
+    must become two.  match[j] is the source circle persisting as target
+    circle j, None at the merged or split positions.  A band that does
+    not change the circle count as it must raises ValueError."""
+    a, b = ends
+    ta, tb = tends
+    ia, ib = rs.index[a], rs.index[b]
+    ja, jb = rt.index[ta], rt.index[tb]
+    # a target circle off the band is a source circle whole, so its least
+    # edge names it; the merged or split circles hold only edges of
+    # circles ia and ib
+    match = persisting(rs, rt, (ia, ib))
+    if ia != ib:
+        if ja != jb or len(match) != len(rs.circles) - 1:
+            raise ValueError("band joining two circles must merge them")
+        return "merge", ia, ib, ja, match
+    if ja == jb or len(match) != len(rs.circles) + 1:
+        raise ValueError("band on one circle must split it")
+    return "split", ia, ja, jb, match
+
+
 class CubeComplex(ChainComplex):
     """The cube of resolutions of a diagram, with its local structure."""
 
@@ -274,6 +300,10 @@ class CubeComplex(ChainComplex):
         self._signed = {}
         self._carries = {}  # (match, source circle count) -> target bits
         self._shapes = {}   # (plan, sign) -> label table
+        # decoration tables of this complex, filled by
+        # cobordism.decoration_chain_map: {(kind, circle count, decorated
+        # circle): (carry table, rows)}
+        self.decorations = {}
         # r1/r2 move read-offs of this complex, filled by
         # cobordism._reidemeister_reduction: {(smaller complex, frozenset
         # of the crossings the move removes): (record, fwd, bwd)}
@@ -285,35 +315,16 @@ class CubeComplex(ChainComplex):
         return r, off + labels
 
     def edge_plan(self, s, i):
-        """Local structure of the cube edge flipping crossing i at state s.
-
-        Returns ('merge', ia, ib, it, match) or ('split', ia, it1, it2,
-        match) where match[j] is the source circle persisting as target
-        circle j (None at the merged/split positions).
-        """
+        """The ``band_plan`` of the cube edge flipping crossing i at state
+        s, a band whose ends are the crossing's edges a and c on both
+        sides: after a split, c lies on the circle of b."""
         key = (s, i)
-        if key in self._plans:
-            return self._plans[key]
-        D = self.diagram
-        rs, rt = D.resolve(s), D.resolve(s | 1 << i)
-        a, b, c, d = D.crossings[i]
-        ia, ic = rs.index[a], rs.index[c]
-        # a target circle off the surgery is a source circle whole, so
-        # its least edge names it; the merged or split circles hold only
-        # edges of circles ia and ic
-        match = persisting(rs, rt, (ia, ic))
-        if ia != ic:
-            it = rt.index[a]
-            if rt.index[c] != it:
-                raise ValueError("smoothing change at crossing %d must merge "
-                                 "its two circles" % i)
-            plan = ("merge", ia, ic, it, match)
-        else:
-            it1, it2 = rt.index[a], rt.index[b]
-            if it1 == it2:
-                raise ValueError("planar smoothing change must split here")
-            plan = ("split", ia, it1, it2, match)
-        self._plans[key] = plan
+        plan = self._plans.get(key)
+        if plan is None:
+            D = self.diagram
+            a, _, c, _ = D.crossings[i]
+            plan = self._plans[key] = band_plan(
+                D.resolve(s), D.resolve(s | 1 << i), (a, c), (a, c))
         return plan
 
     def _signed_images(self, negate):
@@ -355,8 +366,8 @@ class CubeComplex(ChainComplex):
         return base
 
     def _shape(self, plan, sign):
-        """The label table of an edge shape, a ``plan`` of ``edge_plan``
-        with its cube sign (1 for minus), as two lists over the source
+        """The label table of an edge shape, a ``band_plan`` with its
+        cube sign (1 for minus), as two lists over the source
         labels L: ``base[L]`` of ``carry``, the target bits of L's
         persisting circles, and ``rows[L]``, the (bits, payload) pairs
         that L's labels on the merging or splitting circles give.  The
@@ -445,9 +456,8 @@ class ChainMap:
     r to a new sparse vector of target degree r + r_shift; it is the map's
     only representation.  ``block(r)``, the matrix out of degree r as
     {src: {tgt: payload}}, is built from the images of the generators the
-    first time it is asked for and then kept; a map made from a matrix
-    starts with it.  ``q_shift`` records the declared quantum degree when
-    known (None otherwise).
+    first time it is asked for and then kept.  ``q_shift`` records the
+    declared quantum degree when known (None otherwise).
     """
 
     source: ChainComplex
@@ -490,21 +500,36 @@ class ChainMap:
         return True
 
 
-def generator_map(source, target, image, r_shift=0, q_shift=None, name=""):
-    """The map sending generator i of source degree r to ``image(r, i)``,
-    a sparse column of the target (or None for zero)."""
+def table_map(source, target, plan, r_shift=0, q_shift=None, name=""):
+    """The local map whose per-state label table ``plan(s)`` gives as
+    (toff, base, rows), the layout of an edge's shape: the image of
+    generator (s, L) is the sum of c at target index toff + base[L] +
+    bits, for (bits, c) in rows[L].  The map reads a whole vector entry
+    by entry, building no image per generator."""
     R = source.ring
-    return ChainMap(source, target,
-                    lambda r, vec: mat_vec(R, lambda i: image(r, i), vec),
-                    r_shift, q_shift, name)
+    add, mul, is_zero = R.add, R.mul, R.is_zero
 
-
-def matrix_map(source, target, blocks, r_shift=0, q_shift=None, name=""):
-    """The map with the given per-degree matrix blocks, which it keeps."""
-    f = generator_map(source, target, lambda r, i: blocks.get(r, {}).get(i),
-                      r_shift, q_shift, name)
-    f._blocks = {r: blocks.get(r, {}) for r in source.degrees}
-    return f
+    def act(r, vec):
+        gens = source.gens[r]
+        out = {}
+        for i, a in vec.items():
+            s, L = gens[i]
+            toff, base, rows = plan(s)
+            tb = toff + base[L]
+            for bits, c in rows[L]:
+                k = tb + bits
+                old = out.get(k)
+                if old is None:
+                    # c and a are nonzero, and every ring is a domain
+                    out[k] = mul(c, a)
+                    continue
+                v = add(old, mul(c, a))
+                if is_zero(v):
+                    del out[k]
+                else:
+                    out[k] = v
+        return out
+    return ChainMap(source, target, act, r_shift, q_shift, name)
 
 
 def identity_map(cx):

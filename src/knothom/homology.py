@@ -56,8 +56,8 @@ from functools import partial
 import heapq
 
 from .rings import PolyRing
-from .complexes import (ChainComplex, ChainMap, axpy, matrix_map, mat_eq,
-                        mat_add, mat_vec, compose, add_maps, identity_map)
+from .complexes import (ChainComplex, ChainMap, axpy, mat_eq, mat_add,
+                        mat_vec, compose, add_maps, identity_map)
 
 
 # -- elimination of unit differential entries ----------------------------
@@ -212,7 +212,9 @@ class _Cancellations:
 
 
 def _diff_as_map(cx):
-    return matrix_map(cx, cx, {r: cx.d(r) for r in cx.degrees}, 1, 0, "d")
+    R = cx.ring
+    return ChainMap(cx, cx, lambda r, vec: mat_vec(R, cx.d(r).get, vec),
+                    1, 0, "d")
 
 
 class _Blocks:

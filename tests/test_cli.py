@@ -409,6 +409,22 @@ def test_an_uncaught_exception_is_an_internal_error(monkeypatch):
     assert "free summands" not in res.stdout
 
 
+@pytest.mark.parametrize("error, code", [(RuntimeError, 3), (ValueError, 2)])
+def test_a_parser_defect_exits_3_and_bad_input_exits_2(error, code,
+                                                       monkeypatch):
+    # the parser reports bad input as a ValueError, exit 2; any other
+    # exception inside it is a defect, exit 3 with its traceback
+    from knothom import cli
+
+    def parse(text):
+        raise error("parser failure")
+
+    monkeypatch.setattr(cli, "parse_pd", parse)
+    res = run("homology", "--pd", LEFT_TREFOIL)
+    assert res.exit_code == code, res.output
+    assert ("Traceback" in res.stderr) == (code == 3)
+
+
 def test_verify_group_without_homology_is_all_error(monkeypatch):
     # when the shared homology of a group fails, every instance of the
     # group is an ERROR

@@ -32,7 +32,7 @@ from knothom.cobordism import (Move, MoveError, MovieError, apply_move,
                                _inverse_info, _merge_pairs,
                                _move_pairs, _read_off, _reidemeister_map,
                                _reidemeister_reduction, _split_pairs)
-from knothom import cobordism
+from knothom import complexes
 from knothom.cli import SYMMETRY_MOVIES, main
 from knothom.jones import jones_polynomial
 from knothom.tables import load_table, braid_pd
@@ -477,6 +477,22 @@ def test_relabeling_rejects_a_tampered_small_differential(tamper):
     else:
         del col[t]
     with pytest.raises(MoveError, match="differs from the small diagram"):
+        _read_off(cx_big, cx_small, pairs, fixed, forced)
+
+
+def test_read_off_rejects_a_small_complex_with_an_extra_generator():
+    # negative control for the last check: a generator appended to the
+    # small complex, with no differential entry, is hit by no survivor
+    th = theory_from_selector("bn")
+    small = load_table()["3_1"]
+    big, info, _ = apply_move(small, Move("r2+", (2, 5)))
+    cx_small, cx_big = build_complex(small, th), build_complex(big, th)
+    pairs, fixed, forced = _move_pairs(cx_big, info)
+    _read_off(cx_big, cx_small, pairs, fixed, forced)    # untampered: fine
+    r = cx_small.degrees[0]
+    cx_small.gens[r].append(cx_small.gens[r][0])
+    cx_small.qdeg[r].append(cx_small.qdeg[r][0])
+    with pytest.raises(MoveError, match="did not land on the small complex"):
         _read_off(cx_big, cx_small, pairs, fixed, forced)
 
 
@@ -1197,38 +1213,90 @@ def _saddle_reference(theory, cx_src, cx_tgt, info, r, i):
             for tl, c in plan_images(theory, plan, L)}
 
 
-def _every_image_matches(f, reference):
+def _every_image_matches(f, reference, rng):
+    """Each generator's image against ``reference``, then whole seeded
+    vectors: pairs of generators weighted so that their images cancel at
+    a shared target, among random others.  Each result must be the sum of
+    the references and store no zero payload.  Returns the number of
+    targets at which the references cancelled."""
     R = f.ring
+    cancelled = 0
     for r in f.source.degrees:
+        refs = []
         for i in range(f.source.rank(r)):
             want = reference(r, i)
             got = f.apply(r, {i: R.one})
             assert set(got) == set(want), (f.name, r, i)
             assert all(R.eq(got[t], v) for t, v in want.items()), (r, i)
+            refs.append(want)
+        hits = {}
+        for i, want in enumerate(refs):
+            for t in want:
+                hits.setdefault(t, []).append(i)
+        shared = sorted(t for t, srcs in hits.items() if len(srcs) > 1)
+        for _ in range(3):
+            vec = {i: R.mul(R.from_int(rng.choice((1, -1))),
+                            rng.choice((R.one, R.gen())))
+                   for i in rng.sample(range(len(refs)), min(4, len(refs)))}
+            if shared:
+                t = rng.choice(shared)
+                i, j = rng.sample(hits[t], 2)
+                vec[i], vec[j] = refs[j][t], R.neg(refs[i][t])
+            want, seen = {}, set()
+            for i, a in vec.items():
+                for t, c in refs[i].items():
+                    seen.add(t)
+                    want[t] = R.add(want.get(t, R.zero), R.mul(c, a))
+            want = {t: v for t, v in want.items() if not R.is_zero(v)}
+            cancelled += len(seen) - len(want)
+            got = f.apply(r, vec)
+            assert not any(R.is_zero(v) for v in got.values()), (f.name, r)
+            assert set(got) == set(want), (f.name, r, vec)
+            assert all(R.eq(got[t], v) for t, v in want.items()), (r, vec)
+    return cancelled
 
 
 @pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3", "alpha@t,-t/q"])
 @pytest.mark.parametrize("name", ["5_2", "6_2"])
 def test_elementary_images_match_per_generator_references(name, sel):
     th = theory_from_selector(sel)
+    rng = random.Random("%s %s" % (name, sel))
     d = load_table()[name]
     cx = build_complex(d, th)
     kinds = ["dot", "star"] + (["dot1", "dot2"] if th.alphas else [])
     edges = sorted(d.edges)
+    # where no two generators share a target, as under a scalar such as
+    # star under bn or a split under bn, nothing can cancel; so count the
+    # cancellations over all decorations, and over all saddles
+    cancelled = 0
     for kind in kinds:
         for e in (edges[0], edges[-1]):
-            _every_image_matches(
+            cancelled += _every_image_matches(
                 decoration_chain_map(th, cx, kind, e),
-                lambda r, i: _decoration_reference(th, cx, kind, e, r, i))
+                lambda r, i: _decoration_reference(th, cx, kind, e, r, i),
+                rng)
+    assert cancelled
+    cancelled = 0
     saddles = [Move("saddle", (edges[0], edges[0])),
                Move("saddle", (edges[0], edges[2]))]
     for mv in saddles:
         new, info, inverse = apply_move(d, mv)
         cx2 = build_complex(new, th)
         for src, tgt, rec in ((cx, cx2, info), (cx2, cx, inverse)):
-            _every_image_matches(
+            cancelled += _every_image_matches(
                 saddle_chain_map(th, src, tgt, rec),
-                lambda r, i: _saddle_reference(th, src, tgt, rec, r, i))
+                lambda r, i: _saddle_reference(th, src, tgt, rec, r, i),
+                rng)
+    assert cancelled
+    # a birth's unit and a death's counit are one-to-one on the labels
+    # they keep, so their vectors have nothing to cancel
+    new, info, inverse = apply_move(d, Move("birth"))
+    cx2 = build_complex(new, th)
+    for src, tgt, rec in ((cx, cx2, info), (cx2, cx, inverse)):
+        _every_image_matches(
+            move_chain_map(th, src, tgt, rec),
+            lambda r, i: _unit_counit_reference(th, src, tgt, rec, r, i),
+            rng)
 
 
 def _label_route_faults(sel):
@@ -1259,7 +1327,7 @@ def _label_route_faults(sel):
                     rs, rt = src.diagram.resolve(s), tgt.diagram.resolve(s)
                     skip = (tuple(rs.index[e] for e in info["ends"][0])
                             if kind == "saddle" else ())
-                    if (cobordism.persisting(rs, rt, skip)
+                    if (complexes.persisting(rs, rt, skip)
                             != circle_match(rs, rt, skip)):
                         faults.append(where + ("match", s))
                 for r in src.degrees:
@@ -1319,10 +1387,12 @@ def test_movie_maps_carry_labels_as_the_oracles_do(sel):
 
 def test_label_route_check_flags_a_broken_rule_or_table(monkeypatch):
     # negative controls: a least-edge rule that keeps the band's circles,
-    # and a table that drops source circle 0, must each be flagged
-    real_persisting, real_carry = cobordism.persisting, CubeComplex.carry
+    # and a table that drops source circle 0, must each be flagged; the
+    # rule is patched in ``complexes``, where ``band_plan`` reads it for
+    # the saddles and the cube's edges alike
+    real_persisting, real_carry = complexes.persisting, CubeComplex.carry
     with monkeypatch.context() as m:
-        m.setattr(cobordism, "persisting",
+        m.setattr(complexes, "persisting",
                   lambda rs, rt, skip=(): real_persisting(rs, rt))
         faults = _label_route_faults("bn")
         assert any(f[3] == "match" for f in faults)
