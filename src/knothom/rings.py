@@ -30,10 +30,11 @@ matrix columns, a theory's structure constants, ``one`` and ``zero``
 themselves).  ``PolyRing`` relies on this to skip work whose result is
 known: ``mul`` hands back the other factor when one factor is one,
 ``add`` the other summand when one summand is zero, and ``neg`` its
-argument in characteristic 2.  Code that wants to build a payload by
-changing it must first copy it (``dict(a)``), as ``add`` and ``divmod``
-do; vectors and columns, the dicts that hold payloads, are containers
-and may be changed by whoever owns them.
+argument in characteristic 2; ``Rationals.mul`` skips a factor of one
+too.  Code that wants to build a payload by changing it must first copy
+it (``dict(a)``), as ``add`` and ``divmod`` do; vectors and columns, the
+dicts that hold payloads, are containers and may be changed by whoever
+owns them.
 
 Polynomial generators carry weight 1 per exponent; ``exponent()`` reports
 the total generator exponent of a homogeneous element, which callers turn
@@ -125,6 +126,14 @@ class Rationals(_Numbers):
 
     def from_int(self, n):
         return Fraction(n)
+
+    def mul(self, a, b):
+        # a Fraction product pays for a gcd; a factor of one needs none
+        if a == 1:
+            return b
+        if b == 1:
+            return a
+        return a * b
 
     def is_unit(self, a):
         return a != 0

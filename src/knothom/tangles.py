@@ -51,6 +51,17 @@ Its boundary is the set of edges that occur once among them.
 * **End.**  Once the boundary is empty every entry is a scalar.  The
   result shifts r by -n_minus and q by n_plus - 2 n_minus, as the cube
   does.
+* **Caches.**  Those keyed on matching ids live for one step, since a
+  matching lies on one boundary: the cycles of two matchings, the
+  smoothings, and the composition and extension plans.  Those keyed on
+  surfaces alone live for the whole scan: ``glue`` by its arguments,
+  ``value`` by plan and dot mask, and the unit extensions by extension
+  plan and dot mask.
+* **Sharing.**  Where no coefficient changes it, ``compose`` hands back
+  a kept value or one of its arguments, and ``extend`` a kept unit
+  extension, instead of a copy.  So the morphisms stored in the complex
+  are shared values that nothing changes in place, the rule ``rings``
+  sets for payloads: a fill-in writes its sum into a new dict.
 """
 
 from heapq import heapify, heappop, heappush
@@ -89,9 +100,11 @@ class _Scan:
     current complex as ``objs`` {id: (matching, q, r)}, ``out`` {id:
     {target: morphism}} and ``inn`` {id: set of sources}.
 
-    Caches keyed on matching ids live for one step (``add_crossing``);
-    glued surfaces and their values key on the plan itself and serve the
-    whole scan."""
+    ``_cycles``, ``_smoothings``, ``_compositions`` and ``_extensions``
+    are keyed on matching ids and live for one step (``add_crossing``).
+    ``_glued``, ``_values``, ``_surfaces`` and ``_unit_extensions`` are
+    keyed on surfaces and serve the whole scan.  Stored morphisms may be
+    kept values, so nothing changes one in place."""
 
     def __init__(self, theory):
         self.theory = theory
@@ -99,13 +112,12 @@ class _Scan:
         self.minus_s = R.neg(theory.s)
         self.partners = []      # matching id -> {point: partner point}
         self.matching_ids = {}  # sorted tuple of pairs -> matching id
-        self._values = {}
-        self._surfaces = {}
+        self._glued, self._values, self._surfaces = {}, {}, {}
+        self._unit_extensions = {}
         # per crossing: its record and the caches keyed on its matchings
         self.step = None
         self._cycles, self._first_new = {}, 0
-        self._compositions = self._smoothings = None
-        self._extensions = self._unit_extensions = None
+        self._compositions = self._smoothings = self._extensions = None
 
     # -- matchings and their cycles ----------------------------------
 
@@ -153,7 +165,13 @@ class _Scan:
         along a circle, and boundary cycle j lies on piece outs[j].
         The plan is a tuple of (piece mask, boundary cycles, genus), one
         per component by least piece, cycles ascending; equal surfaces
-        get equal plans, so a plan is its own cache key."""
+        get equal plans, so a plan is its own cache key.  Kept for the
+        scan, so equal arguments get the same plan; a failure is not
+        kept."""
+        key = (npieces, tuple(seams), tuple(discs), tuple(outs))
+        hit = self._glued.get(key)
+        if hit is not None:
+            return hit
         parent = list(range(npieces))
 
         def find(a):
@@ -176,7 +194,8 @@ class _Scan:
             if twice_genus < 0 or twice_genus % 2:
                 raise ValueError("glued surface has no genus")
             plan.append((pieces, tuple(cycles), twice_genus // 2))
-        return tuple(plan)
+        hit = self._glued[key] = tuple(plan)
+        return hit
 
     def surface(self, k, d, g):
         """Delta^(k)(X^d (2X - s)^g) as [(mask of dotted cycles, coeff)],
@@ -211,7 +230,10 @@ class _Scan:
     def value(self, plan, dots):
         """The surface of ``plan`` with one dot on each piece in the
         mask ``dots``, as {mask of dotted boundary cycles: coeff}."""
-        hit = self._values.get((plan, dots))
+        kept = self._values.get(plan)
+        if kept is None:
+            kept = self._values[plan] = {}
+        hit = kept.get(dots)
         if hit is None:
             mul = self.ring.mul
             hit = {0: self.ring.one}
@@ -226,11 +248,23 @@ class _Scan:
                     terms.append((mask, c))
                 hit = {m | mask: mul(v, c)
                        for m, v in hit.items() for mask, c in terms}
-            self._values[(plan, dots)] = hit
+            kept[dots] = hit
         return hit
 
     def compose(self, g, f, m1, m2, m3):
         """g o f for morphisms f: m1 -> m2 and g: m2 -> m3."""
+        R = self.ring
+        # a multiple of the identity needs no gluing
+        if m1 == m2 and len(f) == 1 and 0 in f:
+            c, h = f[0], g
+        elif m2 == m3 and len(g) == 1 and 0 in g:
+            c, h = g[0], f
+        else:
+            c = None
+        if c is not None:
+            if c == R.one:
+                return h
+            return {m: R.mul(c, v) for m, v in h.items()}
         plan = self._compositions.get((m1, m2, m3))
         if plan is None:
             ia, fa = self.cycles(m1, m2)
@@ -239,10 +273,16 @@ class _Scan:
             seams = [(ia[a], n + ib[a])
                      for a, b in self.partners[m2].items() if a < b]
             outs = [ia[p] for p in self.cycles(m1, m3)[1]]
+            glued = self.glue(n + len(fb), seams, [], outs)
             plan = self._compositions[(m1, m2, m3)] = (
-                self.glue(n + len(fb), seams, [], outs), n)
-        glued, n = plan
-        R = self.ring
+                glued, n, self._values.setdefault(glued, {}))
+        glued, n, kept = plan
+        if len(f) == 1 and len(g) == 1:
+            (fm, fc), = f.items()
+            (gm, gc), = g.items()
+            if R.mul(fc, gc) == R.one:
+                hit = kept.get(fm | gm << n)
+                return self.value(glued, fm | gm << n) if hit is None else hit
         acc = {}
         for fm, fc in f.items():
             for gm, gc in g.items():
@@ -295,7 +335,7 @@ class _Scan:
         """Plan of phi u (strips of sigma, or the saddle from sigma to
         tau) for phi: ma -> mb, with the loops of both ends delooped:
         (glued plan, first cup piece, first cap piece, loops at the source,
-        loops at the target)."""
+        loops at the target, the kept unit extensions of this plan)."""
         key = (ma, mb, sigma, tau)
         hit = self._extensions.get(key)
         if hit is None:
@@ -318,9 +358,12 @@ class _Scan:
                      + [(caps + i, piece[k]) for i, k in enumerate(loops_b)])
             outs = [index[p] if p in index else piece[fresh[p]]
                     for p in self.cycles(na, nb)[1]]
-            hit = self._extensions[key] = (
-                self.glue(caps + len(loops_b), seams, discs, outs), cups,
-                caps, len(loops_a), len(loops_b))
+            plan = (self.glue(caps + len(loops_b), seams, discs, outs), cups,
+                    caps, len(loops_a), len(loops_b))
+            kept = self._unit_extensions.get(plan)
+            if kept is None:
+                kept = self._unit_extensions[plan] = {}
+            hit = self._extensions[key] = plan + (kept,)
         return hit
 
     def _cap_terms(self, nloops, labels):
@@ -340,10 +383,9 @@ class _Scan:
         """{(source labels, target labels): morphism} of the basis
         morphism with dot mask fm, extended by ``plan``; kept, so callers
         must not change it."""
-        key = (plan, fm)
-        hit = self._unit_extensions.get(key)
+        glued, cups, caps, la, lb, kept = plan
+        hit = kept.get(fm)
         if hit is None:
-            glued, cups, caps, la, lb = plan
             R = self.ring
             hit = {}
             for lt in range(1 << lb):
@@ -355,13 +397,17 @@ class _Scan:
                             glued, fm | ls << cups | capd << caps))
                     if acc:
                         hit[(ls, lt)] = acc
-            self._unit_extensions[key] = hit
+            kept[fm] = hit
         return hit
 
     def extend(self, phi, plan, sign):
         """{(source labels, target labels): morphism} of sign * phi
         extended by ``plan``, between delooped objects."""
         R = self.ring
+        if len(phi) == 1:
+            (fm, fc), = phi.items()
+            if R.mul(sign, fc) == R.one:
+                return self._unit_extension(plan, fm)
         out = {}
         for fm, fc in phi.items():
             c = R.mul(sign, fc)
@@ -388,16 +434,16 @@ class _Scan:
         self._cycles = {k: v for k, v in self._cycles.items() if k[0] >= old}
         self._compositions = {}
         self._smoothings, self._extensions = {}, {}
-        self._unit_extensions = {}
         boundary.difference_update(e for e, _ in shared)
         boundary.update(fresh)
 
         objs, out, inn = {}, {}, {}
-        ids = {}        # (old id, sigma) -> first new id
+        ids = {}        # old id -> the first new id of each smoothing
         for x, (m, q, r) in self.objs.items():
+            ids[x] = firsts = []
             for sigma in (0, 1):
                 m2, loops = self.smoothing(m, sigma)
-                ids[(x, sigma)] = len(objs) + self.next_id
+                firsts.append(len(objs) + self.next_id)
                 for labels in range(1 << len(loops)):
                     y = len(objs) + self.next_id
                     objs[y] = (m2, q + sigma + len(loops)
@@ -405,20 +451,21 @@ class _Scan:
                     out[y], inn[y] = {}, set()
         self.next_id += len(objs)
 
-        def put(x, y, sigma, tau, entries):
+        def put(src, tgt, entries):
             for (ls, lt), f in entries.items():
-                src, tgt = ids[(x, sigma)] + ls, ids[(y, tau)] + lt
-                out[src][tgt] = f
-                inn[tgt].add(src)
+                out[src + ls][tgt + lt] = f
+                inn[tgt + lt].add(src + ls)
         minus_one = R.from_int(-1)
         for x, (m, q, r) in self.objs.items():
             sign = minus_one if r % 2 else R.one
-            put(x, x, 0, 1, self.extend({0: R.one},
-                                        self.extension(m, m, 0, 1), sign))
+            put(*ids[x], self.extend({0: R.one},
+                                     self.extension(m, m, 0, 1), sign))
             for y, f in self.out[x].items():
+                my = self.objs[y][0]
                 for sigma in (0, 1):
-                    plan = self.extension(m, self.objs[y][0], sigma, sigma)
-                    put(x, y, sigma, sigma, self.extend(f, plan, R.one))
+                    plan = self.extension(m, my, sigma, sigma)
+                    put(ids[x][sigma], ids[y][sigma],
+                        self.extend(f, plan, R.one))
         self.objs, self.out, self.inn = objs, out, inn
         self.eliminate()
 
@@ -450,14 +497,19 @@ class _Scan:
             inn[z].discard(x)
         into_y = inn.pop(y)
         into_y.discard(x)
+        scaled = coef != R.one
         mx = objs[x][0]
+        dx = [(z, g, objs[z][0]) for z, g in dx.items()]
         for w in into_y:
             row = out[w]
             f = row.pop(y)
             mw = objs[w][0]
-            for z, g in dx.items():
-                acc = axpy(R, row.get(z, {}), coef,
-                           self.compose(g, f, mw, mx, objs[z][0]))
+            for z, g, mz in dx:
+                # the composite is kept by ``value``: a sum or a multiple
+                # goes into a new dict, never into it or into row[z]
+                acc = self.compose(g, f, mw, mx, mz)
+                if scaled or z in row:
+                    acc = axpy(R, dict(row.get(z, ())), coef, acc)
                 if acc:
                     row[z] = acc
                     inn[z].add(w)

@@ -146,6 +146,63 @@ def test_equal_gluings_share_one_plan_and_one_value():
     assert len(scan._values) == 1
 
 
+def test_gluings_are_kept_for_the_whole_scan(monkeypatch):
+    # glue is kept for the scan, not for one step: equal arguments met in
+    # different steps get the very same plan
+    glue, add_crossing = tangles._Scan.glue, tangles._Scan.add_crossing
+    steps, plans = [], {}
+
+    def stepping(self, cr, boundary):
+        steps.append(cr)
+        add_crossing(self, cr, boundary)
+
+    def recording(self, npieces, seams, discs, outs):
+        plan = glue(self, npieces, seams, discs, outs)
+        key = (npieces, tuple(seams), tuple(discs), tuple(outs))
+        plans.setdefault(key, {})[len(steps)] = plan
+        return plan
+    monkeypatch.setattr(tangles._Scan, "add_crossing", stepping)
+    monkeypatch.setattr(tangles._Scan, "glue", recording)
+    tangles._Scan(theory_from_selector("bn")).run(torus("T(3,5)"))
+    again = [by_step for by_step in plans.values() if len(by_step) > 1]
+    assert len(again) > 10
+    for by_step in again:
+        first, *rest = by_step.values()
+        assert all(plan is first for plan in rest)
+
+
+def test_a_surface_without_genus_raises_every_time():
+    # a failed gluing is not kept: one disc with two boundary cycles has
+    # 2 - k - chi = -1, and says so on each call
+    scan = tangles._Scan(theory_from_selector("bn"))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no genus"):
+            scan.glue(1, [], [], [0, 0])
+    assert scan._glued == {}
+
+
+@pytest.mark.parametrize("sel", ["bn", "alpha@0,t/f3"])
+def test_kept_surfaces_are_never_changed_in_place(sel):
+    # stored morphisms share the kept values and unit extensions, so after
+    # whole scans each must still equal a fresh recomputation
+    th = theory_from_selector(sel)
+    scan = tangles._Scan(th)
+    for d in (load_table()["8_19"], torus("T(3,5)")):
+        scan.run(d)
+    fresh = tangles._Scan(th)
+    units = [(plan, fm, hit) for plan, kept in scan._unit_extensions.items()
+             for fm, hit in kept.items()]
+    assert len(units) > 50
+    for plan, fm, hit in units:
+        assert hit == fresh._unit_extension(plan + ({},), fm)
+    values = [(plan, dots, hit) for plan, kept in scan._values.items()
+              for dots, hit in kept.items()]
+    assert len(values) > 100
+    fresh._values.clear()
+    for plan, dots, hit in values:
+        assert hit == fresh.value(plan, dots)
+
+
 def test_matching_caches_hold_one_step(monkeypatch):
     # the caches keyed on matching ids live for one step: after each step
     # they name only matchings of the boundary before or after its
