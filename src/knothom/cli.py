@@ -19,8 +19,13 @@ push maps through the cube.
 
 ``verify`` runs a suite in groups, one per (knot or movie, theory): the
 command builds each theory once and hands it to its groups, and a group
-builds the knot's complex and its homology once and checks every
-instance of the group against them.  ``--jobs N`` (N >= 1) spreads the
+builds the knot's complex once and checks every instance of the group
+on it.  An instance whose two maps are equal on chains
+(``complexes.maps_equal``) passes without homology; the group builds
+the knot's homology only for the first instance whose maps differ
+there, once, and compares every such instance on homology.  So
+saddle-split, and movie-star in characteristic 2, run no elimination,
+and dot-crossing one per group.  ``--jobs N`` (N >= 1) spreads the
 groups over N worker processes, which receive the theories pickled.
 """
 
@@ -375,14 +380,31 @@ def _report_group(report, pass_detail, theory, subject, args):
 
 
 def _knot_group(verify, theory, name, args):
-    """verify(hdata, *arguments) per instance, all on one homology; an
-    exception is that instance's ERROR."""
+    """verify(cx, homology, *arguments) per instance, all on the knot's
+    one complex cx.  ``homology()`` builds cx's HomologyData the first
+    time an instance's maps differ on chains, and hands every later
+    instance that one, or raises again what building it raised; an
+    instance whose maps agree on chains never asks.  An exception is
+    that instance's ERROR, so a failed homology fails only the instances
+    that needed it."""
     diagram = unknot_diagram() if name == "unknot" else _table()[name]
-    hdata = HomologyData(build_complex(diagram, theory))
+    cx = build_complex(diagram, theory)
+    built = []          # the HomologyData, or what building it raised
+
+    def homology():
+        if not built:
+            try:
+                built.append(HomologyData(cx))
+            except Exception as e:
+                built.append(e)
+        if isinstance(built[0], Exception):
+            raise built[0]
+        return built[0]
+
     out = []
     for arg in args:
         try:
-            out.append(_status(verify(hdata, *arg)))
+            out.append(_status(verify(cx, homology, *arg)))
         except Exception as e:
             out.append(_error(e))
     return out
@@ -414,8 +436,10 @@ VERIFY_SUITES = {
 
 def _run_group(group, theory):
     """Worker for one group under its selector's theory; when the shared
-    complex or homology cannot be built, every instance of the group is
-    an ERROR."""
+    complex cannot be built, every instance of the group is an ERROR.
+    A knot group's homology is built only for the instances whose maps
+    differ on chains, and when it cannot be built, exactly those
+    instances are ERRORs (see ``_knot_group``)."""
     suite, _, subject, cases = group
     try:
         return VERIFY_SUITES[suite](theory, subject,

@@ -25,8 +25,8 @@ Chain maps are evaluated on the vectors they are applied to.  A birth,
 death, saddle or decoration is one label table per state, read by the
 one kernel ``complexes.table_map`` entry by entry off the whole vector
 it is applied to; each builder here only says what its table is, and
-works it out once per state, the first time one of the state's labels
-is mapped.  Labels are carried between resolutions as along the cube's
+the kernel asks for it once per state, the first time the state is
+read.  Labels are carried between resolutions as along the cube's
 edges, by ``persisting`` and ``CubeComplex.carry``, and a saddle's band
 is the cube edge's rule, ``band_plan`` (see ``complexes``).  A birth's
 unit and a death's counit are one map (``_unit_counit_map``): they
@@ -34,7 +34,10 @@ differ only in whether the circle of their edge is in the source.  A
 decoration's table depends only on the circle count and the decorated
 circle's position, so the states and maps of one complex share it
 (``CubeComplex.decorations``).  A movie's composite pushes a vector
-through its moves one after another.
+through its moves one after another.  The tables are also what two
+such maps are compared by on chains (``complexes.maps_equal``): the
+knot suites' verifiers ask for homology only where the maps differ
+there (``_agree``).
 
 An r1 or r2 move cancels the local pairs of its kink or bigon in the
 bigger complex, leaving the smaller diagram's complex up to a checked
@@ -68,13 +71,12 @@ homology (Levine-Zemke, *Khovanov homology and ribbon concordances*);
 """
 
 from dataclasses import dataclass, field
-from functools import cache
 
 from .diagram import (LinkDiagram, faces, is_planar, parse_pd,
                       unknot_diagram)
 from .complexes import (ChainMap, band_plan, build_complex, compose,
-                        add_maps, identity_map, persisting, scale_map,
-                        table_map, zero_map)
+                        add_maps, identity_map, maps_equal, persisting,
+                        scale_map, table_map, zero_map)
 from .homology import (HomologyData, Reduction, _Cancellations,
                        maps_equal_on_homology)
 
@@ -425,17 +427,19 @@ def _unit_counit_map(theory, cx_src, cx_tgt, info):
     one, and has no row where the counit kills the label."""
     e = info["edge"]
     live = ((0, theory.ring.one),)
+    rows = {}           # (j, label count) -> the rows, shared by states
 
-    @cache
     def plan(s):
         rs = cx_src.diagram.resolve(s)
         j = rs.index.get(e)         # None for a birth
         base = cx_tgt.carry(persisting(rs, cx_tgt.diagram.resolve(s)),
                             len(rs))
-        return cx_tgt.state_block[s][1], base, [
-            () if j is not None and not L >> j & 1 else live
-            for L in range(len(base))]
-    return table_map(cx_src, cx_tgt, plan, 0, 1, info["kind"])
+        key = j, len(base)
+        if key not in rows:
+            rows[key] = [() if j is not None and not L >> j & 1 else live
+                         for L in range(len(base))]
+        return base, rows[key]
+    return table_map(cx_src, cx_tgt, plan, 1, info["kind"])
 
 
 def decoration_chain_map(theory, cx, kind, edge):
@@ -454,9 +458,8 @@ def decoration_chain_map(theory, cx, kind, edge):
                  for b in (0, 1))
     tables = cx.decorations
 
-    @cache
     def plan(s):
-        _, off, c = cx.state_block[s]
+        c = cx.state_block[s][2]
         j = cx.diagram.locate(s, edge)
         table = tables.get((kind, c, j))
         if table is None:
@@ -465,8 +468,8 @@ def decoration_chain_map(theory, cx, kind, edge):
             table = tables[kind, c, j] = (
                 cx.carry(tuple(None if k == j else k for k in range(c)), c),
                 [rows[L >> j & 1] for L in range(1 << c)])
-        return (off,) + table
-    return table_map(cx, cx, plan, 0, -2, kind)
+        return table
+    return table_map(cx, cx, plan, -2, kind)
 
 
 def saddle_chain_map(theory, cx_src, cx_tgt, info):
@@ -477,15 +480,14 @@ def saddle_chain_map(theory, cx_src, cx_tgt, info):
     nor splits is a MoveError."""
     Ds, Dt = cx_src.diagram, cx_tgt.diagram
 
-    @cache
     def plan(s):
         rs, rt = Ds.resolve(s), Dt.resolve(s)
         try:
             band = band_plan(rs, rt, *info["ends"])
         except ValueError as e:
             raise MoveError(str(e)) from e
-        return (cx_tgt.state_block[s][1],) + cx_tgt._shape(band, 0)
-    return table_map(cx_src, cx_tgt, plan, 0, -1, "saddle")
+        return cx_tgt._shape(band, 0)
+    return table_map(cx_src, cx_tgt, plan, -1, "saddle")
 
 
 # -- r1/r2 maps read off the bigger cube ---------------------------------
@@ -980,45 +982,55 @@ def load_movie(path):
 
 # -- paper-identity verifiers --------------------------------------------
 
-def verify_dot_crossing(hdata, crossing):
+def _agree(f, g, homology, up_to_sign=False):
+    """Whether f and g induce the same map on homology, up to one global
+    sign with ``up_to_sign``: on chains already where ``maps_equal`` says
+    so, else by ``maps_equal_on_homology`` on ``homology()``, the
+    HomologyData of their complex, which is asked for only then."""
+    if maps_equal(f, g, up_to_sign):
+        return True
+    hdata = homology()
+    return maps_equal_on_homology(f, g, hdata, hdata, up_to_sign)
+
+
+def verify_dot_crossing(cx, homology, crossing):
     """At the chosen crossing, dots on the two under-strand edges sum to
     h (multiplication) on homology; with chosen roots, digit 1 on one
-    plus digit 2 on the other induces zero (checked in both orders)."""
-    cx = hdata.original
-    theory = hdata.theory
+    plus digit 2 on the other induces zero (checked in both orders).
+    ``homology()`` gives cx's HomologyData (see ``_agree``)."""
+    theory = cx.theory
     p, q = cx.diagram.under_edges(crossing)
     if theory.alphas is not None:
         z = zero_map(cx, cx, 0, -2)
         for kp, kq in (("dot1", "dot2"), ("dot2", "dot1")):
             f = add_maps(decoration_chain_map(theory, cx, kp, p),
                          decoration_chain_map(theory, cx, kq, q))
-            if not maps_equal_on_homology(f, z, hdata, hdata):
+            if not _agree(f, z, homology):
                 return False
         return True
     f = add_maps(decoration_chain_map(theory, cx, "dot", p),
                  decoration_chain_map(theory, cx, "dot", q))
     g = scale_map(theory.s, identity_map(cx))
-    return maps_equal_on_homology(f, g, hdata, hdata)
+    return _agree(f, g, homology)
 
 
-def verify_saddle_split(hdata, move):
+def verify_saddle_split(cx, homology, move):
     """A splitting saddle followed by its reverse is homotopic to the
     star action (multiplication by h over F2[h], 2X-s in general), up to
-    a global sign away from characteristic 2."""
+    a global sign away from characteristic 2.  ``homology()`` gives cx's
+    HomologyData (see ``_agree``)."""
     if move.kind != "saddle":
         raise MoveError("verify_saddle_split needs a saddle move")
-    cx = hdata.original
-    theory = hdata.theory
+    theory = cx.theory
     new, info, inverse = apply_move(cx.diagram, move)
     if len(new.components) != len(cx.diagram.components) + 1:
         raise MoveError("saddle must increase the component count")
     cx2 = build_complex(new, theory)
     f = saddle_chain_map(theory, cx, cx2, info)
     g = saddle_chain_map(theory, cx2, cx, inverse)
-    comp = compose(g, f)
     star = decoration_chain_map(theory, cx, "star", move.args[0])
-    return maps_equal_on_homology(comp, star, hdata, hdata,
-                                  up_to_sign=theory.ring.char != 2)
+    return _agree(compose(g, f), star, homology,
+                  up_to_sign=theory.ring.char != 2)
 
 
 def verify_symmetry(movie, theory):
@@ -1036,17 +1048,17 @@ def verify_symmetry(movie, theory):
     return maps_equal_on_homology(f, g, ha, ha)
 
 
-def verify_star_placement(hdata, e1, e2):
+def verify_star_placement(cx, homology, e1, e2):
     """Stars at two edges of the same component act equally on homology
-    up to a global sign."""
-    cx = hdata.original
+    up to a global sign.  ``homology()`` gives cx's HomologyData (see
+    ``_agree``)."""
     comp1 = next(c for c in cx.diagram.components if e1 in c)
     if e2 not in comp1:
         raise MoveError("edges %d and %d lie on different components"
                         % (e1, e2))
-    f = decoration_chain_map(hdata.theory, cx, "star", e1)
-    g = decoration_chain_map(hdata.theory, cx, "star", e2)
-    return maps_equal_on_homology(f, g, hdata, hdata, up_to_sign=True)
+    f = decoration_chain_map(cx.theory, cx, "star", e1)
+    g = decoration_chain_map(cx.theory, cx, "star", e2)
+    return _agree(f, g, homology, up_to_sign=True)
 
 
 def ribbon_structure_errors(movie):

@@ -52,12 +52,19 @@ the state's block offset in ``state_block`` plus the labels.
 
 Chain maps are evaluated on the sparse vectors they are applied to.
 Every local map on the cube (a saddle, birth, death or decoration of
-``cobordism``) is a label table per state in an edge shape's layout,
-read entry by entry off a whole vector by one kernel, ``table_map``; a
-saddle's table is its ``band_plan``'s shape without a sign.  Sums,
-multiples and composites act on whole vectors too.  A map's matrix is
-built on demand, from the generator images, only where a check asks
-for it.
+``cobordism``) is a label table per state: its plan gives the state's
+(base, rows) in an edge shape's layout, and one kernel, ``table_map``,
+reads them entry by entry off a whole vector.  The kernel takes the
+target block of the same state from the target's ``state_block``, so
+every such map keeps each state by construction.  A saddle's table is
+its ``band_plan``'s shape without a sign.  Sums, multiples and
+composites act on whole vectors too, and record the tables of their
+parts (``ChainMap.tables``).  ``maps_equal`` compares two such maps on
+chains: their difference is zero exactly when it is zero on each
+state's block, where their tables fix it, so it is applied once per
+distinct tuple of the tables a state reads, not once per state.  A
+map's matrix is built on demand, from the generator images, only where
+a check asks for it.
 """
 
 from dataclasses import dataclass, field
@@ -458,6 +465,13 @@ class ChainMap:
     {src: {tgt: payload}}, is built from the images of the generators the
     first time it is asked for and then kept.  ``q_shift`` records the
     declared quantum degree when known (None otherwise).
+
+    A map on cubes that keeps every state, each state's block going to
+    the same state's block by a local map, records ``tables``: for a
+    state s, the tuple of the label tables that the local map at s
+    reads, which fix it.  A ``table_map`` reads its plan's (base, rows);
+    a composite, sum or multiple reads those of its parts, and an
+    identity or zero map none.  Any other map has None.
     """
 
     source: ChainComplex
@@ -466,6 +480,7 @@ class ChainMap:
     r_shift: int = 0
     q_shift: int = None
     name: str = ""
+    tables: object = field(default=None, repr=False)
     _blocks: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -500,21 +515,30 @@ class ChainMap:
         return True
 
 
-def table_map(source, target, plan, r_shift=0, q_shift=None, name=""):
+def table_map(source, target, plan, q_shift=None, name=""):
     """The local map whose per-state label table ``plan(s)`` gives as
-    (toff, base, rows), the layout of an edge's shape: the image of
-    generator (s, L) is the sum of c at target index toff + base[L] +
-    bits, for (bits, c) in rows[L].  The map reads a whole vector entry
-    by entry, building no image per generator."""
+    (base, rows), the layout of an edge's shape: the image of generator
+    (s, L) is the sum of c at labels base[L] + bits of the same state s
+    of ``target``, for (bits, c) in rows[L].  The kernel reads the
+    state's block off ``target.state_block``, so the map keeps every
+    state and degree.  It asks ``plan`` once per state, the first time
+    the map or its ``tables`` reads the state, and reads a whole vector
+    entry by entry, building no image per generator."""
     R = source.ring
     add, mul, is_zero = R.add, R.mul, R.is_zero
+    block = target.state_block
+    placed = {}         # state -> (its target block's offset, base, rows)
+
+    def place(s):
+        table = placed[s] = (block[s][1], *plan(s))
+        return table
 
     def act(r, vec):
         gens = source.gens[r]
         out = {}
         for i, a in vec.items():
             s, L = gens[i]
-            toff, base, rows = plan(s)
+            toff, base, rows = placed.get(s) or place(s)
             tb = toff + base[L]
             for bits, c in rows[L]:
                 k = tb + bits
@@ -529,15 +553,31 @@ def table_map(source, target, plan, r_shift=0, q_shift=None, name=""):
                 else:
                     out[k] = v
         return out
-    return ChainMap(source, target, act, r_shift, q_shift, name)
+
+    def tables(s):
+        return (placed.get(s) or place(s))[1:]
+    return ChainMap(source, target, act, 0, q_shift, name, tables)
+
+
+def _no_tables(s):
+    return ()
+
+
+def _joint_tables(f, g):
+    """The tables of a map built from f and g, state by state: f's then
+    g's, or None unless both maps have them."""
+    if f.tables is None or g.tables is None:
+        return None
+    return lambda s: f.tables(s) + g.tables(s)
 
 
 def identity_map(cx):
-    return ChainMap(cx, cx, lambda r, vec: dict(vec), 0, 0, "id")
+    return ChainMap(cx, cx, lambda r, vec: dict(vec), 0, 0, "id", _no_tables)
 
 
 def zero_map(src, tgt, r_shift=0, q_shift=None):
-    return ChainMap(src, tgt, lambda r, vec: {}, r_shift, q_shift, "0")
+    return ChainMap(src, tgt, lambda r, vec: {}, r_shift, q_shift, "0",
+                    _no_tables)
 
 
 def compose(g, f):
@@ -552,7 +592,8 @@ def compose(g, f):
     return ChainMap(f.source, g.target,
                     lambda r, vec: g.apply(r + f.r_shift, f.apply(r, vec)),
                     f.r_shift + g.r_shift, q,
-                    "%s∘%s" % (g.name, f.name) if f.name or g.name else "")
+                    "%s∘%s" % (g.name, f.name) if f.name or g.name else "",
+                    _joint_tables(f, g))
 
 
 def add_maps(f, g):
@@ -566,18 +607,55 @@ def add_maps(f, g):
     return ChainMap(
         f.source, f.target,
         lambda r, vec: axpy(R, f.apply(r, vec), R.one, g.apply(r, vec)),
-        f.r_shift, q)
+        f.r_shift, q, "", _joint_tables(f, g))
 
 
 def scale_map(c, f):
     R = f.ring
     return ChainMap(f.source, f.target,
                     lambda r, vec: axpy(R, {}, c, f.apply(r, vec)),
-                    f.r_shift, f.q_shift, f.name)
+                    f.r_shift, f.q_shift, f.name, f.tables)
 
 
-def maps_equal(f, g):
+def maps_equal(f, g, up_to_sign=False):
+    """Whether f = g as maps of complexes, or, with ``up_to_sign``, f = g
+    or f = -g, for two maps on one cube that keep every state
+    (``ChainMap.tables``); a map without tables raises ValueError.
+
+    f - g, or f + g where -1 is not 1, is zero exactly when it is zero
+    on every state's block, and there it is the local map that the
+    tables of f and g at the state fix.  So it is applied to the labels
+    of one state per distinct tuple of those tables and of the state's
+    circle count, and never to the other states: the cube shares its
+    tables across states (``CubeComplex._shape``, ``carry`` and
+    ``decorations``)."""
+    tables = _joint_tables(f, g)
+    if tables is None or not isinstance(f.source, CubeComplex):
+        raise ValueError("maps_equal compares maps on a cube built from "
+                         "label tables; %r or %r is not one"
+                         % (f.name, g.name))
+    if not (f.source is g.source and f.target is g.target):
+        raise ValueError("maps_equal: the maps have different sources or "
+                         "targets")
     if f.r_shift != g.r_shift:
         return False
     R = f.ring
-    return all(mat_eq(R, f.block(r), g.block(r)) for r in f.source.degrees)
+    one = R.one
+
+    def _kills(c):
+        # is f + c g zero on every state's block?
+        seen = {}
+        for s, (r, off, n) in f.source.state_block.items():
+            held = tables(s)
+            key = (n,) + tuple(map(id, held))
+            if key in seen:
+                continue
+            # the tables stay held, so that no id in a key is reused
+            seen[key] = held
+            for L in range(1 << n):
+                e = {off + L: one}
+                if axpy(R, f.apply(r, e), c, g.apply(r, e)):
+                    return False
+        return True
+    return _kills(R.from_int(-1)) or (
+        up_to_sign and R.char != 2 and _kills(one))

@@ -42,8 +42,12 @@ and the step that cancelled each generator.
 Canonical coordinates, truncated below each torsion order, are linear,
 so f and g agree on homology exactly when f - g sends every generator
 cycle to coordinates 0, and up to sign when f - g or f + g does; f + g
-is pushed only where -1 is not 1.  ``induced_map`` builds the matrix
-that ``movie`` prints, and comparing two such matrices
+is pushed only where -1 is not 1.  The knot suites of ``verify`` reach
+it only with maps that differ on chains: ``complexes.maps_equal``
+settles the others from the cube's label tables, with no elimination
+(``cobordism._agree``); ``movie --compare`` and the symmetry and ribbon
+suites always come here.  ``induced_map`` builds
+the matrix that ``movie`` prints, and comparing two such matrices
 (``induced_maps_equal``) is the one-pass comparison's test oracle.
 
 ``quotient_dims``, the oracle, shares no code with either pass: it ranks

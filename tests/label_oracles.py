@@ -1,7 +1,11 @@
-"""Test oracles that carry circle labels through a local surgery label by
-label, the way the package did before ``persisting`` and
-``CubeComplex.carry`` took the job.  The tests hold the package's tables
-to them."""
+"""Test oracles for the label tables.  Three carry circle labels through
+a local surgery label by label, the way the package did before
+``persisting`` and ``CubeComplex.carry`` took the job; ``blocks_equal``
+compares two maps matrix by matrix, the way the package did before
+``complexes.maps_equal`` compared their tables.  The tests hold the
+package to them."""
+
+from knothom.complexes import mat_eq
 
 
 def circle_match(rs, rt, skip=()):
@@ -43,3 +47,12 @@ def plan_images(theory, plan, labels):
         _, ia, it1, it2, _ = plan
         for (l1, l2), coeff in theory.comul_basis(labels >> ia & 1).items():
             yield base | (l1 << it1) | (l2 << it2), coeff
+
+
+def blocks_equal(f, g):
+    """Whether the chain maps f and g have equal matrices out of every
+    degree of their source, built from the images of the generators."""
+    if f.r_shift != g.r_shift:
+        return False
+    return all(mat_eq(f.ring, f.block(r), g.block(r))
+               for r in f.source.degrees)

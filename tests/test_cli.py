@@ -442,6 +442,53 @@ def test_verify_group_without_homology_is_all_error(monkeypatch):
         for ci in range(3)] + ["0/3 instances passed"]
 
 
+def test_verify_eliminates_only_where_maps_differ_on_chains(tmp_path,
+                                                            monkeypatch):
+    # saddle-split, and movie-star in characteristic 2, settle every
+    # instance on chains; dot-crossing needs homology, built once per
+    # group.  When it cannot be built, only the instances that need it
+    # are ERRORs
+    from knothom import cli
+    homology = import_module("knothom.homology")
+    table = tmp_path / "5_2.tsv"
+    table.write_text("5_2\tPD[X[10,4,1,3],X[4,10,5,9],X[8,6,9,5],X[2,8,3,7],"
+                     "X[6,2,7,1]]\n")
+    monkeypatch.setenv(TABLE_ENV, str(table))
+    calls = []
+    reduce = homology.reduce_complex
+
+    def counting_reduce(cx):
+        calls.append(cx)
+        return reduce(cx)
+
+    monkeypatch.setattr(homology, "reduce_complex", counting_reduce)
+    for args, eliminations in ((("movie-star", "--theory", "bn"), 0),
+                               (("saddle-split", "--theory", "alpha@0,t/f3"),
+                                0),
+                               (("dot-crossing",), 2)):
+        calls.clear()
+        res = run("verify", *args)
+        assert res.exit_code == 0, res.output
+        assert len(calls) == eliminations, args
+
+    built = []
+
+    def boom(cx):
+        built.append(cx)
+        raise ValueError("no homology here")
+
+    monkeypatch.setattr(cli, "HomologyData", boom)
+    res = run("verify", "dot-crossing", "--theory", "bn")
+    assert res.exit_code == 3, res.output
+    assert res.output.splitlines() == [
+        "ERROR dot-crossing 5_2 c%d bn  [ValueError: no homology here]" % ci
+        for ci in range(5)] + ["0/5 instances passed"]
+    assert len(built) == 1
+    res = run("verify", "saddle-split", "--theory", "bn")
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines()[-1] == "3/3 instances passed"
+
+
 @pytest.mark.parametrize("selector", ["alpha", "alpha@1,-1/z"])
 @pytest.mark.parametrize("suite", ["dot-crossing", "saddle-split",
                                    "movie-star", "symmetry", "ribbon"])
